@@ -16,7 +16,7 @@ from . import __version__
 from .bondal import VARIANT_CURVE, VARIANT_STRUCTURE, E2Page, e2_page, reconstruct
 from .catalog import CaseSpec, case_to_json, list_cases, verify_all
 from .cohomology import BundleNumerics, cohomology_q2, euler_char
-from .errors import NefQ2Error, ReconstructionError
+from .errors import HypothesisError, NefQ2Error, ReconstructionError
 from .ktheory import ses_quotient_chern, sum_of_lines, to_chern, twist_chern
 from .picard import BiDegree
 
@@ -181,6 +181,9 @@ def _run_verify(args: argparse.Namespace) -> int:
         reports.extend(
             verify_all(theorem, args.rank_min, args.rank_max, c1=params["c1"], b=params["b"])
         )
+    if not reports:
+        lo = "min_rank" if args.rank_min is None else args.rank_min
+        raise HypothesisError(f"empty sweep: no case has a rank in {lo}..{args.rank_max}")
     passed = sum(1 for r in reports if r.passed)
     failed = len(reports) - passed
     if args.format == "json":

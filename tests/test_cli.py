@@ -177,3 +177,10 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == f"nefq2 {nefq2.__version__}"
+
+
+def test_empty_sweep_is_a_usage_error(capsys):
+    for extra in ((), ("--format", "json")):
+        code, out, err = run(capsys, "verify", "main22", "--rank-min", "20", "--rank-max", "3", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: empty sweep: no case has a rank in 20..3\n"
