@@ -29,8 +29,8 @@ from typing import Mapping
 
 from .cohomology import BundleNumerics
 from .errors import HypothesisError, ReconstructionError
-from .ktheory import KClass, TorsionDescriptor, TorsionKind, from_chern, line_class, torsion_class
-from .picard import BiDegree
+from .ktheory import KClass, TorsionDescriptor, TorsionKind, from_chern, line_class, line_label, torsion_class
+from .picard import ZERO, BiDegree
 from .quiver import CompositionSeries, hom_ext_series
 
 
@@ -49,13 +49,6 @@ DICTIONARY: tuple[ShiftedLineClass, ...] = (
     ShiftedLineClass(BiDegree(0, -1), 1),
     ShiftedLineClass(BiDegree(-1, -1), 2),
 )
-
-
-def s_tensor_g(i: int) -> ShiftedLineClass:
-    """Shifted line bundle corresponding to the i-th vertex simple."""
-    if i not in (0, 1, 2, 3):
-        raise ValueError(f"vertex index {i} out of range 0..3")
-    return DICTIONARY[i]
 
 
 def series_tensor_class(series: CompositionSeries) -> KClass:
@@ -141,11 +134,6 @@ class E2Page:
         return self.convergence_class() - self.entry(-1, 1)
 
 
-def _power_label(deg: BiDegree, mult: int) -> str:
-    base = "O" if deg == BiDegree(0, 0) else f"O({deg.a},{deg.b})"
-    return base if mult == 1 else f"{base}^{mult}"
-
-
 def e2_page(c2: int, rank: int, variant: str | None = None) -> E2Page:
     """Build the identified second page for c2 in {6, 7, 8}.
 
@@ -171,25 +159,19 @@ def e2_page(c2: int, rank: int, variant: str | None = None) -> E2Page:
 
     n0 = rank + 8 - c2
     entries: dict[tuple[int, int], E2Entry] = {
-        (0, 0): E2Entry(n0 * line_class(BiDegree(0, 0)), _power_label(BiDegree(0, 0), n0))
+        (0, 0): E2Entry(n0 * line_class(ZERO), line_label(ZERO, n0))
     }
     if c2 == 6:
-        entries[(-2, 1)] = E2Entry(
-            2 * line_class(BiDegree(-1, -1)), _power_label(BiDegree(-1, -1), 2)
-        )
+        entries[(-2, 1)] = E2Entry(2 * line_class(BiDegree(-1, -1)), line_label(BiDegree(-1, -1), 2))
     elif c2 == 7:
-        entries[(-2, 1)] = E2Entry(
-            line_class(BiDegree(-2, -2)), _power_label(BiDegree(-2, -2), 1)
-        )
+        entries[(-2, 1)] = E2Entry(line_class(BiDegree(-2, -2)), line_label(BiDegree(-2, -2)))
         point = TorsionDescriptor(TorsionKind.POINT_SHEAF)
         entries[(-1, 1)] = E2Entry(torsion_class(point), point.label(), point)
     elif variant == VARIANT_CURVE:
         curve = TorsionDescriptor(TorsionKind.CURVE_TORSION, BiDegree(2, 2), 0)
         entries[(-1, 1)] = E2Entry(torsion_class(curve), curve.label(), curve)
     else:
-        entries[(-2, 1)] = E2Entry(
-            line_class(BiDegree(-2, -2)), _power_label(BiDegree(-2, -2), 1)
-        )
+        entries[(-2, 1)] = E2Entry(line_class(BiDegree(-2, -2)), line_label(BiDegree(-2, -2)))
         sheaf = TorsionDescriptor(TorsionKind.STRUCTURE_SHEAF)
         entries[(-1, 1)] = E2Entry(torsion_class(sheaf), sheaf.label(), sheaf)
 

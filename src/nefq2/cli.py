@@ -17,7 +17,7 @@ from .bondal import VARIANT_CURVE, VARIANT_STRUCTURE, E2Page, e2_page, reconstru
 from .catalog import CaseSpec, case_to_json, list_cases, verify_all
 from .cohomology import BundleNumerics, cohomology_q2, euler_char
 from .errors import HypothesisError, NefQ2Error, ReconstructionError
-from .ktheory import ses_quotient_chern, sum_of_lines, to_chern, twist_chern
+from .ktheory import line_label, ses_quotient_chern, sum_of_lines, to_chern, twist_chern
 from .picard import BiDegree
 
 
@@ -125,19 +125,9 @@ def _dump(document: dict[str, Any]) -> str:
     return json.dumps(document, sort_keys=True, indent=2)
 
 
-def _line_label(deg: BiDegree, mult: object) -> str:
-    base = "O" if deg == BiDegree(0, 0) else f"O({deg.a},{deg.b})"
-    text = str(mult)
-    if text == "1":
-        return base
-    if "+" in text or "-" in text:
-        return f"{base}^({text})"
-    return f"{base}^{text}"
-
-
 def _case_line(case: CaseSpec) -> str:
-    sub = "+".join(_line_label(d, m) for d, m in case.sub_terms) or "0"
-    mid = "+".join(_line_label(d, m) for d, m in case.mid_terms)
+    sub = "+".join(line_label(d, m) for d, m in case.sub_terms) or "0"
+    mid = "+".join(line_label(d, m) for d, m in case.mid_terms)
     coker = case.coker.label() if case.coker is not None else "0"
     twin = f" twin_of={case.twin_of}" if case.twin_of else ""
     return (

@@ -192,6 +192,20 @@ class TorsionDescriptor:
         return f"O_C({self.twist_degree}) on a {self.support} curve"
 
 
+def line_label(deg: BiDegree, mult: object = 1) -> str:
+    """Text of the direct sum O(deg)^mult.  A multiplicity affine in the
+    rank (a ``RankExpr`` such as r-2) is put in parentheses.
+
+    >>> line_label(ZERO, 6), line_label(BiDegree(-1, -1)), line_label(BiDegree(2, 0), "r-3")
+    ('O^6', 'O(-1,-1)', 'O(2,0)^(r-3)')
+    """
+    base = "O" if deg == ZERO else f"O{deg}"
+    text = str(mult)
+    if text == "1":
+        return base
+    return f"{base}^({text})" if "+" in text or "-" in text else f"{base}^{text}"
+
+
 def torsion_class(t: TorsionDescriptor) -> KClass:
     """K-class of a cokernel descriptor.
 

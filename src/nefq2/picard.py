@@ -82,15 +82,6 @@ def self_intersection(x: BiDegree) -> int:
 
 
 def is_effective(x: BiDegree) -> bool:
-    """True iff the class contains an effective divisor."""
-    return x.a >= 0 and x.b >= 0
-
-
-def is_nef_divisor(x: BiDegree) -> bool:
-    """True iff the divisor class is nef.
-
-    On a product of two lines the nef cone and the effective cone agree,
-    so this is the same test as :func:`is_effective`; it is kept separate
-    because callers mean different things by it.
-    """
+    """True iff the class contains an effective divisor, which on this
+    surface is the same as being nef."""
     return x.a >= 0 and x.b >= 0

@@ -16,7 +16,7 @@ two middle members do not map to each other.  Right modules over the
 algebra are recorded only through composition-series data: the vector of
 multiplicities of the four vertex simples.  The vertex idempotent e_i
 acts on a module by projecting onto its i-th graded piece, so its only
-numeric shadow here is reading off one coordinate.
+numeric shadow here is reading off one coordinate, ``series.d[i]``.
 """
 
 from __future__ import annotations
@@ -66,13 +66,6 @@ class ExceptionalAlgebra:
 
     def total_dimension(self) -> int:
         return sum(sum(row) for row in self.hom_dims)
-
-    @staticmethod
-    def act_idempotent(series: CompositionSeries, i: int) -> int:
-        """Dimension of V.e_i for a module with the given series."""
-        if i not in (0, 1, 2, 3):
-            raise ValueError(f"vertex index {i} out of range 0..3")
-        return series.d[i]
 
 
 def build_algebra() -> ExceptionalAlgebra:

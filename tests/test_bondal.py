@@ -20,7 +20,6 @@ from nefq2 import (
     from_chern,
     line_class,
     reconstruct,
-    s_tensor_g,
     series_tensor_class,
     simple_module,
 )
@@ -33,10 +32,6 @@ def test_dictionary_entries():
         ShiftedLineClass(BiDegree(0, -1), 1),
         ShiftedLineClass(BiDegree(-1, -1), 2),
     )
-    with pytest.raises(ValueError):
-        s_tensor_g(4)
-    with pytest.raises(ValueError):
-        s_tensor_g(-1)
 
 
 def test_series_tensor_class_on_simples():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from nefq2 import BiDegree, ZERO, intersect, is_effective, is_nef_divisor, self_intersection
+from nefq2 import BiDegree, ZERO, intersect, is_effective, self_intersection
 
 
 def test_bidegree_requires_integers():
@@ -63,12 +63,11 @@ def test_effective_equals_nef():
     assert is_effective(BiDegree(2, 0))
     assert not is_effective(BiDegree(2, -1))
     assert not is_effective(BiDegree(-1, -1))
-    # on this surface the effective and nef cones agree; the two
-    # predicates are implemented independently and must match
+    # on this surface the effective and nef cones agree, so one
+    # predicate serves both: the closed non-negative quadrant
     for a in range(-4, 5):
         for b in range(-4, 5):
-            d = BiDegree(a, b)
-            assert is_effective(d) == is_nef_divisor(d) == (a >= 0 and b >= 0)
+            assert is_effective(BiDegree(a, b)) == (a >= 0 and b >= 0)
 
 
 def test_nef_pairs_nonnegatively_with_nef():
