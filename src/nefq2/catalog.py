@@ -40,7 +40,7 @@ hypotheses of the module-profile reconstruction).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .bondal import reconstruct
@@ -136,7 +136,6 @@ class CaseSpec:
     globally_generated: bool | None
     bondal_reconstructible: bool
     twin_of: str | None = None
-    annotation: str = ""
 
     @property
     def case_number(self) -> str:
@@ -200,8 +199,6 @@ def _case(
     coker: TorsionDescriptor | None = None,
     gg: bool | None = True,
     bondal: bool = False,
-    twin_of: str | None = None,
-    annotation: str = "",
 ) -> CaseSpec:
     return CaseSpec(
         id=f"{theorem}-{number}",
@@ -214,8 +211,6 @@ def _case(
         expected_c2=expected_c2,
         globally_generated=gg,
         bondal_reconstructible=bondal,
-        twin_of=twin_of,
-        annotation=annotation,
     )
 
 
@@ -237,7 +232,6 @@ def _swapped(case: CaseSpec) -> CaseSpec:
         globally_generated=case.globally_generated,
         bondal_reconstructible=case.bondal_reconstructible,
         twin_of=case.id,
-        annotation="ruling swap of " + case.id,
     )
 
 
@@ -246,21 +240,18 @@ def _main22_cases() -> tuple[CaseSpec, ...]:
     c1 = (2, 2)
     cases: list[CaseSpec] = []
 
-    def add(case: CaseSpec, twin: bool = False, twin_note: str = "") -> None:
+    def add(case: CaseSpec, twin: bool = False) -> None:
         cases.append(case)
         if twin:
-            tw = _swapped(case)
-            if twin_note:
-                tw = replace(tw, annotation=twin_note)
-            cases.append(tw)
+            cases.append(_swapped(case))
 
     add(_case(t, "1", c1, _terms(), _terms(((2, 2), 1), ((0, 0), "r-1")), 0))
     add(
         _case(t, "2", c1, _terms(), _terms(((2, 1), 1), ((0, 1), 1), ((0, 0), "r-2")), 2),
         twin=True,
-        twin_note="the table displays both orientations of this split family",
     )
     add(_case(t, "3", c1, _terms(), _terms(((1, 1), 2), ((0, 0), "r-2")), 2))
+    # When the composite into the (1,1) summand vanishes, the middle splits off O(1,1) and the display degenerates.
     add(
         _case(
             t,
@@ -269,10 +260,6 @@ def _main22_cases() -> tuple[CaseSpec, ...]:
             _terms(((0, 0), 1)),
             _terms(((1, 1), 1), ((1, 0), 1), ((0, 1), 1), ((0, 0), "r-2")),
             3,
-            annotation=(
-                "when the composite into the (1,1) summand vanishes the middle "
-                "splits off O(1,1) and the display degenerates"
-            ),
         )
     )
     add(_case(t, "5", c1, _terms(((-1, -1), 1)), _terms(((1, 1), 1), ((0, 0), "r")), 4))
@@ -287,10 +274,10 @@ def _main22_cases() -> tuple[CaseSpec, ...]:
         twin=True,
     )
     add(_case(t, "6-2", c1, _terms(), _terms(((1, 0), 2), ((0, 1), 2), ((0, 0), "r-4")), 4))
+    # Twin inferred from the table's ruling-symmetry remark.
     add(
         _case(t, "6-3", c1, _terms(((0, -1), 1)), _terms(((1, 0), 2), ((0, 1), 1), ((0, 0), "r-2")), 4),
         twin=True,
-        twin_note="twin inferred from the table's ruling-symmetry remark",
     )
     add(
         _case(
@@ -302,10 +289,10 @@ def _main22_cases() -> tuple[CaseSpec, ...]:
             5,
         )
     )
+    # Twin inferred from the table's ruling-symmetry remark.
     add(
         _case(t, "8", c1, _terms(((-1, -2), 1)), _terms(((1, 0), 1), ((0, 0), "r")), 6),
         twin=True,
-        twin_note="twin inferred from the table's ruling-symmetry remark",
     )
     add(
         _case(
@@ -318,6 +305,7 @@ def _main22_cases() -> tuple[CaseSpec, ...]:
             bondal=True,
         )
     )
+    # Members force a one-dimensional h1, so there is no module-profile route.
     add(
         _case(
             t,
@@ -326,7 +314,6 @@ def _main22_cases() -> tuple[CaseSpec, ...]:
             _terms(((-2, -2), 1)),
             _terms(((0, 0), "r+1")),
             8,
-            annotation="members force a one-dimensional h1, so no module-profile route",
         )
     )
     add(
@@ -382,6 +369,10 @@ def _quadric21_cases() -> tuple[CaseSpec, ...]:
     )
 
 
+#: The parameter-free tables, built once at import.
+_TABLES: dict[str, tuple[CaseSpec, ...]] = {"main22": _main22_cases(), "quadric21": _quadric21_cases()}
+
+
 def _require_c1(theorem: str, c1: BiDegree | None) -> BiDegree:
     if c1 is None:
         raise HypothesisError(f"{theorem} is parametric: a determinant --c1 a,b is required")
@@ -402,7 +393,6 @@ def _halfmax_cases(c1: BiDegree, b: int) -> tuple[CaseSpec, ...]:
                 _terms(),
                 _terms(((c1.a, c1.b), 1), ((0, 0), "r-1")),
                 0,
-                annotation="degenerate endpoint b = c1b of the parametric family",
             ),
         )
     return (
@@ -444,10 +434,8 @@ def list_cases(
 ) -> tuple[CaseSpec, ...]:
     """All cases of one table, in the table's own order (twins follow the
     display they swap).  halfmax needs c1 and b; nearmax needs c1."""
-    if theorem == "main22":
-        return _main22_cases()
-    if theorem == "quadric21":
-        return _quadric21_cases()
+    if theorem in _TABLES:
+        return _TABLES[theorem]
     if theorem == "halfmax":
         det = _require_c1(theorem, c1)
         if b is None:

@@ -132,6 +132,11 @@ def test_case_counts_and_order():
         list_cases("bogus")
 
 
+def test_parameter_free_tables_are_built_once():
+    assert list_cases("main22") is list_cases("main22")
+    assert list_cases("quadric21") is list_cases("quadric21")
+
+
 def test_parametric_theorems_require_their_parameters():
     with pytest.raises(HypothesisError):
         list_cases("halfmax")
