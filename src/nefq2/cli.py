@@ -14,7 +14,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .bondal import VARIANT_CURVE, VARIANT_STRUCTURE, E2Page, e2_page, reconstruct
-from .catalog import CaseSpec, case_to_json, list_cases, verify_all
+from .catalog import THEOREMS, CaseSpec, case_to_json, list_cases, verify_all
 from .cohomology import BundleNumerics, cohomology_q2, euler_char
 from .errors import HypothesisError, NefQ2Error, ReconstructionError
 from .ktheory import line_label, ses_quotient_chern, sum_of_lines, to_chern, twist_chern
@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = catalog_commands.add_parser("list", help="list the cases of a table")
     p.add_argument(
         "--theorem",
-        choices=["main22", "quadric21", "halfmax", "nearmax", "all"],
+        choices=[*THEOREMS, "all"],
         default="all",
         help="table to list ('all' = both parameter-free tables)",
     )
@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = commands.add_parser("verify", help="recompute and check a table")
-    p.add_argument("theorem", choices=["main22", "quadric21", "halfmax", "nearmax", "all"])
+    p.add_argument("theorem", choices=[*THEOREMS, "all"])
     p.add_argument("--rank-min", type=int, default=None)
     p.add_argument("--rank-max", type=int, default=10)
     p.add_argument("--c1", type=_bidegree, metavar="A,B")
@@ -160,17 +160,14 @@ def _run_bondal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gather_verify_cases(args: argparse.Namespace) -> list[tuple[str, dict[str, Any]]]:
+def _selected_cases(args: argparse.Namespace) -> list[CaseSpec]:
+    """The cases of the requested table; 'all' means both parameter-free tables."""
     theorems = ["main22", "quadric21"] if args.theorem == "all" else [args.theorem]
-    return [(t, {"c1": args.c1, "b": args.b_param}) for t in theorems]
+    return [case for t in theorems for case in list_cases(t, c1=args.c1, b=args.b_param)]
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    reports = []
-    for theorem, params in _gather_verify_cases(args):
-        reports.extend(
-            verify_all(theorem, args.rank_min, args.rank_max, c1=params["c1"], b=params["b"])
-        )
+    reports = verify_all(args.theorem, args.rank_min, args.rank_max, cases=_selected_cases(args))
     if not reports:
         lo = "min_rank" if args.rank_min is None else args.rank_min
         raise HypothesisError(f"empty sweep: no case has a rank in {lo}..{args.rank_max}")
@@ -186,13 +183,9 @@ def _run_verify(args: argparse.Namespace) -> int:
         print(_dump(document))
     else:
         by_case: dict[str, list[Any]] = {}
-        order: list[str] = []
         for r in reports:
-            if r.case_id not in by_case:
-                order.append(r.case_id)
             by_case.setdefault(r.case_id, []).append(r)
-        for case_id in order:
-            group = by_case[case_id]
+        for case_id, group in by_case.items():
             ranks = f"r={group[0].rank_tested}..{group[-1].rank_tested}"
             ok = all(r.passed for r in group)
             sample = group[0]
@@ -212,10 +205,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_catalog_list(args: argparse.Namespace) -> int:
-    theorems = ["main22", "quadric21"] if args.theorem == "all" else [args.theorem]
-    cases: list[CaseSpec] = []
-    for theorem in theorems:
-        cases.extend(list_cases(theorem, c1=args.c1, b=args.b_param))
+    cases = _selected_cases(args)
     if args.format == "json":
         print(_dump({"cases": [case_to_json(c) for c in cases]}))
     else:
