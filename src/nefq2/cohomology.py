@@ -60,10 +60,10 @@ class BundleNumerics:
     c2: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if type(self.rank) is not int or type(self.c2) is not int:
+            raise TypeError("rank and c2 must be integers")
+        if self.rank < 1:
             raise ValueError("rank must be a positive integer")
-        if not isinstance(self.c2, int):
-            raise TypeError("c2 must be an integer")
 
     def __str__(self) -> str:
         return f"rank={self.rank} c1={self.c1} c2={self.c2}"

@@ -44,7 +44,7 @@ class KClass:
     ch2x2: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or not isinstance(self.ch2x2, int):
+        if type(self.rank) is not int or type(self.ch2x2) is not int:
             raise TypeError("rank and ch2x2 must be integers")
 
     def __add__(self, other: KClass) -> KClass:

@@ -33,7 +33,7 @@ class BiDegree:
     b: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
+        if type(self.a) is not int or type(self.b) is not int:
             raise TypeError("bidegree coordinates must be integers")
 
     def __add__(self, other: BiDegree) -> BiDegree:

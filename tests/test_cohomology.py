@@ -108,6 +108,15 @@ def test_bundle_numerics_requires_positive_rank():
     assert str(BundleNumerics(3, BiDegree(2, -1), 4)) == "rank=3 c1=(2,-1) c2=4"
 
 
+def test_bundle_numerics_rejects_non_integers():
+    with pytest.raises(TypeError):
+        BundleNumerics(True, BiDegree(1, 1), 0)
+    with pytest.raises(TypeError):
+        BundleNumerics(2, BiDegree(1, 1), False)
+    with pytest.raises(TypeError):
+        BundleNumerics(2, BiDegree(1, 1), 1.0)
+
+
 def test_projective_bundle_degree_and_weak_fano():
     e = BundleNumerics(2, BiDegree(2, 2), 7)
     assert projective_bundle_degree(e) == 1

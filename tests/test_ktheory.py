@@ -54,6 +54,15 @@ def test_kclass_group_operations():
     assert str(POINT_CLASS) == "(rank 0, c1 (0,0), 2ch2 2)"
 
 
+def test_kclass_rejects_non_integers():
+    with pytest.raises(TypeError):
+        KClass(True, BiDegree(0, 0), 0)
+    with pytest.raises(TypeError):
+        KClass(1, BiDegree(0, 0), False)
+    with pytest.raises(TypeError):
+        KClass(1.0, BiDegree(0, 0), 0)
+
+
 def test_sum_of_lines():
     k = sum_of_lines([(BiDegree(1, 1), 2), (BiDegree(0, 0), 3)])
     assert k == KClass(5, BiDegree(2, 2), 4)

@@ -14,6 +14,11 @@ def test_bidegree_requires_integers():
         BiDegree(1.5, 0)
     with pytest.raises(TypeError):
         BiDegree(1, "2")
+    # bool is an int subclass, but True is not a degree
+    with pytest.raises(TypeError):
+        BiDegree(True, False)
+    with pytest.raises(TypeError):
+        BiDegree(1, True)
 
 
 def test_bidegree_arithmetic():
