@@ -7,7 +7,9 @@ the effective cone, and line-bundle cohomology via the product
 structure of the surface.
 """
 
-from nefq2 import BiDegree, cohomology_q2, intersect, is_effective, self_intersection
+from nefq2 import BiDegree
+from nefq2.cohomology import cohomology_q2
+from nefq2.picard import intersect, is_effective, self_intersection
 
 # Divisor classes are pairs of ruling degrees.  The intersection form
 # pairs opposite rulings: (a,b).(c,d) = ad + bc.

@@ -3,11 +3,9 @@ Euler characteristics without cohomology
 ========================================
 """
 
-from nefq2 import (
-    BiDegree,
-    BundleNumerics,
+from nefq2 import BiDegree, BundleNumerics, euler_char
+from nefq2.cohomology import (
     cohomology_q2,
-    euler_char,
     ext1_module_profile,
     is_weak_fano,
     projective_bundle_degree,

@@ -6,10 +6,9 @@ Classes are triples (rank, c1, 2*ch2) so that every operation stays in
 integer arithmetic; honest bundles convert to (rank, c1, c2) and back.
 """
 
-from nefq2 import (
+from nefq2 import BiDegree, BundleNumerics
+from nefq2.ktheory import (
     POINT_CLASS,
-    BiDegree,
-    BundleNumerics,
     IdealResolution,
     KClass,
     TorsionDescriptor,

@@ -3,7 +3,7 @@ The endomorphism algebra of the four-line collection
 ====================================================
 """
 
-from nefq2 import COLLECTION, build_algebra, hom_ext_series, simple_module
+from nefq2.quiver import COLLECTION, build_algebra, hom_ext_series, simple_module
 
 # The collection consists of the four line bundles with degrees in
 # {0,1} x {0,1}.  Morphism spaces between members are global sections

@@ -8,15 +8,9 @@ we started from.  The page builder exposes the intermediate objects and
 checks the two exactness identities on every call.
 """
 
-from nefq2 import (
-    VARIANT_CURVE,
-    VARIANT_STRUCTURE,
-    BiDegree,
-    BundleNumerics,
-    e2_page,
-    from_chern,
-    reconstruct,
-)
+from nefq2 import BiDegree, BundleNumerics
+from nefq2.bondal import VARIANT_CURVE, VARIANT_STRUCTURE, e2_page, reconstruct
+from nefq2.ktheory import from_chern
 
 # Reconstruction is exact for every admissible (c2, rank) pair.
 for c2 in (6, 7, 8):

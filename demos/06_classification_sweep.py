@@ -5,7 +5,8 @@ Sweeping the classification catalog
 
 import json
 
-from nefq2 import BiDegree, case_numerics, case_to_json, list_cases, verify_all
+from nefq2 import BiDegree, list_cases, verify_all
+from nefq2.catalog import case_numerics, case_to_json
 
 # Every display in the determinant-(2,2) catalog, with its invariants.
 print("case            min_rank  c2   c2 at r=min..min+3")

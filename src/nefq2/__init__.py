@@ -1,46 +1,16 @@
 """Exact intersection, cohomology and K-theory calculus on the quadric
-surface, plus a verified catalog of nef-bundle classification families."""
+surface, plus a verified catalog of nef-bundle classification families.
+
+The package namespace holds the names the README documents; everything
+else is imported from its module, e.g. ``from nefq2.ktheory import KClass``.
+"""
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .bondal import (
-    DICTIONARY,
-    VARIANT_CURVE,
-    VARIANT_STRUCTURE,
-    E2Entry,
-    E2Page,
-    ShiftedLineClass,
-    e2_page,
-    reconstruct,
-    s_tensor_g,
-    series_tensor_class,
-)
-from .catalog import (
-    CaseSpec,
-    CheckResult,
-    RankExpr,
-    THEOREMS,
-    VerificationReport,
-    case_kclass,
-    case_numerics,
-    case_to_json,
-    list_cases,
-    verify_all,
-    verify_case,
-)
-from .cohomology import (
-    BundleNumerics,
-    CohomologyVector,
-    HomExtProfile,
-    cohomology_q2,
-    euler_char,
-    ext1_module_profile,
-    is_weak_fano,
-    line_cohomology_p1,
-    projective_bundle_degree,
-)
+from .catalog import list_cases, verify_all
+from .cohomology import BundleNumerics, euler_char
 from .errors import (
     HypothesisError,
     MalformedClassError,
@@ -48,93 +18,14 @@ from .errors import (
     ReconstructionError,
     VirtualClassError,
 )
-from .ktheory import (
-    POINT_CLASS,
-    IdealResolution,
-    KClass,
-    TorsionDescriptor,
-    TorsionKind,
-    four_term_quotient,
-    from_chern,
-    ideal_sheaf_class,
-    ideal_sheaf_length,
-    line_class,
-    quotient_c2_bound,
-    ses_quotient_chern,
-    sum_of_lines,
-    to_chern,
-    torsion_class,
-    twist_chern,
-)
-from .picard import BiDegree, ZERO, intersect, is_effective, is_nef_divisor, self_intersection
-from .quiver import (
-    COLLECTION,
-    CompositionSeries,
-    ExceptionalAlgebra,
-    build_algebra,
-    hom_ext_series,
-    simple_module,
-)
+from .picard import BiDegree
 
 __all__ = [
     "__version__",
     "BiDegree",
-    "ZERO",
-    "intersect",
-    "self_intersection",
-    "is_effective",
-    "is_nef_divisor",
-    "CohomologyVector",
     "BundleNumerics",
-    "HomExtProfile",
-    "line_cohomology_p1",
-    "cohomology_q2",
     "euler_char",
-    "ext1_module_profile",
-    "projective_bundle_degree",
-    "is_weak_fano",
-    "KClass",
-    "POINT_CLASS",
-    "line_class",
-    "sum_of_lines",
-    "to_chern",
-    "from_chern",
-    "twist_chern",
-    "ses_quotient_chern",
-    "TorsionKind",
-    "TorsionDescriptor",
-    "torsion_class",
-    "four_term_quotient",
-    "IdealResolution",
-    "ideal_sheaf_class",
-    "ideal_sheaf_length",
-    "quotient_c2_bound",
-    "COLLECTION",
-    "CompositionSeries",
-    "ExceptionalAlgebra",
-    "build_algebra",
-    "simple_module",
-    "hom_ext_series",
-    "ShiftedLineClass",
-    "DICTIONARY",
-    "s_tensor_g",
-    "series_tensor_class",
-    "reconstruct",
-    "E2Entry",
-    "E2Page",
-    "e2_page",
-    "VARIANT_CURVE",
-    "VARIANT_STRUCTURE",
-    "THEOREMS",
-    "RankExpr",
-    "CaseSpec",
-    "CheckResult",
-    "VerificationReport",
     "list_cases",
-    "case_kclass",
-    "case_numerics",
-    "case_to_json",
-    "verify_case",
     "verify_all",
     "NefQ2Error",
     "MalformedClassError",

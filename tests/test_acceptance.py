@@ -11,31 +11,23 @@ from __future__ import annotations
 import random
 import time
 
-from nefq2 import (
-    VARIANT_CURVE,
-    VARIANT_STRUCTURE,
-    BiDegree,
-    BundleNumerics,
+from nefq2 import BiDegree, BundleNumerics, euler_char, list_cases, verify_all
+from nefq2.bondal import VARIANT_CURVE, VARIANT_STRUCTURE, e2_page, reconstruct
+from nefq2.catalog import case_numerics, case_to_json
+from nefq2.cohomology import cohomology_q2
+from nefq2.ktheory import (
     IdealResolution,
     KClass,
     TorsionKind,
-    build_algebra,
-    case_numerics,
-    case_to_json,
-    cohomology_q2,
-    e2_page,
-    euler_char,
     from_chern,
     ideal_sheaf_class,
     line_class,
-    list_cases,
-    reconstruct,
     ses_quotient_chern,
     sum_of_lines,
     to_chern,
     twist_chern,
-    verify_all,
 )
+from nefq2.quiver import build_algebra
 
 from whitney_oracle import quotient_chern
 

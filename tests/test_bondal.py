@@ -4,25 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from nefq2 import (
+from nefq2 import BiDegree, BundleNumerics, HypothesisError
+from nefq2.bondal import (
     DICTIONARY,
     VARIANT_CURVE,
     VARIANT_STRUCTURE,
-    BiDegree,
-    BundleNumerics,
-    CompositionSeries,
-    HypothesisError,
-    KClass,
-    RankExpr,
     ShiftedLineClass,
-    TorsionKind,
     e2_page,
-    from_chern,
-    line_class,
     reconstruct,
     series_tensor_class,
-    simple_module,
 )
+from nefq2.catalog import RankExpr
+from nefq2.ktheory import KClass, TorsionKind, from_chern, line_class
+from nefq2.quiver import CompositionSeries, simple_module
 
 
 def test_dictionary_entries():

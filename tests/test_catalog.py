@@ -6,20 +6,9 @@ import json
 
 import pytest
 
-from nefq2 import (
-    BiDegree,
-    CaseSpec,
-    HypothesisError,
-    RankExpr,
-    TorsionKind,
-    case_kclass,
-    case_numerics,
-    case_to_json,
-    list_cases,
-    to_chern,
-    verify_all,
-    verify_case,
-)
+from nefq2 import BiDegree, HypothesisError, list_cases, verify_all
+from nefq2.catalog import CaseSpec, RankExpr, case_kclass, case_numerics, case_to_json, verify_case
+from nefq2.ktheory import TorsionKind, to_chern
 
 from whitney_oracle import quotient_chern
 

@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from nefq2 import (
-    BiDegree,
-    BundleNumerics,
+from nefq2 import BiDegree, BundleNumerics, HypothesisError, euler_char
+from nefq2.cohomology import (
     CohomologyVector,
-    HypothesisError,
     cohomology_q2,
-    euler_char,
     ext1_module_profile,
     is_weak_fano,
     line_cohomology_p1,

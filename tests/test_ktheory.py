@@ -7,22 +7,23 @@ import random
 import pytest
 
 from nefq2 import (
-    POINT_CLASS,
     BiDegree,
     BundleNumerics,
     HypothesisError,
-    IdealResolution,
-    KClass,
     MalformedClassError,
-    TorsionDescriptor,
-    TorsionKind,
     VirtualClassError,
     euler_char,
+)
+from nefq2.ktheory import (
+    POINT_CLASS,
+    IdealResolution,
+    KClass,
+    TorsionDescriptor,
+    TorsionKind,
     four_term_quotient,
     from_chern,
     ideal_sheaf_class,
     ideal_sheaf_length,
-    intersect,
     line_class,
     quotient_c2_bound,
     ses_quotient_chern,
@@ -31,6 +32,7 @@ from nefq2 import (
     torsion_class,
     twist_chern,
 )
+from nefq2.picard import intersect
 
 from whitney_oracle import quotient_chern
 

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from nefq2 import BiDegree, ZERO, intersect, is_effective, self_intersection
+from nefq2 import BiDegree
+from nefq2.picard import ZERO, intersect, is_effective, self_intersection
 
 
 def test_bidegree_requires_integers():

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from nefq2 import (
+from nefq2 import BiDegree, HypothesisError
+from nefq2.quiver import (
     COLLECTION,
-    BiDegree,
     CompositionSeries,
-    HypothesisError,
     build_algebra,
     hom_ext_series,
     simple_module,
