@@ -193,10 +193,11 @@ class TorsionDescriptor:
 
 
 def line_label(deg: BiDegree, mult: object = 1) -> str:
-    """Text of the direct sum O(deg)^mult.  A multiplicity affine in the
-    rank (a ``RankExpr`` such as r-2) is put in parentheses.
+    """Text of the direct sum O(deg)^mult, for an int or ``RankExpr``
+    multiplicity; one of the form r+k or r-k is put in parentheses.
 
-    >>> line_label(ZERO, 6), line_label(BiDegree(-1, -1)), line_label(BiDegree(2, 0), "r-3")
+    >>> from nefq2.catalog import RankExpr
+    >>> line_label(ZERO, 6), line_label(BiDegree(-1, -1)), line_label(BiDegree(2, 0), RankExpr(-3, 1))
     ('O^6', 'O(-1,-1)', 'O(2,0)^(r-3)')
     """
     base = "O" if deg == ZERO else f"O{deg}"
