@@ -1,4 +1,5 @@
-"""The demos and the README's library example run as documented."""
+"""The demos print their snapshots in ``tests/golden/demo_<stem>.txt`` byte
+for byte, and the README's library example runs as documented."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import nefq2
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 
 #: The package namespace README documents: the names its library example
 #: imports, the version and the error classes.
@@ -41,11 +43,13 @@ def test_demo_runs(demo):
     path = os.environ.get("PYTHONPATH")
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"demo_{demo.stem}.txt").read_bytes()
+
+
+def test_every_demo_snapshot_has_a_demo():
+    assert {p.stem for p in GOLDEN.glob("demo_*.txt")} == {f"demo_{d.stem}" for d in DEMOS}
 
 
 def test_readme_library_example_runs():
