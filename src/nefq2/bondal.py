@@ -31,7 +31,7 @@ from .cohomology import BundleNumerics
 from .errors import HypothesisError, ReconstructionError
 from .ktheory import KClass, TorsionDescriptor, TorsionKind, from_chern, line_class, line_label, torsion_class
 from .picard import ZERO, BiDegree
-from .quiver import CompositionSeries, hom_ext_series
+from .quiver import hom_ext_series
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,19 @@ DICTIONARY: tuple[ShiftedLineClass, ...] = (
 )
 
 
-def series_tensor_class(series: CompositionSeries) -> KClass:
+def series_tensor_class(series: tuple[int, int, int, int]) -> KClass:
     """K-class of the complex a module maps to, by additivity over its
-    composition series.
+    composition series, the 4-tuple of vertex-simple multiplicities.
 
-    >>> from .quiver import simple_module
-    >>> series_tensor_class(simple_module(1) + simple_module(2))
+    >>> series_tensor_class((0, 1, 1, 0))
     KClass(rank=-2, c1=BiDegree(a=1, b=1), ch2x2=0)
     """
+    if any(type(x) is not int for x in series):
+        raise TypeError(f"composition series entries must be integers, got {series!r}")
+    if len(series) != 4 or min(series) < 0:
+        raise ValueError(f"composition series must be 4 non-negative integers, got {series!r}")
     total = KClass.zero()
-    for mult, entry in zip(series.d, DICTIONARY):
+    for mult, entry in zip(series, DICTIONARY):
         signed = mult if entry.shift % 2 == 0 else -mult
         total = total + signed * line_class(entry.degree)
     return total

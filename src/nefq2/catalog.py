@@ -40,8 +40,8 @@ hypotheses of the module-profile reconstruction).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NamedTuple
+from dataclasses import dataclass, replace
+from typing import Any, Mapping, NamedTuple
 
 from .bondal import reconstruct
 from .cohomology import BundleNumerics, euler_char, is_weak_fano
@@ -220,17 +220,12 @@ def _swapped(case: CaseSpec) -> CaseSpec:
     def swap(terms: tuple[Term, ...]) -> tuple[Term, ...]:
         return tuple((d.swap(), m) for d, m in terms)
 
-    return CaseSpec(
+    return replace(
+        case,
         id=f"{case.id}-swap",
-        theorem=case.theorem,
         c1=case.c1.swap(),
         sub_terms=swap(case.sub_terms),
         mid_terms=swap(case.mid_terms),
-        coker=case.coker,
-        min_rank=case.min_rank,
-        expected_c2=case.expected_c2,
-        globally_generated=case.globally_generated,
-        bondal_reconstructible=case.bondal_reconstructible,
         twin_of=case.id,
     )
 
@@ -554,14 +549,12 @@ def verify_all(
     *,
     c1: BiDegree | None = None,
     b: int | None = None,
-    cases: Iterable[CaseSpec] | None = None,
 ) -> list[VerificationReport]:
-    """verify_case over cases x ranks.  Each case is swept from
-    max(rank_min, its min_rank) to rank_max; an empty range contributes
-    nothing."""
-    chosen = tuple(cases) if cases is not None else list_cases(theorem, c1=c1, b=b)
+    """verify_case over the cases of one table x ranks.  Each case is
+    swept from max(rank_min, its min_rank) to rank_max; an empty range
+    contributes nothing."""
     reports: list[VerificationReport] = []
-    for case in chosen:
+    for case in list_cases(theorem, c1=c1, b=b):
         lo = case.min_rank if rank_min is None else max(rank_min, case.min_rank)
         for r in range(lo, rank_max + 1):
             reports.append(verify_case(case, r))

@@ -160,14 +160,17 @@ def _run_bondal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selected_cases(args: argparse.Namespace) -> list[CaseSpec]:
-    """The cases of the requested table; 'all' means both parameter-free tables."""
-    theorems = ["main22", "quadric21"] if args.theorem == "all" else [args.theorem]
-    return [case for t in theorems for case in list_cases(t, c1=args.c1, b=args.b_param)]
+def _theorems(args: argparse.Namespace) -> list[str]:
+    """The requested tables; 'all' means both parameter-free tables."""
+    return ["main22", "quadric21"] if args.theorem == "all" else [args.theorem]
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    reports = verify_all(args.theorem, args.rank_min, args.rank_max, cases=_selected_cases(args))
+    reports = [
+        report
+        for t in _theorems(args)
+        for report in verify_all(t, args.rank_min, args.rank_max, c1=args.c1, b=args.b_param)
+    ]
     if not reports:
         lo = "min_rank" if args.rank_min is None else args.rank_min
         raise HypothesisError(f"empty sweep: no case has a rank in {lo}..{args.rank_max}")
@@ -205,7 +208,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_catalog_list(args: argparse.Namespace) -> int:
-    cases = _selected_cases(args)
+    cases = [case for t in _theorems(args) for case in list_cases(t, c1=args.c1, b=args.b_param)]
     if args.format == "json":
         print(_dump({"cases": [case_to_json(c) for c in cases]}))
     else:

@@ -16,7 +16,7 @@ from nefq2.bondal import (
 )
 from nefq2.catalog import RankExpr
 from nefq2.ktheory import KClass, TorsionKind, from_chern, line_class
-from nefq2.quiver import CompositionSeries, simple_module
+from nefq2.quiver import simple_module
 
 
 def test_dictionary_entries():
@@ -36,12 +36,24 @@ def test_series_tensor_class_on_simples():
 
 
 def test_series_tensor_class_examples():
-    k = series_tensor_class(simple_module(1) + simple_module(2))
+    k = series_tensor_class((0, 1, 1, 0))
     assert k == KClass(-2, BiDegree(1, 1), 0)
-    assert series_tensor_class(CompositionSeries((0, 0, 0, 2))) == KClass(
-        2, BiDegree(-2, -2), 4
-    )
-    assert series_tensor_class(CompositionSeries((0, 0, 0, 0))) == KClass.zero()
+    assert series_tensor_class((0, 0, 0, 2)) == KClass(2, BiDegree(-2, -2), 4)
+    assert series_tensor_class((0, 0, 0, 0)) == KClass.zero()
+
+
+def test_series_tensor_class_rejects_bad_series():
+    with pytest.raises(ValueError):
+        series_tensor_class((1, -1, 0, 0))
+    # a tuple + concatenates; the 8-tuple must not be truncated to 4
+    with pytest.raises(ValueError):
+        series_tensor_class(simple_module(1) + simple_module(2))
+    with pytest.raises(ValueError):
+        series_tensor_class((0, 1, 0))
+    with pytest.raises(TypeError):
+        series_tensor_class((True, 0, 0, 0))
+    with pytest.raises(TypeError):
+        series_tensor_class((1.0, 0, 0, 0))
 
 
 def test_reconstruct_example():
