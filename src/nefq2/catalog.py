@@ -76,6 +76,10 @@ class RankExpr:
     const: int
     coef: int = 0
 
+    def __post_init__(self) -> None:
+        if type(self.const) is not int or type(self.coef) is not int:
+            raise TypeError("const and coef must be integers")
+
     def evaluate(self, r: int) -> int:
         return self.const + self.coef * r
 
@@ -428,8 +432,11 @@ def list_cases(
     b: int | None = None,
 ) -> tuple[CaseSpec, ...]:
     """All cases of one table, in the table's own order (twins follow the
-    display they swap).  halfmax needs c1 and b; nearmax needs c1."""
+    display they swap).  halfmax needs c1 and b; nearmax needs c1 and
+    takes no b; main22 and quadric21 take neither."""
     if theorem in _TABLES:
+        if c1 is not None or b is not None:
+            raise HypothesisError(f"{theorem} is not parametric: it takes no --c1 or --b-param")
         return _TABLES[theorem]
     if theorem == "halfmax":
         det = _require_c1(theorem, c1)
@@ -437,6 +444,8 @@ def list_cases(
             raise HypothesisError("halfmax is parametric: a splitting degree --b-param is required")
         return _halfmax_cases(det, b)
     if theorem == "nearmax":
+        if b is not None:
+            raise HypothesisError("nearmax takes no splitting degree --b-param")
         return _nearmax_cases(_require_c1(theorem, c1))
     raise ValueError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
 

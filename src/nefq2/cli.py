@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 when every requested check passes, 1 when a verification or
-internal identity fails, 2 for usage errors (bad flags, bad theorem name,
+internal identity fails or the reader closes stdout early, 2 for usage
+errors (bad flags, bad theorem name, parameters a table does not take,
 violated input hypotheses).
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Sequence
 
@@ -258,7 +260,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (e.g. `| head`): point stdout at devnull
+        # so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

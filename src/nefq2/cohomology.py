@@ -35,8 +35,10 @@ class CohomologyVector:
 
     def __post_init__(self) -> None:
         for h in (self.h0, self.h1, self.h2):
-            if not isinstance(h, int) or h < 0:
-                raise ValueError("cohomology dimensions must be non-negative integers")
+            if type(h) is not int:
+                raise TypeError("cohomology dimensions must be integers")
+            if h < 0:
+                raise ValueError("cohomology dimensions must be non-negative")
 
     @property
     def chi(self) -> int:

@@ -110,6 +110,13 @@ def test_rank_expr_parse_and_render():
     # only multiplicities that appear in displays are renderable
     with pytest.raises(ValueError):
         RankExpr(1, 2).render()
+    # bool and non-int coefficients are rejected, so JSON never sees true
+    with pytest.raises(TypeError):
+        RankExpr("x", "y")
+    with pytest.raises(TypeError):
+        RankExpr(0, True)
+    with pytest.raises(TypeError):
+        RankExpr.parse(True)
 
 
 def test_case_counts_and_order():
@@ -133,6 +140,13 @@ def test_parametric_theorems_require_their_parameters():
         list_cases("nearmax")
     with pytest.raises(HypothesisError):
         list_cases("halfmax", c1=BiDegree(3, 2))
+    # a parameter the table does not take is an error, not ignored
+    with pytest.raises(HypothesisError):
+        list_cases("main22", c1=BiDegree(5, 5))
+    with pytest.raises(HypothesisError):
+        list_cases("quadric21", b=0)
+    with pytest.raises(HypothesisError):
+        list_cases("nearmax", c1=BiDegree(3, 3), b=2)
 
 
 def test_halfmax_parameter_validation():

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,3 +188,20 @@ def test_empty_sweep_is_a_usage_error(capsys):
         code, out, err = run(capsys, "verify", "main22", "--rank-min", "20", "--rank-max", "3", *extra)
         assert (code, out) == (2, "")
         assert err == "error: empty sweep: no case has a rank in 20..3\n"
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # like `nefq2 verify main22 --format json | head -1` on ~2.8 MB of output
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+    argv = ["verify", "main22", "--rank-max", "100", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nefq2.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err

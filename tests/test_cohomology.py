@@ -94,6 +94,10 @@ def test_euler_char_c1_22_profile():
 def test_cohomology_vector_validation():
     with pytest.raises(ValueError):
         CohomologyVector(-1, 0, 0)
+    with pytest.raises(TypeError):
+        CohomologyVector(True, 0, 0)
+    with pytest.raises(TypeError):
+        CohomologyVector(0, 1.0, 0)
     v = CohomologyVector(2, 1, 0)
     assert v.chi == 1
     assert v.as_tuple() == (2, 1, 0)

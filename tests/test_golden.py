@@ -61,6 +61,9 @@ INVOCATIONS: tuple[tuple[str, tuple[str, ...], bool], ...] = (
     ("error_ses_virtual", ("ses", "--sub", "0,0:2", "--mid", "1,0"), True),
     ("error_verify_nearmax_no_c1", ("verify", "nearmax"), True),
     ("verify_empty_sweep", ("verify", "main22", "--rank-min", "20", "--rank-max", "3"), True),
+    ("error_catalog_main22_c1", ("catalog", "list", "--theorem", "main22", "--c1", "5,5"), True),
+    ("error_verify_nearmax_b", ("verify", "nearmax", "--c1", "3,3", "--b-param", "2"), True),
+    ("error_verify_all_c1", ("verify", "all", "--c1", "2,2"), True),
     # usage errors raised by argparse
     ("usage_ses_no_sub", ("ses", "--mid", "1,0"), False),
     ("usage_verify_bogus", ("verify", "bogus"), False),
