@@ -43,8 +43,6 @@ def test_series_tensor_class_examples():
 
 
 def test_series_tensor_class_rejects_bad_series():
-    with pytest.raises(ValueError):
-        series_tensor_class((1, -1, 0, 0))
     # a tuple + concatenates; the 8-tuple must not be truncated to 4
     with pytest.raises(ValueError):
         series_tensor_class(simple_module(1) + simple_module(2))
