@@ -49,6 +49,21 @@ INVOCATIONS: tuple[tuple[str, tuple[str, ...], bool], ...] = (
     ("verify_halfmax", ("verify", "halfmax", "--c1", "3,2", "--b-param", "1"), True),
     ("verify_nearmax_json", ("verify", "nearmax", "--c1", "3,3", "--format", "json"), True),
     ("catalog_all_json", ("catalog", "list", "--format", "json"), True),
+    (
+        "catalog_nearmax_json",
+        ("catalog", "list", "--theorem", "nearmax", "--c1", "3,2", "--format", "json"),
+        True,
+    ),
+    (
+        "catalog_halfmax_split_json",
+        ("catalog", "list", "--theorem", "halfmax", "--c1", "3,3", "--b-param", "3", "--format", "json"),
+        True,
+    ),
+    (
+        "catalog_halfmax_b0_json",
+        ("catalog", "list", "--theorem", "halfmax", "--c1", "2,2", "--b-param", "0", "--format", "json"),
+        True,
+    ),
     # every "error:" path with exit code 2
     ("error_nearmax_no_c1", ("catalog", "list", "--theorem", "nearmax"), True),
     ("error_halfmax_no_b", ("catalog", "list", "--theorem", "halfmax", "--c1", "3,2"), True),
