@@ -15,6 +15,14 @@ Four tables are shipped:
     c2 one or two below the maximum, parametrized by (c1a, c1b): three
     families.
 
+Each table is written as literal rows in the paper's order,
+``(number, sub, mid, c2[, options])``.  sub and mid list
+``((a, b), multiplicity)`` pairs and c2 is the tabulated second Chern
+class.  The optional dict may set ``coker`` (a TorsionDescriptor, default
+None), ``gg`` (globally generated, default True), ``bondal`` (satisfies
+the reconstruction hypotheses, default False) and ``twin``: True places
+the ruling-swapped twin of the row, id suffix ``-swap``, right after it.
+
 Each CaseSpec records a four-term display 0 -> sub -> mid -> E -> coker
 -> 0 whose sub and mid are direct sums of line bundles with
 multiplicities affine in the rank r, together with provenance-free flags
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .bondal import reconstruct
 from .cohomology import BundleNumerics, euler_char, is_weak_fano
@@ -121,7 +129,7 @@ class RankExpr:
 Term = tuple[BiDegree, RankExpr]
 
 
-def _terms(*raw: tuple[tuple[int, int], int | str]) -> tuple[Term, ...]:
+def _terms(raw: Iterable[tuple[tuple[int, int], int | str]]) -> tuple[Term, ...]:
     return tuple((BiDegree(*deg), RankExpr.parse(mult)) for deg, mult in raw)
 
 
@@ -183,41 +191,6 @@ def case_to_json(case: CaseSpec) -> dict[str, Any]:
     }
 
 
-def _min_rank(sub: tuple[Term, ...], mid: tuple[Term, ...]) -> int:
-    """Smallest r making every multiplicity non-negative (and r >= 1)."""
-    bound = 1
-    for _, m in list(sub) + list(mid):
-        if m.coef == 1 and m.const < 0:
-            bound = max(bound, -m.const)
-    return bound
-
-
-def _case(
-    theorem: str,
-    number: str,
-    c1: tuple[int, int],
-    sub: tuple[Term, ...],
-    mid: tuple[Term, ...],
-    expected_c2: int,
-    *,
-    coker: TorsionDescriptor | None = None,
-    gg: bool | None = True,
-    bondal: bool = False,
-) -> CaseSpec:
-    return CaseSpec(
-        id=f"{theorem}-{number}",
-        theorem=theorem,
-        c1=BiDegree(*c1),
-        sub_terms=sub,
-        mid_terms=mid,
-        coker=coker,
-        min_rank=_min_rank(sub, mid),
-        expected_c2=expected_c2,
-        globally_generated=gg,
-        bondal_reconstructible=bondal,
-    )
-
-
 def _swapped(case: CaseSpec) -> CaseSpec:
     """The (a,b) -> (b,a) twin of a display, linked back to it."""
 
@@ -234,142 +207,82 @@ def _swapped(case: CaseSpec) -> CaseSpec:
     )
 
 
-def _main22_cases() -> tuple[CaseSpec, ...]:
-    t = "main22"
-    c1 = (2, 2)
+def _table(theorem: str, c1: BiDegree, rows: Iterable[tuple[Any, ...]]) -> tuple[CaseSpec, ...]:
+    """The cases of one table, in row order, each twin right after its row."""
     cases: list[CaseSpec] = []
-
-    def add(case: CaseSpec, twin: bool = False) -> None:
+    for number, sub, mid, c2, *options in rows:
+        opts: dict[str, Any] = options[0] if options else {}
+        sub_terms, mid_terms = _terms(sub), _terms(mid)
+        case = CaseSpec(
+            id=f"{theorem}-{number}",
+            theorem=theorem,
+            c1=c1,
+            sub_terms=sub_terms,
+            mid_terms=mid_terms,
+            coker=opts.get("coker"),
+            # the smallest r >= 1 making every multiplicity non-negative
+            min_rank=max([1] + [-m.const for _, m in sub_terms + mid_terms if m.coef == 1]),
+            expected_c2=c2,
+            globally_generated=opts.get("gg", True),
+            bondal_reconstructible=opts.get("bondal", False),
+        )
         cases.append(case)
-        if twin:
+        if opts.get("twin"):
             cases.append(_swapped(case))
-
-    add(_case(t, "1", c1, _terms(), _terms(((2, 2), 1), ((0, 0), "r-1")), 0))
-    add(
-        _case(t, "2", c1, _terms(), _terms(((2, 1), 1), ((0, 1), 1), ((0, 0), "r-2")), 2),
-        twin=True,
-    )
-    add(_case(t, "3", c1, _terms(), _terms(((1, 1), 2), ((0, 0), "r-2")), 2))
-    # When the composite into the (1,1) summand vanishes, the middle splits off O(1,1) and the display degenerates.
-    add(
-        _case(
-            t,
-            "4",
-            c1,
-            _terms(((0, 0), 1)),
-            _terms(((1, 1), 1), ((1, 0), 1), ((0, 1), 1), ((0, 0), "r-2")),
-            3,
-        )
-    )
-    add(_case(t, "5", c1, _terms(((-1, -1), 1)), _terms(((1, 1), 1), ((0, 0), "r")), 4))
-    add(_case(t, "6", c1, _terms(((0, 0), 2)), _terms(((1, 0), 2), ((0, 1), 2), ((0, 0), "r-2")), 4))
-    add(
-        _case(t, "6-1", c1, _terms(((0, 0), 1)), _terms(((2, 0), 1), ((0, 1), 2), ((0, 0), "r-2")), 4),
-        twin=True,
-    )
-    add(_case(t, "6-1-1", c1, _terms(), _terms(((2, 0), 1), ((0, 2), 1), ((0, 0), "r-2")), 4))
-    add(
-        _case(t, "6-1-2", c1, _terms(), _terms(((2, 0), 1), ((0, 1), 2), ((0, 0), "r-3")), 4),
-        twin=True,
-    )
-    add(_case(t, "6-2", c1, _terms(), _terms(((1, 0), 2), ((0, 1), 2), ((0, 0), "r-4")), 4))
-    # Twin inferred from the table's ruling-symmetry remark.
-    add(
-        _case(t, "6-3", c1, _terms(((0, -1), 1)), _terms(((1, 0), 2), ((0, 1), 1), ((0, 0), "r-2")), 4),
-        twin=True,
-    )
-    add(
-        _case(
-            t,
-            "7",
-            c1,
-            _terms(((-1, -1), 1), ((-1, 0), 1), ((0, -1), 1)),
-            _terms(((0, 0), "r+3")),
-            5,
-        )
-    )
-    # Twin inferred from the table's ruling-symmetry remark.
-    add(
-        _case(t, "8", c1, _terms(((-1, -2), 1)), _terms(((1, 0), 1), ((0, 0), "r")), 6),
-        twin=True,
-    )
-    add(
-        _case(
-            t,
-            "9",
-            c1,
-            _terms(((-1, -1), 2)),
-            _terms(((0, 0), "r+2")),
-            6,
-            bondal=True,
-        )
-    )
-    # Members force a one-dimensional h1, so there is no module-profile route.
-    add(
-        _case(
-            t,
-            "10",
-            c1,
-            _terms(((-2, -2), 1)),
-            _terms(((0, 0), "r+1")),
-            8,
-        )
-    )
-    add(
-        _case(
-            t,
-            "11",
-            c1,
-            _terms(((-2, -2), 1)),
-            _terms(((0, 0), "r+1")),
-            7,
-            coker=TorsionDescriptor(TorsionKind.POINT_SHEAF),
-            gg=False,
-            bondal=True,
-        )
-    )
-    add(
-        _case(
-            t,
-            "12",
-            c1,
-            _terms(((-2, -2), 1)),
-            _terms(((0, 0), "r")),
-            8,
-            coker=TorsionDescriptor(TorsionKind.STRUCTURE_SHEAF),
-            gg=False,
-            bondal=True,
-        )
-    )
-    add(
-        _case(
-            t,
-            "13",
-            c1,
-            _terms(((-1, -1), 4)),
-            _terms(((0, 0), "r"), ((-1, 0), 2), ((0, -1), 2)),
-            8,
-            gg=False,
-            bondal=True,
-        )
-    )
     return tuple(cases)
 
 
-def _quadric21_cases() -> tuple[CaseSpec, ...]:
-    t = "quadric21"
-    c1 = (2, 1)
-    return (
-        _case(t, "1", c1, _terms(), _terms(((2, 1), 1), ((0, 0), "r-1")), 0),
-        _case(t, "2", c1, _terms(), _terms(((1, 1), 1), ((1, 0), 1), ((0, 0), "r-2")), 1),
-        _case(t, "3", c1, _terms(((0, 0), 1)), _terms(((1, 0), 2), ((0, 1), 1), ((0, 0), "r-2")), 2),
-        _case(t, "4", c1, _terms(((-1, -1), 1), ((-1, 0), 1)), _terms(((0, 0), "r+2")), 3),
-        _case(t, "5", c1, _terms(((-2, -1), 1)), _terms(((0, 0), "r+1")), 4),
-    )
+_MAIN22 = (
+    ("1", [], [((2, 2), 1), ((0, 0), "r-1")], 0),
+    ("2", [], [((2, 1), 1), ((0, 1), 1), ((0, 0), "r-2")], 2, dict(twin=True)),
+    ("3", [], [((1, 1), 2), ((0, 0), "r-2")], 2),
+    # When the composite into the (1,1) summand vanishes, the middle splits off O(1,1)
+    # and the display degenerates.
+    ("4", [((0, 0), 1)], [((1, 1), 1), ((1, 0), 1), ((0, 1), 1), ((0, 0), "r-2")], 3),
+    ("5", [((-1, -1), 1)], [((1, 1), 1), ((0, 0), "r")], 4),
+    ("6", [((0, 0), 2)], [((1, 0), 2), ((0, 1), 2), ((0, 0), "r-2")], 4),
+    ("6-1", [((0, 0), 1)], [((2, 0), 1), ((0, 1), 2), ((0, 0), "r-2")], 4, dict(twin=True)),
+    ("6-1-1", [], [((2, 0), 1), ((0, 2), 1), ((0, 0), "r-2")], 4),
+    ("6-1-2", [], [((2, 0), 1), ((0, 1), 2), ((0, 0), "r-3")], 4, dict(twin=True)),
+    ("6-2", [], [((1, 0), 2), ((0, 1), 2), ((0, 0), "r-4")], 4),
+    # Twin inferred from the table's ruling-symmetry remark.
+    ("6-3", [((0, -1), 1)], [((1, 0), 2), ((0, 1), 1), ((0, 0), "r-2")], 4, dict(twin=True)),
+    ("7", [((-1, -1), 1), ((-1, 0), 1), ((0, -1), 1)], [((0, 0), "r+3")], 5),
+    # Twin inferred from the table's ruling-symmetry remark.
+    ("8", [((-1, -2), 1)], [((1, 0), 1), ((0, 0), "r")], 6, dict(twin=True)),
+    ("9", [((-1, -1), 2)], [((0, 0), "r+2")], 6, dict(bondal=True)),
+    # Members force a one-dimensional h1, so there is no module-profile route.
+    ("10", [((-2, -2), 1)], [((0, 0), "r+1")], 8),
+    (
+        "11",
+        [((-2, -2), 1)],
+        [((0, 0), "r+1")],
+        7,
+        dict(coker=TorsionDescriptor(TorsionKind.POINT_SHEAF), gg=False, bondal=True),
+    ),
+    (
+        "12",
+        [((-2, -2), 1)],
+        [((0, 0), "r")],
+        8,
+        dict(coker=TorsionDescriptor(TorsionKind.STRUCTURE_SHEAF), gg=False, bondal=True),
+    ),
+    ("13", [((-1, -1), 4)], [((0, 0), "r"), ((-1, 0), 2), ((0, -1), 2)], 8, dict(gg=False, bondal=True)),
+)
 
+_QUADRIC21 = (
+    ("1", [], [((2, 1), 1), ((0, 0), "r-1")], 0),
+    ("2", [], [((1, 1), 1), ((1, 0), 1), ((0, 0), "r-2")], 1),
+    ("3", [((0, 0), 1)], [((1, 0), 2), ((0, 1), 1), ((0, 0), "r-2")], 2),
+    ("4", [((-1, -1), 1), ((-1, 0), 1)], [((0, 0), "r+2")], 3),
+    ("5", [((-2, -1), 1)], [((0, 0), "r+1")], 4),
+)
 
 #: The parameter-free tables, built once at import.
-_TABLES: dict[str, tuple[CaseSpec, ...]] = {"main22": _main22_cases(), "quadric21": _quadric21_cases()}
+_TABLES: dict[str, tuple[CaseSpec, ...]] = {
+    "main22": _table("main22", BiDegree(2, 2), _MAIN22),
+    "quadric21": _table("quadric21", BiDegree(2, 1), _QUADRIC21),
+}
 
 
 def _require_c1(theorem: str, c1: BiDegree | None) -> BiDegree:
@@ -384,45 +297,23 @@ def _halfmax_cases(c1: BiDegree, b: int) -> tuple[CaseSpec, ...]:
     if not 0 <= b <= c1.b:
         raise HypothesisError(f"splitting degree b={b} must lie in 0..{c1.b}")
     if b == c1.b:
-        return (
-            _case(
-                "halfmax",
-                "split",
-                (c1.a, c1.b),
-                _terms(),
-                _terms(((c1.a, c1.b), 1), ((0, 0), "r-1")),
-                0,
-            ),
-        )
-    return (
-        _case(
-            "halfmax",
-            "general",
-            (c1.a, c1.b),
-            _terms(((0, 0), c1.b - b - 1)),
-            _terms(((c1.a, b), 1), ((0, 1), c1.b - b), ((0, 0), "r-2")),
-            c1.a * (c1.b - b),
-        ),
-    )
+        row = ("split", [], [((c1.a, c1.b), 1), ((0, 0), "r-1")], 0)
+    else:
+        mid = [((c1.a, b), 1), ((0, 1), c1.b - b), ((0, 0), "r-2")]
+        row = ("general", [((0, 0), c1.b - b - 1)], mid, c1.a * (c1.b - b))
+    return _table("halfmax", c1, [row])
 
 
 def _nearmax_cases(c1: BiDegree) -> tuple[CaseSpec, ...]:
     if c1.a < 1 or c1.b < 1:
         raise HypothesisError(f"the near-maximal table needs both determinant degrees >= 1, got {c1}")
-    t = "nearmax"
-    down = (c1.a - 1, c1.b - 1)
-    return (
-        _case(t, "1", (c1.a, c1.b), _terms(), _terms((down, 1), ((1, 1), 1), ((0, 0), "r-2")), c1.a + c1.b - 2),
-        _case(
-            t,
-            "2",
-            (c1.a, c1.b),
-            _terms(((0, 0), 1)),
-            _terms((down, 1), ((1, 0), 1), ((0, 1), 1), ((0, 0), "r-2")),
-            c1.a + c1.b - 1,
-        ),
-        _case(t, "3", (c1.a, c1.b), _terms(((-1, -1), 1)), _terms((down, 1), ((0, 0), "r")), c1.a + c1.b),
+    down, top = (c1.a - 1, c1.b - 1), c1.a + c1.b
+    rows = (
+        ("1", [], [(down, 1), ((1, 1), 1), ((0, 0), "r-2")], top - 2),
+        ("2", [((0, 0), 1)], [(down, 1), ((1, 0), 1), ((0, 1), 1), ((0, 0), "r-2")], top - 1),
+        ("3", [((-1, -1), 1)], [(down, 1), ((0, 0), "r")], top),
     )
+    return _table("nearmax", c1, rows)
 
 
 def list_cases(
