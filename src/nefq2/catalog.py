@@ -98,7 +98,7 @@ class RankExpr:
         return RankExpr(self.const - other.const, self.coef - other.coef)
 
     def __mul__(self, n: int) -> RankExpr:
-        if not isinstance(n, int):
+        if type(n) is not int:
             return NotImplemented
         return RankExpr(n * self.const, n * self.coef)
 
@@ -108,6 +108,8 @@ class RankExpr:
     def parse(text: str | int) -> RankExpr:
         if isinstance(text, int):
             return RankExpr(text)
+        if not isinstance(text, str):
+            raise TypeError(f"multiplicity must be an int or a str, got {text!r}")
         m = re.fullmatch(r"r([+-]\d+)?", text.strip())
         if not m:
             raise ValueError(f"bad multiplicity {text!r}; expected int, 'r', 'r+k' or 'r-k'")
@@ -406,6 +408,7 @@ def verify_case(case: CaseSpec, r: int) -> VerificationReport:
     """Recompute every numeric claim of one case at one rank."""
     e = case_numerics(case, r)
     c1sq = intersect(e.c1, e.c1)
+    chi = euler_char(e)
     checks = [
         CheckResult("rank", e.rank == r, f"display rank {e.rank}, requested {r}"),
         CheckResult("c1", e.c1 == case.c1, f"display c1 {e.c1}, table c1 {case.c1}"),
@@ -415,11 +418,7 @@ def verify_case(case: CaseSpec, r: int) -> VerificationReport:
             f"computed c2 {e.c2}, expected {case.expected_c2}",
         ),
         CheckResult("c2_bound", 0 <= e.c2 <= c1sq, f"c2 {e.c2} against nef bound 0..{c1sq}"),
-        CheckResult(
-            "chi_nonnegative",
-            euler_char(e) >= 0,
-            f"chi = {euler_char(e)} must be >= 0 for a nef family",
-        ),
+        CheckResult("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family"),
         CheckResult(
             "multiplicities",
             all(m.evaluate(r) >= 0 for _, m in case.sub_terms + case.mid_terms),

@@ -57,7 +57,7 @@ class KClass:
         return KClass(-self.rank, -self.c1, -self.ch2x2)
 
     def __mul__(self, n: int) -> KClass:
-        if not isinstance(n, int):
+        if type(n) is not int:
             return NotImplemented
         return KClass(n * self.rank, n * self.c1, n * self.ch2x2)
 

@@ -46,7 +46,7 @@ class BiDegree:
         return BiDegree(-self.a, -self.b)
 
     def __mul__(self, n: int) -> BiDegree:
-        if not isinstance(n, int):
+        if type(n) is not int:
             return NotImplemented
         return BiDegree(n * self.a, n * self.b)
 

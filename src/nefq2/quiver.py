@@ -45,6 +45,8 @@ def simple_module(i: int) -> tuple[int, int, int, int]:
     >>> simple_module(2)
     (0, 0, 1, 0)
     """
+    if type(i) is not int:
+        raise TypeError(f"vertex index must be an integer, got {i!r}")
     if i not in (0, 1, 2, 3):
         raise ValueError(f"vertex index {i} out of range 0..3")
     return tuple(int(j == i) for j in range(4))

@@ -117,6 +117,13 @@ def test_rank_expr_parse_and_render():
         RankExpr(0, True)
     with pytest.raises(TypeError):
         RankExpr.parse(True)
+    # anything but an int or a str is a TypeError, not an AttributeError
+    with pytest.raises(TypeError):
+        RankExpr.parse(1.5)
+    with pytest.raises(TypeError):
+        RankExpr.parse(None)
+    with pytest.raises(TypeError):
+        RankExpr(1, 1) * True
 
 
 def test_case_counts_and_order():

@@ -63,6 +63,10 @@ def test_kclass_rejects_non_integers():
         KClass(1, BiDegree(0, 0), False)
     with pytest.raises(TypeError):
         KClass(1.0, BiDegree(0, 0), 0)
+    with pytest.raises(TypeError):
+        True * line_class(BiDegree(1, 0))
+    with pytest.raises(TypeError):
+        line_class(BiDegree(1, 0)) * False
 
 
 def test_sum_of_lines():

@@ -20,6 +20,10 @@ def test_bidegree_requires_integers():
         BiDegree(True, False)
     with pytest.raises(TypeError):
         BiDegree(1, True)
+    with pytest.raises(TypeError):
+        True * BiDegree(1, 1)
+    with pytest.raises(TypeError):
+        BiDegree(1, 1) * 1.5
 
 
 def test_bidegree_arithmetic():

@@ -75,6 +75,11 @@ def test_simple_modules():
         simple_module(4)
     with pytest.raises(ValueError):
         simple_module(-1)
+    # bool is an int subclass, but True is not vertex 1
+    with pytest.raises(TypeError):
+        simple_module(True)
+    with pytest.raises(TypeError):
+        simple_module(1.0)
 
 
 def test_hom_ext_series_examples():
