@@ -18,7 +18,6 @@ from nefq2.cohomology import cohomology_q2
 from nefq2.ktheory import (
     IdealResolution,
     KClass,
-    TorsionKind,
     from_chern,
     ideal_sheaf_class,
     line_class,
@@ -29,7 +28,7 @@ from nefq2.ktheory import (
 )
 from nefq2.quiver import build_algebra
 
-from whitney_oracle import quotient_chern
+from whitney_oracle import case_chern, quotient_chern
 
 FAMILY_C2 = {
     "1": 0,
@@ -52,32 +51,13 @@ def _family(case) -> str:
     return case.case_number.removesuffix("-swap").split("-")[0]
 
 
-def _oracle_numerics(case, r: int):
-    def prim(terms):
-        return [((d.a, d.b), m.evaluate(r)) for d, m in terms]
-
-    coker = None
-    if case.coker is not None:
-        if case.coker.kind is TorsionKind.POINT_SHEAF:
-            coker = ("point",)
-        elif case.coker.kind is TorsionKind.STRUCTURE_SHEAF:
-            coker = ("structure",)
-        else:
-            coker = (
-                "curve",
-                (case.coker.support.a, case.coker.support.b),
-                case.coker.twist_degree,
-            )
-    return quotient_chern(prim(case.sub_terms), prim(case.mid_terms), coker)
-
-
 def test_criterion_1_c2_table_from_oracle():
     """Every c1=(2,2) family has the tabulated c2 at every admissible rank."""
     cases = list_cases("main22")
     # first reproduce the table by brute-force Chern expansion alone
     for case in cases:
         for r in range(case.min_rank, 11):
-            rank, c1, c2 = _oracle_numerics(case, r)
+            rank, c1, c2 = case_chern(case, r)
             assert (rank, c1) == (r, (2, 2))
             assert c2 == FAMILY_C2[_family(case)], case.id
     # then require the library to agree, within the time budget
@@ -232,7 +212,7 @@ def test_criterion_8_quadric21_table():
     for case in cases:
         assert case.c1 == BiDegree(2, 1)
         for r in range(case.min_rank, 11):
-            rank, c1, c2 = _oracle_numerics(case, r)
+            rank, c1, c2 = case_chern(case, r)
             assert (rank, c1, c2) == (r, (2, 1), case.expected_c2)
             assert case_numerics(case, r) == BundleNumerics(r, BiDegree(2, 1), c2)
     reports = verify_all("quadric21", rank_max=10)

@@ -102,3 +102,23 @@ def quotient_chern(
         + coker_rank(coker)
     )
     return (rank, (total.x10, total.x01), total.x11)
+
+
+def case_chern(case, r: int) -> tuple[int, tuple[int, int], int]:
+    """quotient_chern of a catalog case's display at rank r.
+
+    Duck-typed: it reads the case's sub_terms, mid_terms and coker (the
+    kind through its ``.value``), so the oracle stays free of imports
+    from the package under test."""
+
+    def primitive(terms):
+        return [((d.a, d.b), m.evaluate(r)) for d, m in terms]
+
+    coker = case.coker
+    if coker is None:
+        shape = None
+    elif coker.kind.value == "curve":
+        shape = ("curve", (coker.support.a, coker.support.b), coker.twist_degree)
+    else:
+        shape = (coker.kind.value,)
+    return quotient_chern(primitive(case.sub_terms), primitive(case.mid_terms), shape)
