@@ -92,9 +92,13 @@ class RankExpr:
         return self.const + self.coef * r
 
     def __add__(self, other: RankExpr) -> RankExpr:
+        if type(other) is not RankExpr:
+            return NotImplemented
         return RankExpr(self.const + other.const, self.coef + other.coef)
 
     def __sub__(self, other: RankExpr) -> RankExpr:
+        if type(other) is not RankExpr:
+            return NotImplemented
         return RankExpr(self.const - other.const, self.coef - other.coef)
 
     def __mul__(self, n: int) -> RankExpr:

@@ -48,9 +48,13 @@ class KClass:
             raise TypeError("rank and ch2x2 must be integers")
 
     def __add__(self, other: KClass) -> KClass:
+        if type(other) is not KClass:
+            return NotImplemented
         return KClass(self.rank + other.rank, self.c1 + other.c1, self.ch2x2 + other.ch2x2)
 
     def __sub__(self, other: KClass) -> KClass:
+        if type(other) is not KClass:
+            return NotImplemented
         return KClass(self.rank - other.rank, self.c1 - other.c1, self.ch2x2 - other.ch2x2)
 
     def __neg__(self) -> KClass:

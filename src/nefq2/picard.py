@@ -37,9 +37,13 @@ class BiDegree:
             raise TypeError("bidegree coordinates must be integers")
 
     def __add__(self, other: BiDegree) -> BiDegree:
+        if type(other) is not BiDegree:
+            return NotImplemented
         return BiDegree(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: BiDegree) -> BiDegree:
+        if type(other) is not BiDegree:
+            return NotImplemented
         return BiDegree(self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> BiDegree:

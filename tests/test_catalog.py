@@ -102,6 +102,11 @@ def test_rank_expr_parse_and_render():
         RankExpr.parse(None)
     with pytest.raises(TypeError):
         RankExpr(1, 1) * True
+    # a foreign operand of + or - is a TypeError, not an AttributeError
+    with pytest.raises(TypeError):
+        RankExpr(1) + 1
+    with pytest.raises(TypeError):
+        RankExpr(1) - 1
 
 
 def test_case_counts_and_order():

@@ -67,6 +67,10 @@ def test_kclass_rejects_non_integers():
         True * line_class(BiDegree(1, 0))
     with pytest.raises(TypeError):
         line_class(BiDegree(1, 0)) * False
+    with pytest.raises(TypeError):
+        line_class(BiDegree(1, 1)) + 1
+    with pytest.raises(TypeError):
+        line_class(BiDegree(1, 1)) - BiDegree(1, 1)
 
 
 def test_sum_of_lines():

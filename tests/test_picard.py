@@ -24,6 +24,10 @@ def test_bidegree_requires_integers():
         True * BiDegree(1, 1)
     with pytest.raises(TypeError):
         BiDegree(1, 1) * 1.5
+    with pytest.raises(TypeError):
+        BiDegree(1, 1) + 1
+    with pytest.raises(TypeError):
+        BiDegree(1, 1) - (1, 1)
 
 
 def test_bidegree_arithmetic():
