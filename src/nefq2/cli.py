@@ -16,7 +16,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .bondal import VARIANT_CURVE, VARIANT_STRUCTURE, E2Page, e2_page, reconstruct
-from .catalog import THEOREMS, CaseSpec, case_to_json, list_cases, verify_all
+from .catalog import THEOREMS, CaseSpec, case_to_json, list_cases, verify_all, write_reports_json
 from .cohomology import BundleNumerics, cohomology_q2, euler_char
 from .errors import HypothesisError, NefQ2Error, ReconstructionError
 from .ktheory import line_label, ses_quotient_chern, sum_of_lines, to_chern, twist_chern
@@ -179,13 +179,15 @@ def _run_verify(args: argparse.Namespace) -> int:
     passed = sum(1 for r in reports if r.passed)
     failed = len(reports) - passed
     if args.format == "json":
-        document = {
-            "tool_version": __version__,
-            "invocation": "nefq2 " + " ".join(args.raw_argv),
-            "results": [r.to_json() for r in reports],
-            "summary": {"total": len(reports), "passed": passed, "failed": failed},
-        }
-        print(_dump(document))
+        # the document {"invocation", "results", "summary", "tool_version"},
+        # written as json.dumps(..., sort_keys=True, indent=2) prints it
+        string, write = json.encoder.encode_basestring_ascii, sys.stdout.write
+        write(f'{{\n  "invocation": {string("nefq2 " + " ".join(args.raw_argv))},\n  "results": ')
+        write_reports_json(reports, write)
+        write(
+            f',\n  "summary": {{\n    "failed": {failed},\n    "passed": {passed},\n'
+            f'    "total": {len(reports)}\n  }},\n  "tool_version": {string(__version__)}\n}}\n'
+        )
     else:
         by_case: dict[str, list[Any]] = {}
         for r in reports:

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from nefq2 import BiDegree, HypothesisError, list_cases, verify_all
+from nefq2 import catalog
 from nefq2.catalog import CaseSpec, RankExpr, case_kclass, case_numerics, case_to_json, verify_case
-from nefq2.ktheory import TorsionKind, to_chern
+from nefq2.cohomology import euler_char
+from nefq2.ktheory import KClass, TorsionKind, to_chern
+from nefq2.picard import ZERO, intersect
 
 from whitney_oracle import case_chern
 
@@ -67,6 +71,19 @@ def _sample_cases():
     for b in range(0, 3):
         yield from list_cases("halfmax", c1=BiDegree(3, 2), b=b)
     yield from list_cases("halfmax", c1=BiDegree(2, 2), b=2)
+
+
+def _grid_cases():
+    """Both fixed tables, and the parametric ones over c1 in 0..4 x 0..4
+    (halfmax with every b in 0..c1b, nearmax where both degrees are >= 1)."""
+    yield from list_cases("main22")
+    yield from list_cases("quadric21")
+    for a in range(5):
+        for b in range(5):
+            for split in range(b + 1):
+                yield from list_cases("halfmax", c1=BiDegree(a, b), b=split)
+            if a >= 1 and b >= 1:
+                yield from list_cases("nearmax", c1=BiDegree(a, b))
 
 
 def test_rank_expr_parse_and_render():
@@ -340,6 +357,58 @@ def test_globally_generated_flag():
 def test_bondal_reconstructible_flag():
     marked = {c.id for c in list_cases("main22") if c.bondal_reconstructible}
     assert marked == {"main22-9", "main22-11", "main22-12", "main22-13"}
+
+
+def test_table_claims_hold_for_every_rank():
+    # case_kclass(case, r) = base + r * slope.  With slope = [O] the rank is r
+    # and c1, ch2 and hence c2 do not depend on r; chi = c1a*c1b - c2 + c1a +
+    # c1b + r grows with r; a multiplicity int or r+k that is >= 0 at min_rank
+    # stays >= 0 above it.  So checking at min_rank proves each claim for
+    # every r >= min_rank.
+    cases = list(_grid_cases())
+    assert len(cases) == 28 + 75 + 3 * 16
+    for case in cases:
+        base, slope = case.affine_class
+        assert slope == KClass(1, ZERO, 0), case.id
+        assert base.rank == 0 and base.c1 == case.c1, case.id
+        e = to_chern(case_kclass(case, case.min_rank))
+        assert e.c2 == case.expected_c2, case.id
+        assert 0 <= e.c2 <= intersect(case.c1, case.c1), case.id
+        assert euler_char(e) >= 0, case.id
+        for _, m in case.sub_terms + case.mid_terms:
+            assert m.coef in (0, 1) and m.evaluate(case.min_rank) >= 0, case.id
+        # the affine class against the independent oracle, near and far
+        for r in (case.min_rank, 10**6):
+            got = case_numerics(case, r)
+            assert case_chern(case, r) == (got.rank, (got.c1.a, got.c1.b), got.c2), (case.id, r)
+
+
+def test_affine_class_is_computed_on_first_use():
+    case = list_cases("halfmax", c1=BiDegree(3, 2), b=1)[0]
+    assert "affine_class" not in vars(case)
+    case_kclass(case, 4)
+    assert "affine_class" in vars(case)
+    # the twin is a new instance with its own class
+    twin = catalog._swapped(case)
+    assert "affine_class" not in vars(twin)
+    assert case_kclass(twin, 4).c1 == case_kclass(case, 4).c1.swap()
+
+
+def test_sweep_proves_reconstruction_twice_per_c2(monkeypatch):
+    calls = []
+    reconstruct = catalog.reconstruct
+
+    def counting(e):
+        calls.append((e.c2, e.rank))
+        return reconstruct(e)
+
+    monkeypatch.setattr(catalog, "reconstruct", counting)
+    reports = verify_all("main22", rank_max=300)
+    assert all(r.passed for r in reports)
+    assert sum(1 for r in reports for c in r.checks if c.name == "reconstruction") == 4 * 300
+    # c2 = 6, 7, 8 (main22-9, -11, -12 and -13), each proved at ranks 1 and 2
+    assert Counter(c2 for c2, _ in calls) == {6: 2, 7: 2, 8: 2}
+    assert {rank for _, rank in calls} == {1, 2}
 
 
 def test_case_kclass_consistency():

@@ -27,6 +27,17 @@ class Trunc:
             a.x00 * b.x11 + a.x11 * b.x00 + a.x10 * b.x01 + a.x01 * b.x10,
         )
 
+    def __pow__(self, n: int) -> "Trunc":
+        """self**n for n >= 0, by repeated squaring, so a multiplicity like
+        r = 10**6 costs about forty products."""
+        result, square = ONE, self
+        while n:
+            if n & 1:
+                result = result * square
+            square = square * square
+            n >>= 1
+        return result
+
     def inverse(self) -> "Trunc":
         if self.x00 != 1:
             raise ValueError("only constant term 1 is invertible here")
@@ -56,9 +67,7 @@ def chern_of_lines(terms: list[tuple[tuple[int, int], int]]) -> Trunc:
     """Product of (1 + a*H1 + b*H2) over a direct sum of line bundles."""
     total = ONE
     for (a, b), mult in terms:
-        factor = Trunc(1, a, b)
-        for _ in range(mult):
-            total = total * factor
+        total = total * Trunc(1, a, b) ** mult
     return total
 
 
