@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Any, Sequence
 
@@ -42,8 +43,18 @@ def _line_term(text: str) -> tuple[BiDegree, int]:
     return (_bidegree(deg), count)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its subparsers, that reads every
+    token starting with '-' and a digit as a value: '--c1 -1,-1' parses like
+    '--c1=-1,-1' instead of being taken for an unknown option."""
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nefq2",
         description="Exact cohomology, K-theory and classification checks on the quadric surface.",
     )
@@ -80,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         type=_line_term,
         metavar="A,B[:MULT]",
-        help="line bundle summand of the sub (repeatable; use --sub=-1,-2 for negatives)",
+        help="line bundle summand of the sub (repeatable)",
     )
     p.add_argument(
         "--mid",

@@ -61,6 +61,23 @@ def test_ses_malformed_degree(capsys):
     assert exc.value.code == 2
 
 
+def test_space_separated_negative_bidegrees(capsys):
+    # '--c1 -1,-1' is a value, as '--c1=-1,-1' is, not an unknown option
+    code, out, err = run(capsys, "catalog", "list", "--theorem", "halfmax", "--c1", "-1,-1", "--b-param", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: determinant (-1,-1) of a nef bundle must be effective\n"
+    spaced = run(capsys, "ses", "--sub", "-1,-2", "--mid", "1,0:4")
+    assert spaced == run(capsys, "ses", "--sub=-1,-2", "--mid", "1,0:4") == (0, "rank=3 c1=(5,2) c2=12\n", "")
+    code, out, _ = run(capsys, "verify", "main22", "--rank-min", "-1", "--rank-max", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["invocation"] == "nefq2 verify main22 --rank-min -1 --rank-max 1 --format json"
+    # a malformed negative token reaches the bidegree parser and its message
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "halfmax", "--c1", "-1x", "--b-param", "0"])
+    assert exc.value.code == 2
+    assert "expected 'a,b' integers, got '-1x'" in capsys.readouterr().err
+
+
 def test_bondal_output(capsys):
     code, out, _ = run(capsys, "bondal", "6", "4")
     assert code == 0
