@@ -49,6 +49,7 @@ INVOCATIONS: tuple[tuple[str, tuple[str, ...], bool], ...] = (
     ("verify_halfmax", ("verify", "halfmax", "--c1", "3,2", "--b-param", "1"), True),
     ("verify_nearmax_json", ("verify", "nearmax", "--c1", "3,3", "--format", "json"), True),
     ("catalog_all_json", ("catalog", "list", "--format", "json"), True),
+    ("ses_negative_sub", ("ses", "--sub", "-1,-2", "--mid", "1,0:4"), True),
     (
         "catalog_nearmax_json",
         ("catalog", "list", "--theorem", "nearmax", "--c1", "3,2", "--format", "json"),
@@ -79,6 +80,11 @@ INVOCATIONS: tuple[tuple[str, tuple[str, ...], bool], ...] = (
     ("error_catalog_main22_c1", ("catalog", "list", "--theorem", "main22", "--c1", "5,5"), True),
     ("error_verify_nearmax_b", ("verify", "nearmax", "--c1", "3,3", "--b-param", "2"), True),
     ("error_verify_all_c1", ("verify", "all", "--c1", "2,2"), True),
+    (
+        "error_halfmax_negative_c1",
+        ("catalog", "list", "--theorem", "halfmax", "--c1", "-1,-1", "--b-param", "0"),
+        True,
+    ),
     # usage errors raised by argparse
     ("usage_ses_no_sub", ("ses", "--mid", "1,0"), False),
     ("usage_verify_bogus", ("verify", "bogus"), False),
