@@ -114,5 +114,7 @@ def test_cli_matches_golden(capsys, name, argv, own_stderr):
 def test_every_snapshot_has_an_invocation():
     names = {name for name, _, _ in INVOCATIONS}
     assert len(names) == len(INVOCATIONS)
-    # demo_*.txt are the demo snapshots, owned by test_examples.py
-    assert {p.stem for p in GOLDEN.glob("*.txt") if not p.stem.startswith("demo_")} == names
+    # demo_*.txt are the demo snapshots, owned by test_examples.py, and
+    # failing_*.txt the broken-table runs, owned by test_verify_failures.py
+    owned = ("demo_", "failing_")
+    assert {p.stem for p in GOLDEN.glob("*.txt") if not p.stem.startswith(owned)} == names

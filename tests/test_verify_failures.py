@@ -1,0 +1,107 @@
+"""Golden output of ``nefq2 verify`` on broken tables.
+
+The shipped tables all pass, so the failure output (a FAIL line, one line
+per failing check and rank, exit 1) and the errors raised partway through
+a sweep are pinned here on hand-built cases: ``list_cases`` is replaced by
+a table holding one passing case and one broken case.  The snapshots in
+``tests/golden/failing_<name>.txt`` use the rendering of test_golden.py.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from nefq2 import catalog, cli
+from nefq2.catalog import CaseSpec, RankExpr
+from nefq2.picard import ZERO, BiDegree
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_MAIN22 = {c.id: c for c in catalog.list_cases("main22")}
+
+#: A broken case for each way a table row can fail.
+BROKEN = {
+    # c2 is right at no rank: the c2 check fails everywhere
+    "wrong_c2": replace(_MAIN22["main22-3"], expected_c2=3),
+    # an extra O(1,0)^r in the middle: rank 2r and c1 (2+r, 2) move with r
+    "c1_slope": replace(
+        _MAIN22["main22-1"],
+        id="main22-1-slope",
+        mid_terms=_MAIN22["main22-1"].mid_terms + ((BiDegree(1, 0), RankExpr(0, 1)),),
+    ),
+    # 0 -> O(-3,-3) -> O^(r+1) -> E -> 0: c2 = 18 and chi = r - 3, negative at r = 1, 2
+    "chi_negative": CaseSpec(
+        id="main22-chi",
+        theorem="main22",
+        c1=BiDegree(3, 3),
+        sub_terms=((BiDegree(-3, -3), RankExpr(1)),),
+        mid_terms=((ZERO, RankExpr(1, 1)),),
+        coker=None,
+        min_rank=1,
+        expected_c2=18,
+        globally_generated=True,
+        bondal_reconstructible=False,
+    ),
+    # 0 -> O^r -> O^2 -> E -> 0 has rank 2 - r: a virtual class from r = 2 on
+    "virtual": CaseSpec(
+        id="main22-virtual",
+        theorem="main22",
+        c1=ZERO,
+        sub_terms=((ZERO, RankExpr(0, 1)),),
+        mid_terms=((ZERO, RankExpr(2)),),
+        coker=None,
+        min_rank=1,
+        expected_c2=0,
+        globally_generated=None,
+        bondal_reconstructible=False,
+    ),
+    # mid O(3,-1) + O(-1,3) + O^(r-1) over O: c1 (2,2) and c2 = 10 above the nef
+    # bound; marked reconstructible, its module profile has hom = r - 2 < 0 at r = 1
+    "c2_above_8": CaseSpec(
+        id="main22-c2-10",
+        theorem="main22",
+        c1=BiDegree(2, 2),
+        sub_terms=((ZERO, RankExpr(1)),),
+        mid_terms=((BiDegree(3, -1), RankExpr(1)), (BiDegree(-1, 3), RankExpr(1)), (ZERO, RankExpr(-1, 1))),
+        coker=None,
+        min_rank=1,
+        expected_c2=10,
+        globally_generated=False,
+        bondal_reconstructible=True,
+    ),
+}
+
+#: (snapshot name, broken case, argv after "verify main22")
+RUNS = tuple(
+    (f"failing_{name}_{fmt}", name, ("--rank-max", "4") + (("--format", "json") if fmt == "json" else ()))
+    for name in BROKEN
+    for fmt in ("text", "json")
+) + (
+    # from r = 3 on chi = r - 3 is never negative: the same case passes
+    ("failing_chi_negative_from_3", "chi_negative", ("--rank-min", "3", "--rank-max", "6")),
+    # from r = 2 on the profile exists, and the reconstruction is checked rank by rank
+    ("failing_c2_above_8_from_2", "c2_above_8", ("--rank-min", "2", "--rank-max", "4")),
+)
+
+
+@pytest.mark.parametrize("snapshot,name,argv", RUNS, ids=[snapshot for snapshot, _, _ in RUNS])
+def test_broken_table_matches_golden(monkeypatch, capsys, snapshot, name, argv):
+    table = (_MAIN22["main22-1"], BROKEN[name])
+
+    def broken_list_cases(theorem, *, c1=None, b=None):
+        assert theorem == "main22" and c1 is None and b is None
+        return table
+
+    for module in (catalog, cli):
+        monkeypatch.setattr(module, "list_cases", broken_list_cases)
+    code = cli.main(["verify", "main22", *argv])
+    captured = capsys.readouterr()
+    got = f"exit {code}\n--- stdout\n{captured.out}--- stderr\n{captured.err}"
+    assert got == (GOLDEN / f"{snapshot}.txt").read_bytes().decode("utf-8")
+
+
+def test_every_failing_snapshot_has_a_run():
+    assert {p.stem for p in GOLDEN.glob("failing_*.txt")} == {snapshot for snapshot, _, _ in RUNS}
