@@ -50,11 +50,11 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .bondal import reconstruct
-from .cohomology import BundleNumerics, euler_char, is_weak_fano
-from .errors import HypothesisError, ReconstructionError
+from .cohomology import BundleNumerics
+from .errors import HypothesisError, NefQ2Error, ReconstructionError
 from .ktheory import (
     KClass,
     TorsionDescriptor,
@@ -156,13 +156,19 @@ class CaseSpec:
     bondal_reconstructible: bool
     twin_of: str | None = None
 
+    def __post_init__(self) -> None:
+        if type(self.expected_c2) is not int or type(self.min_rank) is not int:
+            raise TypeError("expected_c2 and min_rank must be integers")
+        if self.min_rank < 1:
+            raise ValueError(f"min_rank must be >= 1, got {self.min_rank}")
+        gg = self.globally_generated
+        if type(self.bondal_reconstructible) is not bool or not (gg is None or type(gg) is bool):
+            raise TypeError("bondal_reconstructible must be a bool, globally_generated a bool or None")
+
     @functools.cached_property
-    def affine_class(self) -> tuple[KClass, KClass]:
-        """The display's K-class as (base, slope): at rank r it is
-        base + r * slope, because every multiplicity is affine in r and the
-        alternating sum is linear in them.  Computed on first use."""
+    def _certificate(self) -> Certificate:
         base = _display_class(self, 0)
-        return base, _display_class(self, 1) - base
+        return Certificate(self, base, _display_class(self, 1) - base)
 
     @property
     def case_number(self) -> str:
@@ -368,10 +374,100 @@ def _display_class(case: CaseSpec, r: int) -> KClass:
     return four_term_quotient(side(case.sub_terms), side(case.mid_terms), coker)
 
 
+class CheckResult(NamedTuple):
+    name: str
+    passed: bool
+    detail: str
+
+
+class Row(NamedTuple):
+    """verify_case's numbers at one rank: the display's rank, c1 and c2,
+    whether c2 < c1^2, and the checks as (name, passed, detail) triples."""
+
+    rank: int
+    c1: BiDegree
+    c2: int
+    weak_fano: bool
+    checks: tuple[tuple[str, bool, str], ...]
+
+
+_C1_22 = BiDegree(2, 2)
+
+
+class Certificate(NamedTuple):
+    """A case's display class as base + r * slope, and what follows from it.
+
+    The class is linear in the multiplicities and each of them is affine in
+    r, so at rank r it is exactly base + r * slope.  ``row(r)`` evaluates
+    every check of ``verify_case`` from it in plain ints, and
+    ``proved_from(lo)`` decides whether all of them pass at every r >= lo.
+    """
+
+    case: CaseSpec
+    base: KClass
+    slope: KClass
+
+    def row(self, r: int) -> Row:
+        """The checks at rank r, with the errors ``case_numerics`` raises."""
+        case, base, slope = self
+        if r < case.min_rank:
+            raise ValueError(f"{case.id} needs rank >= {case.min_rank}, got {r}")
+        rank = base.rank + r * slope.rank
+        c1 = base.c1 + r * slope.c1 if slope.c1.a or slope.c1.b else base.c1
+        c1sq = 2 * c1.a * c1.b
+        twice_c2 = c1sq - base.ch2x2 - r * slope.ch2x2
+        if rank < 1 or twice_c2 % 2:
+            to_chern(base + r * slope)  # raises: a virtual class or an odd ch2 parity
+        c2 = twice_c2 // 2
+        chi = c1.a * c1.b - c2 + c1.a + c1.b + rank  # Riemann-Roch, as euler_char
+        checks = (
+            ("rank", rank == r, f"display rank {rank}, requested {r}"),
+            ("c1", c1 == case.c1, f"display c1 {c1}, table c1 {case.c1}"),
+            ("c2", c2 == case.expected_c2, f"computed c2 {c2}, expected {case.expected_c2}"),
+            ("c2_bound", 0 <= c2 <= c1sq, f"c2 {c2} against nef bound 0..{c1sq}"),
+            ("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family"),
+            (
+                "multiplicities",
+                all([m.const + m.coef * r >= 0 for _, m in case.sub_terms + case.mid_terms]),
+                "every display multiplicity evaluates >= 0",
+            ),
+        )
+        if case.bondal_reconstructible and c2 >= 6 and c1 == _C1_22:
+            if c2 <= 8:
+                checks += (_reconstruction_proof(c2, reconstruct),)
+            else:
+                checks += (_reconstruction_check(reconstruct, BundleNumerics(rank, c1, c2)),)
+        return Row(rank, c1, c2, c2 < c1sq, checks)
+
+    def proved_from(self, lo: int) -> bool:
+        """Whether every check of ``row(r)`` passes at every r >= lo, for
+        lo >= min_rank, decided from the rows at lo and lo + 1.
+
+        c1 is affine in r, so it equals the table's c1 at both ranks only if
+        its slope is 0.  Then rank, twice c2 and chi are affine in r as well:
+        rank = r, an even twice c2 and c2 = expected_c2 at two ranks hold at
+        every rank, the nef bound on that fixed c2 holds everywhere, and chi
+        = const - c2 + rank grows with r.  A multiplicity c + k*r >= 0 at lo
+        stays so when k >= 0.  At a fixed c2 the reconstruction check is one
+        proof for every rank (above c2 = 8 the nef bound fails first).
+        """
+        try:
+            rows = (self.row(lo), self.row(lo + 1))
+        except NefQ2Error:
+            return False
+        terms = self.case.sub_terms + self.case.mid_terms
+        return all(m.coef >= 0 for _, m in terms) and all(ok for row in rows for _, ok, _ in row.checks)
+
+
+def certify(case: CaseSpec) -> Certificate:
+    """The case's certificate, built on first use and kept on the case."""
+    return case._certificate
+
+
 def case_kclass(case: CaseSpec, r: int) -> KClass:
     """Alternating K-sum of the display at rank r (no honesty checks), exact
     at every r, including the virtual classes below min_rank."""
-    base, slope = case.affine_class
+    _, base, slope = certify(case)
     return base + r * slope
 
 
@@ -385,12 +481,6 @@ def case_numerics(case: CaseSpec, r: int) -> BundleNumerics:
     if r < case.min_rank:
         raise ValueError(f"{case.id} needs rank >= {case.min_rank}, got {r}")
     return to_chern(case_kclass(case, r))
-
-
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -427,42 +517,83 @@ class VerificationReport:
 #: How json.dumps prints the schema's literals.
 _LITERAL = {True: "true", False: "false", None: "null"}
 
+#: A report for the JSON writer: ((case_id, expected_c2, flags), rank_tested, row, passed).
+_Item = tuple[tuple[str, int, Mapping[str, Any]], int, Row, bool]
 
-def write_reports_json(reports: Sequence[VerificationReport], write: Callable[[str], Any]) -> None:
-    """Write the list [r.to_json() for r in reports], report by report, as
-    the value of a key of a top-level object: byte for byte the text that
-    json.dumps(..., sort_keys=True, indent=2) prints there, from fixed
-    templates in sorted key order."""
+
+def _write_items(items: Iterable[_Item], write: Callable[[str], Any]) -> None:
+    """Write the list [report.to_json(), ...] of the reports given as items,
+    as the value of a key of a top-level object: byte for byte the text
+    json.dumps(..., sort_keys=True, indent=2) prints there, from one
+    template in sorted key order.  A head shared by consecutive items is
+    rendered once."""
     from json.encoder import encode_basestring_ascii as string
 
-    if not reports:
-        write("[]")
-        return
-    lead = "[\n"
-    for report in reports:
-        checks = ",\n".join(
-            f'        {{\n          "detail": {string(detail)},\n          "name": {string(name)},\n'
-            f'          "passed": {_LITERAL[passed]}\n        }}'
-            for name, passed, detail in report.checks
+    lead, head = "[\n", None
+    for key, r, (rank, c1, c2, weak_fano, checks), passed in items:
+        if key is not head:
+            (case_id, expected_c2, flags), head = key, key
+            top = f'    {{\n      "case_id": {string(case_id)},\n      "checks": '
+            middle = (
+                f'      "expected_c2": {expected_c2},\n      "flags": {{\n'
+                f'        "bondal_reconstructible": {_LITERAL[flags["bondal_reconstructible"]]},\n'
+                f'        "globally_generated": {_LITERAL[flags["globally_generated"]]},\n'
+                f'        "nef": {string(flags["nef"])},\n        "weak_fano": '
+            )
+        text = ",\n".join(
+            [
+                f'        {{\n          "detail": {string(detail)},\n          "name": {string(name)},\n'
+                f'          "passed": {_LITERAL[ok]}\n        }}'
+                for name, ok, detail in checks
+            ]
         )
-        checks = f"[\n{checks}\n      ]" if checks else "[]"
-        e, flags = report.computed, report.flags
+        text = f"[\n{text}\n      ]" if checks else "[]"
         write(
-            f'{lead}    {{\n      "case_id": {string(report.case_id)},\n      "checks": {checks},\n'
-            f'      "computed": {{\n        "c1": [\n          {e.c1.a},\n          {e.c1.b}\n        ],\n'
-            f'        "c2": {e.c2},\n        "rank": {e.rank}\n      }},\n'
-            f'      "expected_c2": {report.expected_c2},\n      "flags": {{\n'
-            f'        "bondal_reconstructible": {_LITERAL[flags["bondal_reconstructible"]]},\n'
-            f'        "globally_generated": {_LITERAL[flags["globally_generated"]]},\n'
-            f'        "nef": {string(flags["nef"])},\n'
-            f'        "weak_fano": {_LITERAL[flags["weak_fano"]]}\n      }},\n'
-            f'      "passed": {_LITERAL[report.passed]},\n      "rank_tested": {report.rank_tested}\n    }}'
+            f'{lead}{top}{text},\n'
+            f'      "computed": {{\n        "c1": [\n          {c1.a},\n          {c1.b}\n        ],\n'
+            f'        "c2": {c2},\n        "rank": {rank}\n      }},\n'
+            f'{middle}{_LITERAL[weak_fano]}\n      }},\n'
+            f'      "passed": {_LITERAL[passed]},\n      "rank_tested": {r}\n    }}'
         )
         lead = ",\n"
-    write("\n  ]")
+    write("[]" if head is None else "\n  ]")
 
 
-_C1_22 = BiDegree(2, 2)
+def write_reports_json(reports: Iterable[VerificationReport], write: Callable[[str], Any]) -> None:
+    """Write [r.to_json() for r in reports] as the value of a key of a
+    top-level object, as json.dumps(..., sort_keys=True, indent=2) prints it."""
+    items = (
+        (
+            (r.case_id, r.expected_c2, r.flags),
+            r.rank_tested,
+            Row(r.computed.rank, r.computed.c1, r.computed.c2, r.flags["weak_fano"], r.checks),
+            r.passed,
+        )
+        for r in reports
+    )
+    _write_items(items, write)
+
+
+def write_sweep_json(
+    sweep: Iterable[tuple[CaseSpec, int]], rank_max: int, write: Callable[[str], Any]
+) -> int:
+    """Write what write_reports_json writes for verify_case(case, r) at each
+    r in lo..rank_max of each (case, lo), from the certificates' rows and
+    without building a report; return how many pass."""
+    passed = 0
+
+    def items() -> Iterator[_Item]:
+        nonlocal passed
+        for case, lo in sweep:
+            cert, head = certify(case), (case.id, case.expected_c2, case.flags())
+            for r in range(lo, rank_max + 1):
+                row = cert.row(r)
+                ok = all([check[1] for check in row.checks])
+                passed += ok
+                yield head, r, row, ok
+
+    _write_items(items(), write)
+    return passed
 
 
 def _reconstruction_check(
@@ -494,38 +625,25 @@ def _reconstruction_proof(c2: int, rebuild: Callable[[BundleNumerics], KClass]) 
 
 def verify_case(case: CaseSpec, r: int) -> VerificationReport:
     """Recompute every numeric claim of one case at one rank."""
-    e = case_numerics(case, r)
-    c1sq = intersect(e.c1, e.c1)
-    chi = euler_char(e)
-    checks = [
-        CheckResult("rank", e.rank == r, f"display rank {e.rank}, requested {r}"),
-        CheckResult("c1", e.c1 == case.c1, f"display c1 {e.c1}, table c1 {case.c1}"),
-        CheckResult(
-            "c2",
-            e.c2 == case.expected_c2,
-            f"computed c2 {e.c2}, expected {case.expected_c2}",
-        ),
-        CheckResult("c2_bound", 0 <= e.c2 <= c1sq, f"c2 {e.c2} against nef bound 0..{c1sq}"),
-        CheckResult("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family"),
-        CheckResult(
-            "multiplicities",
-            all(m.evaluate(r) >= 0 for _, m in case.sub_terms + case.mid_terms),
-            "every display multiplicity evaluates >= 0",
-        ),
-    ]
-    if case.bondal_reconstructible and e.c2 >= 6 and e.c1 == _C1_22:
-        if e.c2 <= 8:
-            checks.append(_reconstruction_proof(e.c2, reconstruct))
-        else:
-            checks.append(_reconstruction_check(reconstruct, e))
+    rank, c1, c2, weak_fano, checks = certify(case).row(r)
     return VerificationReport(
         case_id=case.id,
         rank_tested=r,
-        computed=e,
+        computed=BundleNumerics(rank, c1, c2),
         expected_c2=case.expected_c2,
-        flags=case.flags(weak_fano=is_weak_fano(e)),
-        checks=tuple(checks),
+        flags=case.flags(weak_fano=weak_fano),
+        checks=tuple(CheckResult._make(check) for check in checks),
     )
+
+
+def sweep(
+    theorem: str, rank_min: int | None, rank_max: int, *, c1: BiDegree | None = None, b: int | None = None
+) -> list[tuple[CaseSpec, int]]:
+    """(case, lo) for each case of one table with a rank in lo..rank_max,
+    where lo = max(rank_min, its min_rank)."""
+    cases = list_cases(theorem, c1=c1, b=b)
+    firsts = ((case, case.min_rank if rank_min is None else max(rank_min, case.min_rank)) for case in cases)
+    return [(case, lo) for case, lo in firsts if lo <= rank_max]
 
 
 def verify_all(
@@ -539,9 +657,5 @@ def verify_all(
     """verify_case over the cases of one table x ranks.  Each case is
     swept from max(rank_min, its min_rank) to rank_max; an empty range
     contributes nothing."""
-    reports: list[VerificationReport] = []
-    for case in list_cases(theorem, c1=c1, b=b):
-        lo = case.min_rank if rank_min is None else max(rank_min, case.min_rank)
-        for r in range(lo, rank_max + 1):
-            reports.append(verify_case(case, r))
-    return reports
+    cases = sweep(theorem, rank_min, rank_max, c1=c1, b=b)
+    return [verify_case(case, r) for case, lo in cases for r in range(lo, rank_max + 1)]

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .bondal import VARIANT_CURVE, VARIANT_STRUCTURE, E2Page, e2_page, reconstruct
-from .catalog import THEOREMS, CaseSpec, case_to_json, list_cases, verify_all, write_reports_json
+from .catalog import THEOREMS, CaseSpec, case_to_json, certify, list_cases, sweep, write_sweep_json
 from .cohomology import BundleNumerics, cohomology_q2, euler_char
 from .errors import HypothesisError, NefQ2Error, ReconstructionError
 from .ktheory import line_label, ses_quotient_chern, sum_of_lines, to_chern, twist_chern
@@ -179,47 +179,50 @@ def _theorems(args: argparse.Namespace) -> list[str]:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    reports = [
-        report
-        for t in _theorems(args)
-        for report in verify_all(t, args.rank_min, args.rank_max, c1=args.c1, b=args.b_param)
-    ]
-    if not reports:
+    hi = args.rank_max
+    cases = [s for t in _theorems(args) for s in sweep(t, args.rank_min, hi, c1=args.c1, b=args.b_param)]
+    if not cases:
         lo = "min_rank" if args.rank_min is None else args.rank_min
-        raise HypothesisError(f"empty sweep: no case has a rank in {lo}..{args.rank_max}")
-    passed = sum(1 for r in reports if r.passed)
-    failed = len(reports) - passed
+        raise HypothesisError(f"empty sweep: no case has a rank in {lo}..{hi}")
+    proved = [certify(case).proved_from(lo) for case, lo in cases]
+    for (case, lo), ok in zip(cases, proved):
+        if not ok:
+            for r in range(lo, hi + 1):
+                certify(case).row(r)  # a rank that raises does so before any output
+    total = sum(hi + 1 - lo for _, lo in cases)
     if args.format == "json":
         # the document {"invocation", "results", "summary", "tool_version"},
         # written as json.dumps(..., sort_keys=True, indent=2) prints it
         string, write = json.encoder.encode_basestring_ascii, sys.stdout.write
         write(f'{{\n  "invocation": {string("nefq2 " + " ".join(args.raw_argv))},\n  "results": ')
-        write_reports_json(reports, write)
+        passed = write_sweep_json(cases, hi, write)
         write(
-            f',\n  "summary": {{\n    "failed": {failed},\n    "passed": {passed},\n'
-            f'    "total": {len(reports)}\n  }},\n  "tool_version": {string(__version__)}\n}}\n'
+            f',\n  "summary": {{\n    "failed": {total - passed},\n    "passed": {passed},\n'
+            f'    "total": {total}\n  }},\n  "tool_version": {string(__version__)}\n}}\n'
         )
     else:
-        by_case: dict[str, list[Any]] = {}
-        for r in reports:
-            by_case.setdefault(r.case_id, []).append(r)
-        for case_id, group in by_case.items():
-            ranks = f"r={group[0].rank_tested}..{group[-1].rank_tested}"
-            ok = all(r.passed for r in group)
-            sample = group[0]
-            flags = sample.flags
+        # a case proved on all of lo..hi takes one line whatever the range
+        passed = 0
+        for (case, lo), ok in zip(cases, proved):
+            cert = certify(case)
+            first, failures = cert.row(lo), []
+            if ok:
+                passed += hi + 1 - lo
+            else:
+                for r in range(lo, hi + 1):
+                    checks = cert.row(r).checks
+                    failed = [f"    r={r} {name}: {detail}" for name, good, detail in checks if not good]
+                    passed += not failed
+                    failures += failed
             print(
-                f"{case_id}  c2={sample.computed.c2}  {ranks}  "
-                f"weak_fano={'yes' if flags['weak_fano'] else 'no'}  "
-                f"{'PASS' if ok else 'FAIL'}"
+                f"{case.id}  c2={first.c2}  r={lo}..{hi}  "
+                f"weak_fano={'yes' if first.weak_fano else 'no'}  "
+                f"{'FAIL' if failures else 'PASS'}"
             )
-            if not ok:
-                for r in group:
-                    for check in r.checks:
-                        if not check.passed:
-                            print(f"    r={r.rank_tested} {check.name}: {check.detail}")
-        print(f"summary: {passed}/{len(reports)} checks passed, {failed} failed")
-    return 0 if failed == 0 else 1
+            for line in failures:
+                print(line)
+        print(f"summary: {passed}/{total} checks passed, {total - passed} failed")
+    return 0 if passed == total else 1
 
 
 def _run_catalog_list(args: argparse.Namespace) -> int:

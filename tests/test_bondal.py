@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from nefq2 import BiDegree, BundleNumerics, HypothesisError
+from nefq2 import BiDegree, BundleNumerics, HypothesisError, list_cases
 from nefq2.bondal import (
     DICTIONARY,
     VARIANT_CURVE,
@@ -14,9 +14,11 @@ from nefq2.bondal import (
     reconstruct,
     series_tensor_class,
 )
-from nefq2.catalog import RankExpr
+from nefq2.catalog import RankExpr, certify
 from nefq2.ktheory import KClass, TorsionKind, from_chern, line_class
 from nefq2.quiver import simple_module
+
+from whitney_oracle import case_chern
 
 
 def test_dictionary_entries():
@@ -83,6 +85,18 @@ def test_reconstruct_rank_is_symbolically_exact():
         )
         assert total == RankExpr(0, 1)
         assert total.render() == "r"
+    # the catalog's reconstructible families, c2 = 6, 7 and 8: the certificate
+    # proves the reconstruction check for every rank, and the oracle's
+    # numerics rebuild with rank r near and far
+    marked = [c for c in list_cases("main22") if c.bondal_reconstructible]
+    assert sorted({c.expected_c2 for c in marked}) == [6, 7, 8]
+    for case in marked:
+        cert = certify(case)
+        assert cert.proved_from(case.min_rank), case.id
+        for r in (case.min_rank, case.min_rank + 1, 10**6):
+            rank, c1, c2 = case_chern(case, r)
+            assert reconstruct(BundleNumerics(rank, BiDegree(*c1), c2)).rank == r
+            assert ("reconstruction", True) in [(n, p) for n, p, _ in cert.row(r).checks], (case.id, r)
 
 
 def test_e2_entries_c2_6():

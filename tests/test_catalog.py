@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from nefq2 import BiDegree, HypothesisError, list_cases, verify_all
+from nefq2 import BiDegree, HypothesisError, ReconstructionError, list_cases, verify_all
 from nefq2 import catalog
-from nefq2.catalog import CaseSpec, RankExpr, case_kclass, case_numerics, case_to_json, verify_case
+from nefq2.catalog import CaseSpec, RankExpr, case_kclass, case_numerics, case_to_json, certify, verify_case
 from nefq2.cohomology import euler_char
 from nefq2.ktheory import KClass, TorsionKind, to_chern
 from nefq2.picard import ZERO, intersect
@@ -84,6 +85,11 @@ def _grid_cases():
                 yield from list_cases("halfmax", c1=BiDegree(a, b), b=split)
             if a >= 1 and b >= 1:
                 yield from list_cases("nearmax", c1=BiDegree(a, b))
+
+
+def _cross_check_ranks(case: CaseSpec) -> tuple[int, int, int]:
+    """The ranks at which a certificate is compared with the oracle."""
+    return (case.min_rank, case.min_rank + 1, 10**6)
 
 
 def test_rank_expr_parse_and_render():
@@ -211,7 +217,7 @@ def test_c2_independent_of_rank():
 def test_symbolic_rank_of_displays():
     # sum of multiplicities: mid minus sub plus the rank of the
     # cokernel must be exactly r for every display
-    for case in _sample_cases():
+    for case in _grid_cases():
         total = RankExpr(0)
         for _, m in case.mid_terms:
             total = total + m
@@ -220,6 +226,11 @@ def test_symbolic_rank_of_displays():
         if case.coker is not None and case.coker.kind is TorsionKind.STRUCTURE_SHEAF:
             total = total + RankExpr(1)
         assert total == RankExpr(0, 1), case.id
+        # the certificate's rank is that expression, and the oracle's, near and far
+        cert = certify(case)
+        assert (cert.base.rank, cert.slope.rank) == (total.const, total.coef), case.id
+        for r in _cross_check_ranks(case):
+            assert cert.row(r).rank == case_chern(case, r)[0] == r, (case.id, r)
 
 
 def test_twins():
@@ -360,38 +371,67 @@ def test_bondal_reconstructible_flag():
 
 
 def test_table_claims_hold_for_every_rank():
-    # case_kclass(case, r) = base + r * slope.  With slope = [O] the rank is r
-    # and c1, ch2 and hence c2 do not depend on r; chi = c1a*c1b - c2 + c1a +
-    # c1b + r grows with r; a multiplicity int or r+k that is >= 0 at min_rank
-    # stays >= 0 above it.  So checking at min_rank proves each claim for
-    # every r >= min_rank.
+    # certify(case) proves every check of verify_case for every r >= min_rank
+    # from the display's affine class; its rows are cross-checked here against
+    # the independent Whitney oracle at min_rank, min_rank + 1 and 10**6.
     cases = list(_grid_cases())
     assert len(cases) == 28 + 75 + 3 * 16
     for case in cases:
-        base, slope = case.affine_class
-        assert slope == KClass(1, ZERO, 0), case.id
-        assert base.rank == 0 and base.c1 == case.c1, case.id
-        e = to_chern(case_kclass(case, case.min_rank))
-        assert e.c2 == case.expected_c2, case.id
-        assert 0 <= e.c2 <= intersect(case.c1, case.c1), case.id
-        assert euler_char(e) >= 0, case.id
+        cert = certify(case)
+        assert cert.proved_from(case.min_rank), case.id
+        # every shipped display has the slope [O]: rank r, and c1, c2 fixed
+        assert cert.slope == KClass(1, ZERO, 0), case.id
+        assert cert.base.rank == 0 and cert.base.c1 == case.c1, case.id
         for _, m in case.sub_terms + case.mid_terms:
             assert m.coef in (0, 1) and m.evaluate(case.min_rank) >= 0, case.id
-        # the affine class against the independent oracle, near and far
-        for r in (case.min_rank, 10**6):
-            got = case_numerics(case, r)
-            assert case_chern(case, r) == (got.rank, (got.c1.a, got.c1.b), got.c2), (case.id, r)
+        for r in _cross_check_ranks(case):
+            oracle = case_chern(case, r)
+            e = case_numerics(case, r)
+            assert oracle == (e.rank, (e.c1.a, e.c1.b), e.c2), (case.id, r)
+            assert e.c2 == case.expected_c2, case.id
+            assert 0 <= e.c2 <= intersect(case.c1, case.c1), case.id
+            assert euler_char(e) >= 0, case.id
+            row = cert.row(r)
+            assert (row.rank, row.c1, row.c2) == (e.rank, e.c1, e.c2), (case.id, r)
+            assert all(passed for _, passed, _ in row.checks), (case.id, r)
 
 
 def test_affine_class_is_computed_on_first_use():
     case = list_cases("halfmax", c1=BiDegree(3, 2), b=1)[0]
-    assert "affine_class" not in vars(case)
+    assert "_certificate" not in vars(case)
     case_kclass(case, 4)
-    assert "affine_class" in vars(case)
-    # the twin is a new instance with its own class
+    assert "_certificate" in vars(case)
+    # one certificate per case, kept on it
+    cert = certify(case)
+    assert certify(case) is cert and cert.case is case
+    assert verify_case(case, 4).passed and certify(case) is cert
+    # the twin and a replaced case are new instances with their own certificate
     twin = catalog._swapped(case)
-    assert "affine_class" not in vars(twin)
+    assert "_certificate" not in vars(twin)
     assert case_kclass(twin, 4).c1 == case_kclass(case, 4).c1.swap()
+    changed = replace(case, expected_c2=0)
+    assert "_certificate" not in vars(changed)
+    assert not certify(changed).proved_from(changed.min_rank)
+    assert cert.proved_from(case.min_rank)
+
+
+def test_case_spec_checks_its_fields():
+    case = list_cases("main22")[0]
+    for field, value in (
+        ("expected_c2", False),
+        ("expected_c2", 0.0),
+        ("min_rank", True),
+        ("min_rank", "1"),
+        ("bondal_reconstructible", 0),
+        ("bondal_reconstructible", None),
+        ("globally_generated", 1),
+        ("globally_generated", "yes"),
+    ):
+        with pytest.raises(TypeError):
+            replace(case, **{field: value})
+    with pytest.raises(ValueError):
+        replace(case, min_rank=0)
+    assert replace(case, globally_generated=None).globally_generated is None
 
 
 def test_sweep_proves_reconstruction_twice_per_c2(monkeypatch):
@@ -409,6 +449,18 @@ def test_sweep_proves_reconstruction_twice_per_c2(monkeypatch):
     # c2 = 6, 7, 8 (main22-9, -11, -12 and -13), each proved at ranks 1 and 2
     assert Counter(c2 for c2, _ in calls) == {6: 2, 7: 2, 8: 2}
     assert {rank for _, rank in calls} == {1, 2}
+
+
+def test_a_failing_reconstruction_is_not_proved(monkeypatch):
+    def broken(e):
+        raise ReconstructionError(f"no module profile for {e}")
+
+    monkeypatch.setattr(catalog, "reconstruct", broken)
+    case = {c.id: c for c in list_cases("main22")}["main22-9"]
+    cert = certify(case)
+    assert not cert.proved_from(case.min_rank)
+    name, passed, detail = cert.row(3).checks[-1]
+    assert (name, passed) == ("reconstruction", False) and detail.startswith("no module profile")
 
 
 def test_case_kclass_consistency():

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import nefq2
+from nefq2 import list_cases
 from nefq2.cli import main
 
 
@@ -207,11 +211,15 @@ def test_empty_sweep_is_a_usage_error(capsys):
         assert err == "error: empty sweep: no case has a rank in 20..3\n"
 
 
-def test_closed_pipe_exits_1_without_traceback():
-    # like `nefq2 verify main22 --format json | head -1` on ~2.8 MB of output
+def _child_env() -> dict[str, str]:
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+    return {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # like `nefq2 verify main22 --format json | head -1` on ~2.8 MB of output
+    env = _child_env()
     argv = ["verify", "main22", "--rank-max", "100", "--format", "json"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "nefq2.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
@@ -222,3 +230,68 @@ def test_closed_pipe_exits_1_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
+
+
+def _limit_address_space() -> None:
+    # runs in the child only, between fork and exec
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_huge_rank_max_prints_one_line_per_case():
+    # every main22 case is proved for all ranks, so a text sweep up to 10**12
+    # costs one line per case; a per-rank sweep would run out of time or of
+    # the child's 1 GiB of address space
+    rank_max = 10**12
+    proc = subprocess.run(
+        [sys.executable, "-m", "nefq2.cli", "verify", "main22", "--rank-max", str(rank_max)],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    cases = list_cases("main22")
+    total = sum(rank_max - case.min_rank + 1 for case in cases)
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == f"summary: {total}/{total} checks passed, 0 failed"
+    assert len(lines) == len(cases) + 1
+    for case, line in zip(cases, lines):
+        assert line.startswith(f"{case.id}  c2={case.expected_c2}  r={case.min_rank}..{rank_max}  ")
+        assert line.endswith("  PASS")
+
+
+class _ByteCount:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def write(self, text: str) -> int:
+        self.count += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _json_sweep_peak(rank_max: int) -> tuple[int, int]:
+    """Peak traced bytes and characters written by verify main22 --format json."""
+    sink = _ByteCount()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(["verify", "main22", "--rank-max", str(rank_max), "--format", "json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sink.count
+
+
+def test_json_sweep_memory_is_flat_in_rank_max():
+    _json_sweep_peak(2)  # certify the cases and load the JSON encoder first
+    peak_300, written_300 = _json_sweep_peak(300)
+    peak_3000, written_3000 = _json_sweep_peak(3000)
+    assert written_3000 > 10 * written_300
+    # the reports are written as they are made, so 10x the output adds no memory
+    assert peak_3000 - peak_300 < 16 * 1024, (peak_300, peak_3000)
