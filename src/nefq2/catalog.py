@@ -414,15 +414,17 @@ class Certificate(NamedTuple):
             raise ValueError(f"{case.id} needs rank >= {case.min_rank}, got {r}")
         rank = base.rank + r * slope.rank
         c1 = base.c1 + r * slope.c1 if slope.c1.a or slope.c1.b else base.c1
-        c1sq = 2 * c1.a * c1.b
+        a, b, table = c1.a, c1.b, case.c1
+        c1sq = 2 * a * b
         twice_c2 = c1sq - base.ch2x2 - r * slope.ch2x2
         if rank < 1 or twice_c2 % 2:
             to_chern(base + r * slope)  # raises: a virtual class or an odd ch2 parity
         c2 = twice_c2 // 2
-        chi = c1.a * c1.b - c2 + c1.a + c1.b + rank  # Riemann-Roch, as euler_char
+        chi = a * b - c2 + a + b + rank  # Riemann-Roch, as euler_char
         checks = (
             ("rank", rank == r, f"display rank {rank}, requested {r}"),
-            ("c1", c1 == case.c1, f"display c1 {c1}, table c1 {case.c1}"),
+            # the text of f"display c1 {c1}, table c1 {table}", without two str() calls
+            ("c1", a == table.a and b == table.b, f"display c1 ({a},{b}), table c1 ({table.a},{table.b})"),
             ("c2", c2 == case.expected_c2, f"computed c2 {c2}, expected {case.expected_c2}"),
             ("c2_bound", 0 <= c2 <= c1sq, f"c2 {c2} against nef bound 0..{c1sq}"),
             ("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family"),
@@ -517,20 +519,20 @@ class VerificationReport:
 #: How json.dumps prints the schema's literals.
 _LITERAL = {True: "true", False: "false", None: "null"}
 
-#: A report for the JSON writer: ((case_id, expected_c2, flags), rank_tested, row, passed).
-_Item = tuple[tuple[str, int, Mapping[str, Any]], int, Row, bool]
+#: A report for the JSON writer: ((case_id, expected_c2, flags), rank_tested, row).
+_Item = tuple[tuple[str, int, Mapping[str, Any]], int, Row]
 
 
-def _write_items(items: Iterable[_Item], write: Callable[[str], Any]) -> None:
+def _write_items(items: Iterable[_Item], write: Callable[[str], Any]) -> int:
     """Write the list [report.to_json(), ...] of the reports given as items,
     as the value of a key of a top-level object: byte for byte the text
     json.dumps(..., sort_keys=True, indent=2) prints there, from one
     template in sorted key order.  A head shared by consecutive items is
-    rendered once."""
+    rendered once.  Returns how many of the reports pass."""
     from json.encoder import encode_basestring_ascii as string
 
-    lead, head = "[\n", None
-    for key, r, (rank, c1, c2, weak_fano, checks), passed in items:
+    lead, head, count = "[\n", None, 0
+    for key, r, (rank, c1, c2, weak_fano, checks) in items:
         if key is not head:
             (case_id, expected_c2, flags), head = key, key
             top = f'    {{\n      "case_id": {string(case_id)},\n      "checks": '
@@ -548,6 +550,8 @@ def _write_items(items: Iterable[_Item], write: Callable[[str], Any]) -> None:
             ]
         )
         text = f"[\n{text}\n      ]" if checks else "[]"
+        passed = all([check[1] for check in checks])
+        count += passed
         write(
             f'{lead}{top}{text},\n'
             f'      "computed": {{\n        "c1": [\n          {c1.a},\n          {c1.b}\n        ],\n'
@@ -557,6 +561,7 @@ def _write_items(items: Iterable[_Item], write: Callable[[str], Any]) -> None:
         )
         lead = ",\n"
     write("[]" if head is None else "\n  ]")
+    return count
 
 
 def write_reports_json(reports: Iterable[VerificationReport], write: Callable[[str], Any]) -> None:
@@ -567,7 +572,6 @@ def write_reports_json(reports: Iterable[VerificationReport], write: Callable[[s
             (r.case_id, r.expected_c2, r.flags),
             r.rank_tested,
             Row(r.computed.rank, r.computed.c1, r.computed.c2, r.flags["weak_fano"], r.checks),
-            r.passed,
         )
         for r in reports
     )
@@ -580,20 +584,14 @@ def write_sweep_json(
     """Write what write_reports_json writes for verify_case(case, r) at each
     r in lo..rank_max of each (case, lo), from the certificates' rows and
     without building a report; return how many pass."""
-    passed = 0
 
     def items() -> Iterator[_Item]:
-        nonlocal passed
         for case, lo in sweep:
             cert, head = certify(case), (case.id, case.expected_c2, case.flags())
             for r in range(lo, rank_max + 1):
-                row = cert.row(r)
-                ok = all([check[1] for check in row.checks])
-                passed += ok
-                yield head, r, row, ok
+                yield head, r, cert.row(r)
 
-    _write_items(items(), write)
-    return passed
+    return _write_items(items(), write)
 
 
 def _reconstruction_check(
