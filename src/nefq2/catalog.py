@@ -48,6 +48,7 @@ hypotheses of the module-profile reconstruction).
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -394,13 +395,23 @@ class Row(NamedTuple):
 _C1_22 = BiDegree(2, 2)
 
 
+def _rank_check(rank: int, r: int) -> tuple[str, bool, str]:
+    return ("rank", rank == r, f"display rank {rank}, requested {r}")
+
+
+def _chi_check(c1: BiDegree, c2: int, rank: int) -> tuple[str, bool, str]:
+    chi = c1.a * c1.b - c2 + c1.a + c1.b + rank  # Riemann-Roch, as euler_char
+    return ("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family")
+
+
 class Certificate(NamedTuple):
     """A case's display class as base + r * slope, and what follows from it.
 
     The class is linear in the multiplicities and each of them is affine in
     r, so at rank r it is exactly base + r * slope.  ``row(r)`` evaluates
-    every check of ``verify_case`` from it in plain ints, and
-    ``proved_from(lo)`` decides whether all of them pass at every r >= lo.
+    every check of ``verify_case`` from it in plain ints, ``proved_from(lo)``
+    decides whether all of them pass at every r >= lo, and ``rows(lo, hi)``
+    gives the rows of a sweep.
     """
 
     case: CaseSpec
@@ -420,14 +431,13 @@ class Certificate(NamedTuple):
         if rank < 1 or twice_c2 % 2:
             to_chern(base + r * slope)  # raises: a virtual class or an odd ch2 parity
         c2 = twice_c2 // 2
-        chi = a * b - c2 + a + b + rank  # Riemann-Roch, as euler_char
         checks = (
-            ("rank", rank == r, f"display rank {rank}, requested {r}"),
+            _rank_check(rank, r),
             # the text of f"display c1 {c1}, table c1 {table}", without two str() calls
             ("c1", a == table.a and b == table.b, f"display c1 ({a},{b}), table c1 ({table.a},{table.b})"),
             ("c2", c2 == case.expected_c2, f"computed c2 {c2}, expected {case.expected_c2}"),
             ("c2_bound", 0 <= c2 <= c1sq, f"c2 {c2} against nef bound 0..{c1sq}"),
-            ("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family"),
+            _chi_check(c1, c2, rank),
             (
                 "multiplicities",
                 all([m.const + m.coef * r >= 0 for _, m in case.sub_terms + case.mid_terms]),
@@ -459,6 +469,18 @@ class Certificate(NamedTuple):
             return False
         terms = self.case.sub_terms + self.case.mid_terms
         return all(m.coef >= 0 for _, m in terms) and all(ok for row in rows for _, ok, _ in row.checks)
+
+    def rows(self, lo: int, hi: int) -> Iterator[Row]:
+        """``row(r)`` for r in lo..hi.  Where every check is proved from lo,
+        the rank is r, and c1, c2 and every check but rank and chi are those
+        at lo, so only these two checks are made again at each rank."""
+        if not self.proved_from(lo):
+            yield from map(self.row, range(lo, hi + 1))
+            return
+        c1, c2, weak_fano, (_, c1_check, c2_check, bound_check, _, *rest) = self.row(lo)[1:]
+        for r in range(lo, hi + 1):
+            checks = (_rank_check(r, r), c1_check, c2_check, bound_check, _chi_check(c1, c2, r), *rest)
+            yield Row(r, c1, c2, weak_fano, checks)
 
 
 def certify(case: CaseSpec) -> Certificate:
@@ -518,6 +540,7 @@ class VerificationReport:
 
 #: How json.dumps prints the schema's literals.
 _LITERAL = {True: "true", False: "false", None: "null"}
+_verdict = operator.itemgetter(1)
 
 #: A report for the JSON writer: ((case_id, expected_c2, flags), rank_tested, row).
 _Item = tuple[tuple[str, int, Mapping[str, Any]], int, Row]
@@ -528,10 +551,11 @@ def _write_items(items: Iterable[_Item], write: Callable[[str], Any]) -> int:
     as the value of a key of a top-level object: byte for byte the text
     json.dumps(..., sort_keys=True, indent=2) prints there, from one
     template in sorted key order.  A head shared by consecutive items is
-    rendered once.  Returns how many of the reports pass."""
+    rendered once, and the text goes to write in chunks of up to 64 reports.
+    Returns how many of the reports pass."""
     from json.encoder import encode_basestring_ascii as string
 
-    lead, head, count = "[\n", None, 0
+    lead, head, count, chunk = "[\n", None, 0, []
     for key, r, (rank, c1, c2, weak_fano, checks) in items:
         if key is not head:
             (case_id, expected_c2, flags), head = key, key
@@ -550,9 +574,9 @@ def _write_items(items: Iterable[_Item], write: Callable[[str], Any]) -> int:
             ]
         )
         text = f"[\n{text}\n      ]" if checks else "[]"
-        passed = all([check[1] for check in checks])
+        passed = all(map(_verdict, checks))
         count += passed
-        write(
+        chunk.append(
             f'{lead}{top}{text},\n'
             f'      "computed": {{\n        "c1": [\n          {c1.a},\n          {c1.b}\n        ],\n'
             f'        "c2": {c2},\n        "rank": {rank}\n      }},\n'
@@ -560,7 +584,11 @@ def _write_items(items: Iterable[_Item], write: Callable[[str], Any]) -> int:
             f'      "passed": {_LITERAL[passed]},\n      "rank_tested": {r}\n    }}'
         )
         lead = ",\n"
-    write("[]" if head is None else "\n  ]")
+        if len(chunk) == 64:
+            write("".join(chunk))
+            chunk.clear()
+    chunk.append("[]" if head is None else "\n  ]")
+    write("".join(chunk))
     return count
 
 
@@ -587,9 +615,9 @@ def write_sweep_json(
 
     def items() -> Iterator[_Item]:
         for case, lo in sweep:
-            cert, head = certify(case), (case.id, case.expected_c2, case.flags())
-            for r in range(lo, rank_max + 1):
-                yield head, r, cert.row(r)
+            head = (case.id, case.expected_c2, case.flags())
+            for r, row in enumerate(certify(case).rows(lo, rank_max), lo):
+                yield head, r, row
 
     return _write_items(items(), write)
 

@@ -3,7 +3,8 @@
 For random displays, and for random affine classes whose ch2 parity may be
 odd, ``Certificate.row(r)`` must equal today's verify_case formulas applied
 to the class computed directly at r, errors included, and a case the
-certificate proves from lo must pass at every rank of lo..lo+50.
+certificate proves from lo must pass at every rank of lo..lo+50, where
+``Certificate.rows`` must give the same rows.
 """
 
 from __future__ import annotations
@@ -138,8 +139,11 @@ def passes(outcome) -> bool:
 
 
 def check_proof(cert: Certificate, lo: int) -> None:
+    """A proof from lo holds on lo..lo+50, where rows() equals row()."""
     if cert.proved_from(lo):
-        assert all(passes(evaluated(cert, r)) for r in range(lo, lo + 51))
+        rows = [evaluated(cert, r) for r in range(lo, lo + 51)]
+        assert all(passes(row) for row in rows)
+        assert list(cert.rows(lo, lo + 50)) == rows
 
 
 @SETTINGS
