@@ -551,11 +551,10 @@ def _write_items(items: Iterable[_Item], write: Callable[[str], Any]) -> int:
     as the value of a key of a top-level object: byte for byte the text
     json.dumps(..., sort_keys=True, indent=2) prints there, from one
     template in sorted key order.  A head shared by consecutive items is
-    rendered once, and the text goes to write in chunks of up to 64 reports.
-    Returns how many of the reports pass."""
+    rendered once.  Returns how many of the reports pass."""
     from json.encoder import encode_basestring_ascii as string
 
-    lead, head, count, chunk = "[\n", None, 0, []
+    lead, head, count = "[\n", None, 0
     for key, r, (rank, c1, c2, weak_fano, checks) in items:
         if key is not head:
             (case_id, expected_c2, flags), head = key, key
@@ -576,7 +575,7 @@ def _write_items(items: Iterable[_Item], write: Callable[[str], Any]) -> int:
         text = f"[\n{text}\n      ]" if checks else "[]"
         passed = all(map(_verdict, checks))
         count += passed
-        chunk.append(
+        write(
             f'{lead}{top}{text},\n'
             f'      "computed": {{\n        "c1": [\n          {c1.a},\n          {c1.b}\n        ],\n'
             f'        "c2": {c2},\n        "rank": {rank}\n      }},\n'
@@ -584,11 +583,7 @@ def _write_items(items: Iterable[_Item], write: Callable[[str], Any]) -> int:
             f'      "passed": {_LITERAL[passed]},\n      "rank_tested": {r}\n    }}'
         )
         lead = ",\n"
-        if len(chunk) == 64:
-            write("".join(chunk))
-            chunk.clear()
-    chunk.append("[]" if head is None else "\n  ]")
-    write("".join(chunk))
+    write("[]" if head is None else "\n  ]")
     return count
 
 
