@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .bondal import VARIANT_CURVE, VARIANT_STRUCTURE, E2Page, e2_page, reconstruct
-from .catalog import THEOREMS, CaseSpec, case_to_json, certify, list_cases, sweep, write_sweep_json
+from .catalog import THEOREMS, CaseSpec, case_to_json, certify, list_cases, sweep
 from .cohomology import BundleNumerics, cohomology_q2, euler_char
 from .errors import HypothesisError, NefQ2Error, ReconstructionError
 from .ktheory import line_label, ses_quotient_chern, sum_of_lines, to_chern, twist_chern
@@ -191,6 +191,8 @@ def _run_verify(args: argparse.Namespace) -> int:
                 certify(case).row(r)  # a rank that raises does so before any output
     total = sum(hi + 1 - lo for _, lo in cases)
     if args.format == "json":
+        from .report_json import write_sweep_json  # compiled only for this output
+
         # the document {"invocation", "results", "summary", "tool_version"},
         # written as json.dumps(..., sort_keys=True, indent=2) prints it
         string, write = json.encoder.encode_basestring_ascii, sys.stdout.write

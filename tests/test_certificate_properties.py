@@ -1,7 +1,7 @@
 """Property tests of the certificate against a direct evaluation.
 
 For random displays, and for random affine classes whose ch2 parity may be
-odd, ``Certificate.row(r)`` must equal today's verify_case formulas applied
+odd, ``Certificate.row(r)`` must equal verify_case's check formulas applied
 to the class computed directly at r, errors included, and a case the
 certificate proves from lo must pass at every rank of lo..lo+50, where
 ``Certificate.rows`` must give the same rows.

@@ -10,7 +10,8 @@ from dataclasses import replace
 import pytest
 
 from nefq2 import BiDegree, __version__, list_cases, verify_all
-from nefq2.catalog import verify_case, write_reports_json
+from nefq2.catalog import verify_case
+from nefq2.report_json import write_reports_json
 from nefq2.cli import main
 
 #: (argv, tables, verify_all keyword arguments)
