@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import resource
@@ -278,6 +279,7 @@ class _ByteCount:
 def _json_sweep_peak(rank_max: int) -> tuple[int, int]:
     """Peak traced bytes and characters written by verify main22 --format json."""
     sink = _ByteCount()
+    gc.collect()  # the last run's parser is cyclic garbage; do not count it
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
