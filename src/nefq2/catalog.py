@@ -476,7 +476,7 @@ class Certificate(NamedTuple):
         if not self.proved_from(lo):
             yield from map(self.row, range(lo, hi + 1))
             return
-        c1, c2, weak_fano, (_, c1_check, c2_check, bound_check, _, *rest) = self.row(lo)[1:]
+        _, c1, c2, weak_fano, (_, c1_check, c2_check, bound_check, _, *rest) = self.row(lo)
         for r in range(lo, hi + 1):
             checks = (_rank_check(r, r), c1_check, c2_check, bound_check, _chi_check(c1, c2, r), *rest)
             yield Row(r, c1, c2, weak_fano, checks)
