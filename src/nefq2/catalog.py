@@ -50,7 +50,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .bondal import reconstruct
 from .cohomology import BundleNumerics
@@ -410,7 +410,7 @@ class Certificate(NamedTuple):
     r, so at rank r it is exactly base + r * slope.  ``row(r)`` evaluates
     every check of ``verify_case`` from it in plain ints, ``proved_from(lo)``
     decides whether all of them pass at every r >= lo, and ``rows(lo, hi)``
-    gives the rows of a sweep.
+    gives that verdict with the rows of a sweep.
     """
 
     case: CaseSpec
@@ -469,17 +469,20 @@ class Certificate(NamedTuple):
         terms = self.case.sub_terms + self.case.mid_terms
         return all(m.coef >= 0 for _, m in terms) and all(ok for row in rows for _, ok, _ in row.checks)
 
-    def rows(self, lo: int, hi: int) -> Iterator[Row]:
-        """``row(r)`` for r in lo..hi.  Where every check is proved from lo,
-        the rank is r, and c1, c2 and every check but rank and chi are those
-        at lo, so only these two checks are made again at each rank."""
+    def rows(self, lo: int, hi: int) -> tuple[bool, Iterable[Row]]:
+        """``proved_from(lo)`` and ``row(r)`` for r in lo..hi.  Unproved, the
+        rows are a list made here, so a rank that raises does so at this
+        call.  Proved, they are made as they are read: the rank is r, and c1,
+        c2 and every check but rank and chi are those at lo, so only these
+        two checks are made again at each rank."""
         if not self.proved_from(lo):
-            yield from map(self.row, range(lo, hi + 1))
-            return
-        _, c1, c2, weak_fano, (_, c1_check, c2_check, bound_check, _, *rest) = self.row(lo)
-        for r in range(lo, hi + 1):
-            checks = (_rank_check(r, r), c1_check, c2_check, bound_check, _chi_check(c1, c2, r), *rest)
-            yield Row(r, c1, c2, weak_fano, checks)
+            return False, [self.row(r) for r in range(lo, hi + 1)]
+        _, c1, c2, weak_fano, checks = self.row(lo)
+        same, rest = checks[1:4], checks[5:]  # all but the rank and chi checks
+        return True, (
+            Row(r, c1, c2, weak_fano, (_rank_check(r, r), *same, _chi_check(c1, c2, r), *rest))
+            for r in range(lo, hi + 1)
+        )
 
 
 def certify(case: CaseSpec) -> Certificate:

@@ -184,11 +184,9 @@ def _run_verify(args: argparse.Namespace) -> int:
     if not cases:
         lo = "min_rank" if args.rank_min is None else args.rank_min
         raise HypothesisError(f"empty sweep: no case has a rank in {lo}..{hi}")
-    proved = [certify(case).proved_from(lo) for case, lo in cases]
-    for (case, lo), ok in zip(cases, proved):
-        if not ok:
-            for r in range(lo, hi + 1):
-                certify(case).row(r)  # a rank that raises does so before any output
+    # (case, lo, proved, rows): an unproved case's rows are all made here,
+    # so a rank that raises does so before any output
+    swept = [(case, lo, *certify(case).rows(lo, hi)) for case, lo in cases]
     total = sum(hi + 1 - lo for _, lo in cases)
     if args.format == "json":
         from .report_json import write_sweep_json  # compiled only for this output
@@ -197,23 +195,21 @@ def _run_verify(args: argparse.Namespace) -> int:
         # written as json.dumps(..., sort_keys=True, indent=2) prints it
         string, write = json.encoder.encode_basestring_ascii, sys.stdout.write
         write(f'{{\n  "invocation": {string("nefq2 " + " ".join(args.raw_argv))},\n  "results": ')
-        passed = write_sweep_json(cases, hi, write)
+        passed = write_sweep_json(swept, write)
         write(
             f',\n  "summary": {{\n    "failed": {total - passed},\n    "passed": {passed},\n'
             f'    "total": {total}\n  }},\n  "tool_version": {string(__version__)}\n}}\n'
         )
     else:
-        # a case proved on all of lo..hi takes one line whatever the range
+        # a proved case takes one line whatever the range
         passed = 0
-        for (case, lo), ok in zip(cases, proved):
-            cert = certify(case)
-            first, failures = cert.row(lo), []
-            if ok:
+        for case, lo, proved, rows in swept:
+            first, failures = next(iter(rows)), []
+            if proved:
                 passed += hi + 1 - lo
             else:
-                for r in range(lo, hi + 1):
-                    checks = cert.row(r).checks
-                    failed = [f"    r={r} {name}: {detail}" for name, good, detail in checks if not good]
+                for r, row in enumerate(rows, lo):
+                    failed = [f"    r={r} {name}: {detail}" for name, ok, detail in row.checks if not ok]
                     passed += not failed
                     failures += failed
             print(

@@ -1,92 +1,58 @@
-"""The JSON text of verification reports, written report by report.
+"""The JSON text of a verify sweep, written report by report.
 
 ``nefq2 verify --format json`` prints one document in the layout of
-``json.dumps(document, sort_keys=True, indent=2)``.  The writers here put
-its results list together from one fixed template in sorted key order,
-byte for byte what json.dumps prints for the reports' ``to_json()``
-dicts, without building those dicts.  ``write_sweep_json`` streams a
-sweep from the case certificates, so no report object is made at all.
-Only the JSON output of ``verify`` loads this module.
+``json.dumps(document, sort_keys=True, indent=2)``.  ``write_sweep_json``
+puts its results list together from the case certificates' rows and one
+fixed template in sorted key order, byte for byte what json.dumps prints
+for the reports' ``to_json()`` dicts, without building a report or a
+dict.  Only the JSON output of ``verify`` loads this module.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as string
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable
 
-from .catalog import CaseSpec, Row, VerificationReport, certify
+from .catalog import CaseSpec, Row
 
 #: How json.dumps prints the schema's literals.
 _LITERAL = {True: "true", False: "false", None: "null"}
 
-#: A report for the JSON writer: ((case_id, expected_c2, flags), rank_tested, row).
-_Item = tuple[tuple[str, int, Mapping[str, Any]], int, Row]
-
-
-def _write_items(items: Iterable[_Item], write: Callable[[str], Any]) -> int:
-    """Write the list [report.to_json(), ...] of the reports given as items,
-    as the value of a key of a top-level object: byte for byte the text
-    json.dumps(..., sort_keys=True, indent=2) prints there, from one
-    template in sorted key order.  A head shared by consecutive items is
-    rendered once.  Returns how many of the reports pass."""
-    lead, head, count = "[\n", None, 0
-    for key, r, (rank, c1, c2, weak_fano, checks) in items:
-        if key is not head:
-            (case_id, expected_c2, flags), head = key, key
-            top = f'    {{\n      "case_id": {string(case_id)},\n      "checks": '
-            middle = (
-                f'      "expected_c2": {expected_c2},\n      "flags": {{\n'
-                f'        "bondal_reconstructible": {_LITERAL[flags["bondal_reconstructible"]]},\n'
-                f'        "globally_generated": {_LITERAL[flags["globally_generated"]]},\n'
-                f'        "nef": {string(flags["nef"])},\n        "weak_fano": '
-            )
-        text = ",\n".join(
-            [
-                f'        {{\n          "detail": {string(detail)},\n          "name": {string(name)},\n'
-                f'          "passed": {_LITERAL[ok]}\n        }}'
-                for name, ok, detail in checks
-            ]
-        )
-        text = f"[\n{text}\n      ]" if checks else "[]"
-        passed = all([check[1] for check in checks])
-        count += passed
-        write(
-            f'{lead}{top}{text},\n'
-            f'      "computed": {{\n        "c1": [\n          {c1.a},\n          {c1.b}\n        ],\n'
-            f'        "c2": {c2},\n        "rank": {rank}\n      }},\n'
-            f'{middle}{_LITERAL[weak_fano]}\n      }},\n'
-            f'      "passed": {_LITERAL[passed]},\n      "rank_tested": {r}\n    }}'
-        )
-        lead = ",\n"
-    write("[]" if head is None else "\n  ]")
-    return count
-
-
-def write_reports_json(reports: Iterable[VerificationReport], write: Callable[[str], Any]) -> None:
-    """Write [r.to_json() for r in reports] as the value of a key of a
-    top-level object, as json.dumps(..., sort_keys=True, indent=2) prints it."""
-    items = (
-        (
-            (r.case_id, r.expected_c2, r.flags),
-            r.rank_tested,
-            Row(r.computed.rank, r.computed.c1, r.computed.c2, r.flags["weak_fano"], r.checks),
-        )
-        for r in reports
-    )
-    _write_items(items, write)
-
 
 def write_sweep_json(
-    sweep: Iterable[tuple[CaseSpec, int]], rank_max: int, write: Callable[[str], Any]
+    swept: Iterable[tuple[CaseSpec, int, bool, Iterable[Row]]], write: Callable[[str], Any]
 ) -> int:
-    """Write what write_reports_json writes for verify_case(case, r) at each
-    r in lo..rank_max of each (case, lo), from the certificates' rows and
-    without building a report; return how many pass."""
-
-    def items() -> Iterator[_Item]:
-        for case, lo in sweep:
-            head = (case.id, case.expected_c2, case.flags())
-            for r, row in enumerate(certify(case).rows(lo, rank_max), lo):
-                yield head, r, row
-
-    return _write_items(items(), write)
+    """Write [verify_case(case, r).to_json() for r in lo..] over the
+    (case, lo, proved, rows) of ``Certificate.rows``, as the value of a key
+    of a top-level object: the text json.dumps(..., sort_keys=True,
+    indent=2) prints there.  Returns how many of the rows pass."""
+    lead, count = "[\n", 0
+    for case, lo, _, rows in swept:
+        flags = case.flags()
+        top = f'    {{\n      "case_id": {string(case.id)},\n      "checks": [\n'
+        middle = (
+            f'      "expected_c2": {case.expected_c2},\n      "flags": {{\n'
+            f'        "bondal_reconstructible": {_LITERAL[flags["bondal_reconstructible"]]},\n'
+            f'        "globally_generated": {_LITERAL[flags["globally_generated"]]},\n'
+            f'        "nef": {string(flags["nef"])},\n        "weak_fano": '
+        )
+        for r, (rank, c1, c2, weak_fano, checks) in enumerate(rows, lo):
+            text = ",\n".join(
+                [
+                    f'        {{\n          "detail": {string(detail)},\n          "name": {string(name)},\n'
+                    f'          "passed": {_LITERAL[ok]}\n        }}'
+                    for name, ok, detail in checks
+                ]
+            )
+            passed = all([check[1] for check in checks])
+            count += passed
+            write(
+                f'{lead}{top}{text}\n      ],\n'
+                f'      "computed": {{\n        "c1": [\n          {c1.a},\n          {c1.b}\n        ],\n'
+                f'        "c2": {c2},\n        "rank": {rank}\n      }},\n'
+                f'{middle}{_LITERAL[weak_fano]}\n      }},\n'
+                f'      "passed": {_LITERAL[passed]},\n      "rank_tested": {r}\n    }}'
+            )
+            lead = ",\n"
+    write("[]" if lead == "[\n" else "\n  ]")
+    return count

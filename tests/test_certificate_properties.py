@@ -139,11 +139,17 @@ def passes(outcome) -> bool:
 
 
 def check_proof(cert: Certificate, lo: int) -> None:
-    """A proof from lo holds on lo..lo+50, where rows() equals row()."""
-    if cert.proved_from(lo):
-        rows = [evaluated(cert, r) for r in range(lo, lo + 51)]
-        assert all(passes(row) for row in rows)
-        assert list(cert.rows(lo, lo + 50)) == rows
+    """A proof from lo holds on lo..lo+50, where rows() equals row() and
+    raises the first error row() raises."""
+    rows = [evaluated(cert, r) for r in range(lo, lo + 51)]
+    try:
+        proved, made = cert.rows(lo, lo + 50)
+    except (NefQ2Error, ValueError) as exc:
+        assert (type(exc), str(exc)) == next(row for row in rows if len(row) == 2)
+        return
+    assert proved == cert.proved_from(lo)
+    assert list(made) == rows
+    assert all(passes(row) for row in rows) or not proved
 
 
 @SETTINGS

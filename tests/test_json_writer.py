@@ -1,6 +1,6 @@
-"""The verify document is written report by report from fixed templates;
-it must be exactly what json.dumps(..., sort_keys=True, indent=2) prints
-for the reports' to_json() dicts."""
+"""The verify document is written report by report from one template; it
+must be exactly what json.dumps(..., sort_keys=True, indent=2) prints for
+the reports' to_json() dicts."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ from dataclasses import replace
 import pytest
 
 from nefq2 import BiDegree, __version__, list_cases, verify_all
-from nefq2.catalog import verify_case
-from nefq2.report_json import write_reports_json
+from nefq2.catalog import certify, verify_case
 from nefq2.cli import main
+from nefq2.report_json import write_sweep_json
 
 #: (argv, tables, verify_all keyword arguments)
 RUNS = (
@@ -59,9 +59,10 @@ def test_non_ascii_invocation_is_escaped(capsys):
     assert '"invocation": "nefq2 verify main22 --rank-max \\uff13 --format json",' in out
 
 
-def _written(reports) -> str:
+def _written(cases, hi) -> str:
     chunks: list[str] = []
-    write_reports_json(reports, chunks.append)
+    swept = [(case, case.min_rank, *certify(case).rows(case.min_rank, hi)) for case in cases]
+    write_sweep_json(swept, chunks.append)
     return '{\n  "results": ' + "".join(chunks) + "\n}"
 
 
@@ -71,13 +72,11 @@ def test_failing_reports_equal_json_dumps():
         # a wrong c2 and an unknown global generation: failing checks, null flag
         replace(by_id["main22-3"], expected_c2=3, globally_generated=None),
         replace(by_id["main22-12"], id='main22-12 "∞"', expected_c2=6),
+        by_id["main22-9"],
     ]
-    reports = [verify_case(case, r) for case in cases for r in range(case.min_rank, case.min_rank + 3)]
-    assert not any(r.passed for r in reports)
-    assert {r.flags["globally_generated"] for r in reports} == {None, False}
+    reports = [verify_case(case, r) for case in cases for r in range(case.min_rank, 6)]
+    assert [r.passed for r in reports].count(True) == 5  # main22-9 at ranks 1..5
+    assert {r.flags["globally_generated"] for r in reports} == {None, False, True}
     reference = json.dumps({"results": [r.to_json() for r in reports]}, sort_keys=True, indent=2)
-    assert _written(reports) == reference
-    for report in reports[:2]:
-        empty = replace(report, checks=())
-        assert _written([empty]) == json.dumps({"results": [empty.to_json()]}, sort_keys=True, indent=2)
-    assert _written([]) == json.dumps({"results": []}, sort_keys=True, indent=2)
+    assert _written(cases, 5) == reference
+    assert _written([], 5) == json.dumps({"results": []}, sort_keys=True, indent=2)
