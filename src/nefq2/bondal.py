@@ -77,6 +77,8 @@ def reconstruct(e: BundleNumerics) -> KClass:
     >>> reconstruct(BundleNumerics(4, BiDegree(2, 2), 6))
     KClass(rank=4, c1=BiDegree(a=2, b=2), ch2x2=-4)
     """
+    if (e.c1.a, e.c1.b) != (2, 2):
+        raise HypothesisError(f"reconstruction is defined for determinant (2,2) only, got {e.c1}")
     hom, ext1 = hom_ext_series(e.rank, e.c2)
     rebuilt = series_tensor_class(hom) - series_tensor_class(ext1)
     direct = from_chern(e)

@@ -92,23 +92,6 @@ class RankExpr:
     def evaluate(self, r: int) -> int:
         return self.const + self.coef * r
 
-    def __add__(self, other: RankExpr) -> RankExpr:
-        if type(other) is not RankExpr:
-            return NotImplemented
-        return RankExpr(self.const + other.const, self.coef + other.coef)
-
-    def __sub__(self, other: RankExpr) -> RankExpr:
-        if type(other) is not RankExpr:
-            return NotImplemented
-        return RankExpr(self.const - other.const, self.coef - other.coef)
-
-    def __mul__(self, n: int) -> RankExpr:
-        if type(n) is not int:
-            return NotImplemented
-        return RankExpr(n * self.const, n * self.coef)
-
-    __rmul__ = __mul__
-
     @staticmethod
     def parse(text: str | int) -> RankExpr:
         if isinstance(text, int):
@@ -346,6 +329,8 @@ def list_cases(
     """All cases of one table, in the table's own order (twins follow the
     display they swap).  halfmax needs c1 and b; nearmax needs c1 and
     takes no b; main22 and quadric21 take neither."""
+    if not (c1 is None or type(c1) is BiDegree) or not (b is None or type(b) is int):
+        raise TypeError(f"c1 must be a BiDegree and b an integer, got {c1!r} and {b!r}")
     if theorem in _TABLES:
         if c1 is not None or b is not None:
             raise HypothesisError(f"{theorem} is not parametric: it takes no --c1 or --b-param")
@@ -410,7 +395,7 @@ class Certificate(NamedTuple):
     r, so at rank r it is exactly base + r * slope.  ``row(r)`` evaluates
     every check of ``verify_case`` from it in plain ints, ``proved_from(lo)``
     decides whether all of them pass at every r >= lo, and ``rows(lo, hi)``
-    gives that verdict with the rows of a sweep.
+    counts the ranks of a sweep that pass, with their rows.
     """
 
     case: CaseSpec
@@ -420,6 +405,8 @@ class Certificate(NamedTuple):
     def row(self, r: int) -> Row:
         """The checks at rank r, with the errors ``case_numerics`` raises."""
         case, base, slope = self
+        if type(r) is not int:
+            raise TypeError(f"rank must be an integer, got {r!r}")
         if r < case.min_rank:
             raise ValueError(f"{case.id} needs rank >= {case.min_rank}, got {r}")
         rank = base.rank + r * slope.rank
@@ -462,26 +449,32 @@ class Certificate(NamedTuple):
         stays so when k >= 0.  At a fixed c2 the reconstruction check is one
         proof for every rank (above c2 = 8 the nef bound fails first).
         """
-        try:
-            rows = (self.row(lo), self.row(lo + 1))
-        except NefQ2Error:
-            return False
-        terms = self.case.sub_terms + self.case.mid_terms
-        return all(m.coef >= 0 for _, m in terms) and all(ok for row in rows for _, ok, _ in row.checks)
+        return self._decide(lo)[0]
 
-    def rows(self, lo: int, hi: int) -> tuple[bool, Iterable[Row]]:
-        """``proved_from(lo)`` and ``row(r)`` for r in lo..hi.  Unproved, the
-        rows are a list made here, so a rank that raises does so at this
-        call.  Proved, they are made as they are read: the rank is r, and c1,
-        c2 and every check but rank and chi are those at lo, so only these
-        two checks are made again at each rank."""
-        if not self.proved_from(lo):
-            return False, [self.row(r) for r in range(lo, hi + 1)]
-        _, c1, c2, weak_fano, checks = self.row(lo)
+    def _decide(self, lo: int) -> tuple[bool, list[Row]]:
+        """``proved_from(lo)``, with the rows at lo and lo + 1 unless one raises."""
+        try:
+            made = [self.row(lo), self.row(lo + 1)]
+        except NefQ2Error:
+            return False, []
+        terms = self.case.sub_terms + self.case.mid_terms
+        return all(m.coef >= 0 for _, m in terms) and all(ok for row in made for _, ok, _ in row.checks), made
+
+    def rows(self, lo: int, hi: int) -> tuple[int, Iterable[Row]]:
+        """How many ranks of lo..hi pass every check, with ``row(r)`` for
+        each.  Unless ``proved_from(lo)``, the rows are a list made here from
+        the rows it evaluated, so a rank that raises does so at this call.
+        Proved, every rank passes, and the rows are made as they are read:
+        only the rank and chi checks are made again, the rest are those at lo."""
+        ranks = range(lo, hi + 1)
+        proved, made = self._decide(lo)
+        if not proved:
+            rows = made[: len(ranks)] + [self.row(r) for r in ranks[len(made) :]]
+            return sum(all(ok for _, ok, _ in row.checks) for row in rows), rows
+        _, c1, c2, weak_fano, checks = made[0]
         same, rest = checks[1:4], checks[5:]  # all but the rank and chi checks
-        return True, (
-            Row(r, c1, c2, weak_fano, (_rank_check(r, r), *same, _chi_check(c1, c2, r), *rest))
-            for r in range(lo, hi + 1)
+        return len(ranks), (
+            Row(r, c1, c2, weak_fano, (_rank_check(r, r), *same, _chi_check(c1, c2, r), *rest)) for r in ranks
         )
 
 
@@ -585,6 +578,8 @@ def sweep(
 ) -> list[tuple[CaseSpec, int]]:
     """(case, lo) for each case of one table with a rank in lo..rank_max,
     where lo = max(rank_min, its min_rank)."""
+    if type(rank_max) is not int or not (rank_min is None or type(rank_min) is int):
+        raise TypeError(f"rank bounds must be integers, got {rank_min!r} and {rank_max!r}")
     cases = list_cases(theorem, c1=c1, b=b)
     firsts = ((case, case.min_rank if rank_min is None else max(rank_min, case.min_rank)) for case in cases)
     return [(case, lo) for case, lo in firsts if lo <= rank_max]

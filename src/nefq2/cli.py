@@ -9,7 +9,6 @@ violated input hypotheses).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -17,7 +16,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .bondal import VARIANT_CURVE, VARIANT_STRUCTURE, E2Page, e2_page, reconstruct
-from .catalog import THEOREMS, CaseSpec, case_to_json, certify, list_cases, sweep
+from .catalog import THEOREMS, CaseSpec, certify, list_cases, sweep
 from .cohomology import BundleNumerics, cohomology_q2, euler_char
 from .errors import HypothesisError, NefQ2Error, ReconstructionError
 from .ktheory import line_label, ses_quotient_chern, sum_of_lines, to_chern, twist_chern
@@ -134,10 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dump(document: dict[str, Any]) -> str:
-    return json.dumps(document, sort_keys=True, indent=2)
-
-
 def _case_line(case: CaseSpec) -> str:
     sub = "+".join(line_label(d, m) for d, m in case.sub_terms) or "0"
     mid = "+".join(line_label(d, m) for d, m in case.mid_terms)
@@ -184,34 +179,24 @@ def _run_verify(args: argparse.Namespace) -> int:
     if not cases:
         lo = "min_rank" if args.rank_min is None else args.rank_min
         raise HypothesisError(f"empty sweep: no case has a rank in {lo}..{hi}")
-    # (case, lo, proved, rows): an unproved case's rows are all made here,
-    # so a rank that raises does so before any output
+    # (case, lo, passed, rows), passed counting the ranks whose checks all
+    # pass: an unproved case's rows are all made here, so a rank that raises
+    # does so before any output
     swept = [(case, lo, *certify(case).rows(lo, hi)) for case, lo in cases]
+    passed = sum(count for _, _, count, _ in swept)
     total = sum(hi + 1 - lo for _, lo in cases)
     if args.format == "json":
-        from .report_json import write_sweep_json  # compiled only for this output
+        from .report_json import write_verify_json  # compiled only for this output
 
-        # the document {"invocation", "results", "summary", "tool_version"},
-        # written as json.dumps(..., sort_keys=True, indent=2) prints it
-        string, write = json.encoder.encode_basestring_ascii, sys.stdout.write
-        write(f'{{\n  "invocation": {string("nefq2 " + " ".join(args.raw_argv))},\n  "results": ')
-        passed = write_sweep_json(swept, write)
-        write(
-            f',\n  "summary": {{\n    "failed": {total - passed},\n    "passed": {passed},\n'
-            f'    "total": {total}\n  }},\n  "tool_version": {string(__version__)}\n}}\n'
-        )
+        write_verify_json("nefq2 " + " ".join(args.raw_argv), swept, passed, total, sys.stdout.write)
     else:
-        # a proved case takes one line whatever the range
-        passed = 0
-        for case, lo, proved, rows in swept:
+        # a case whose every rank passes takes one line whatever the range;
+        # the rows of any other case are a list, so they can be read again
+        for case, lo, count, rows in swept:
             first, failures = next(iter(rows)), []
-            if proved:
-                passed += hi + 1 - lo
-            else:
+            if count < hi + 1 - lo:
                 for r, row in enumerate(rows, lo):
-                    failed = [f"    r={r} {name}: {detail}" for name, ok, detail in row.checks if not ok]
-                    passed += not failed
-                    failures += failed
+                    failures += [f"    r={r} {name}: {detail}" for name, ok, detail in row.checks if not ok]
             print(
                 f"{case.id}  c2={first.c2}  r={lo}..{hi}  "
                 f"weak_fano={'yes' if first.weak_fano else 'no'}  "
@@ -226,7 +211,9 @@ def _run_verify(args: argparse.Namespace) -> int:
 def _run_catalog_list(args: argparse.Namespace) -> int:
     cases = [case for t in _theorems(args) for case in list_cases(t, c1=args.c1, b=args.b_param)]
     if args.format == "json":
-        print(_dump({"cases": [case_to_json(c) for c in cases]}))
+        from .report_json import write_catalog_json
+
+        write_catalog_json(cases, sys.stdout.write)
     else:
         for case in cases:
             print(_case_line(case))

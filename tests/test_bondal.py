@@ -77,12 +77,9 @@ def test_reconstruct_rank_is_symbolically_exact():
     # with dictionary signs +1, +1, -1 after the shift twist, so the
     # total collapses to r for every c2
     for c2 in (6, 7, 8):
-        total = (
-            RankExpr(8 - c2, 1)
-            + RankExpr(c2 - 6)
-            + RankExpr(c2 - 6)
-            - RankExpr(c2 - 4)
-        )
+        # (sign, const, coef) of each summand's rank const + coef*r
+        summands = ((1, 8 - c2, 1), (1, c2 - 6, 0), (1, c2 - 6, 0), (-1, c2 - 4, 0))
+        total = RankExpr(sum(s * c for s, c, _ in summands), sum(s * k for s, _, k in summands))
         assert total == RankExpr(0, 1)
         assert total.render() == "r"
     # the catalog's reconstructible families, c2 = 6, 7 and 8: the certificate
@@ -152,6 +149,13 @@ def test_page_identities():
             # incoming differential from (-2, 1)
             assert page.third_page_corner() == page.entry(0, 0) - page.entry(-2, 1)
             assert page.entry(0, 0).rank == rank + 8 - page.c2
+
+
+def test_reconstruct_rejects_other_determinants():
+    # an input outside the hypotheses, not a failed internal identity
+    for c1 in (BiDegree(2, 1), BiDegree(3, 3), BiDegree(1, 2)):
+        with pytest.raises(HypothesisError, match="determinant"):
+            reconstruct(BundleNumerics(3, c1, 6))
 
 
 def test_e2_page_hypothesis_errors():

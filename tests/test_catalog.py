@@ -162,6 +162,17 @@ def test_parametric_theorems_require_their_parameters():
         list_cases("nearmax", c1=BiDegree(3, 3), b=2)
 
 
+def test_parameters_must_have_their_types():
+    # a bool or float b, or a tuple c1, is a TypeError, not a quiet match
+    for c1, b in ((BiDegree(2, 1), True), (BiDegree(2, 1), 1.0), ((2, 1), 1)):
+        with pytest.raises(TypeError):
+            list_cases("halfmax", c1=c1, b=b)
+    with pytest.raises(TypeError):
+        list_cases("nearmax", c1=(3, 3))
+    with pytest.raises(TypeError):
+        verify_all("nearmax", c1=(3, 3))
+
+
 def test_halfmax_parameter_validation():
     with pytest.raises(HypothesisError):
         list_cases("halfmax", c1=BiDegree(3, 2), b=3)
@@ -218,13 +229,11 @@ def test_symbolic_rank_of_displays():
     # sum of multiplicities: mid minus sub plus the rank of the
     # cokernel must be exactly r for every display
     for case in _grid_cases():
-        total = RankExpr(0)
-        for _, m in case.mid_terms:
-            total = total + m
-        for _, m in case.sub_terms:
-            total = total - m
+        const = sum(m.const for _, m in case.mid_terms) - sum(m.const for _, m in case.sub_terms)
+        coef = sum(m.coef for _, m in case.mid_terms) - sum(m.coef for _, m in case.sub_terms)
         if case.coker is not None and case.coker.kind is TorsionKind.STRUCTURE_SHEAF:
-            total = total + RankExpr(1)
+            const += 1
+        total = RankExpr(const, coef)
         assert total == RankExpr(0, 1), case.id
         # the certificate's rank is that expression, and the oracle's, near and far
         cert = certify(case)
@@ -497,6 +506,20 @@ def test_verify_case_below_min_rank():
     case = [c for c in list_cases("main22") if c.id == "main22-6-2"][0]
     with pytest.raises(ValueError):
         verify_case(case, 3)
+
+
+def test_ranks_must_be_integers():
+    case = list_cases("main22")[0]
+    for r in (True, 1.0, "1"):
+        with pytest.raises(TypeError):
+            verify_case(case, r)
+        with pytest.raises(TypeError):
+            certify(case).row(r)
+    for bounds in (dict(rank_max=True), dict(rank_max=10.0), dict(rank_min=True), dict(rank_min=1.0)):
+        with pytest.raises(TypeError):
+            verify_all("main22", **bounds)
+        with pytest.raises(TypeError):
+            catalog.sweep("main22", bounds.get("rank_min"), bounds.get("rank_max", 10))
 
 
 def test_verify_all():

@@ -262,6 +262,34 @@ def test_huge_rank_max_prints_one_line_per_case():
         assert line.endswith("  PASS")
 
 
+#: Runs main(argv) in a fresh interpreter, then prints which of the JSON
+#: modules it loaded.
+_LOADED_PROBE = """
+import io, sys
+from nefq2.cli import main
+sys.stdout = io.StringIO()
+main(sys.argv[1:])
+print(sorted({"json", "nefq2.report_json"} & set(sys.modules)), file=sys.__stdout__)
+"""
+
+
+_LOADED = (
+    (["cohomology", "1", "1"], "[]"),
+    (["verify", "main22"], "[]"),
+    (["catalog", "list"], "[]"),
+    (["verify", "main22", "--format", "json"], "['json', 'nefq2.report_json']"),
+    (["catalog", "list", "--format", "json"], "['json', 'nefq2.report_json']"),
+)
+
+
+@pytest.mark.parametrize("argv,loaded", _LOADED, ids=[" ".join(argv) for argv, _ in _LOADED])
+def test_json_modules_load_only_for_json_output(argv, loaded):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, *argv], env=_child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", loaded + "\n")
+
+
 class _ByteCount:
     """A stdout that keeps only the number of characters written."""
 

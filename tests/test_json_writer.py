@@ -1,6 +1,6 @@
 """The verify document is written report by report from one template; it
 must be exactly what json.dumps(..., sort_keys=True, indent=2) prints for
-the reports' to_json() dicts."""
+the document of the reports' to_json() dicts."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import pytest
 from nefq2 import BiDegree, __version__, list_cases, verify_all
 from nefq2.catalog import certify, verify_case
 from nefq2.cli import main
-from nefq2.report_json import write_sweep_json
+from nefq2.report_json import write_verify_json
 
 #: (argv, tables, verify_all keyword arguments)
 RUNS = (
@@ -59,11 +59,13 @@ def test_non_ascii_invocation_is_escaped(capsys):
     assert '"invocation": "nefq2 verify main22 --rank-max \\uff13 --format json",' in out
 
 
-def _written(cases, hi) -> str:
+def _written(argv, cases, hi) -> str:
     chunks: list[str] = []
     swept = [(case, case.min_rank, *certify(case).rows(case.min_rank, hi)) for case in cases]
-    write_sweep_json(swept, chunks.append)
-    return '{\n  "results": ' + "".join(chunks) + "\n}"
+    passed = sum(count for _, _, count, _ in swept)
+    total = sum(hi + 1 - case.min_rank for case in cases)
+    write_verify_json("nefq2 " + " ".join(argv), swept, passed, total, chunks.append)
+    return "".join(chunks)
 
 
 def test_failing_reports_equal_json_dumps():
@@ -77,6 +79,6 @@ def test_failing_reports_equal_json_dumps():
     reports = [verify_case(case, r) for case in cases for r in range(case.min_rank, 6)]
     assert [r.passed for r in reports].count(True) == 5  # main22-9 at ranks 1..5
     assert {r.flags["globally_generated"] for r in reports} == {None, False, True}
-    reference = json.dumps({"results": [r.to_json() for r in reports]}, sort_keys=True, indent=2)
-    assert _written(cases, 5) == reference
-    assert _written([], 5) == json.dumps({"results": []}, sort_keys=True, indent=2)
+    argv = ("verify", "main22", "--rank-max", "5", "--format", "json")
+    assert _written(argv, cases, 5) == _dumps(argv, reports)
+    assert _written(argv, [], 5) == _dumps(argv, [])
