@@ -1,0 +1,81 @@
+"""Immutable value types, without importing the stdlib's data classes.
+
+``@frozen`` gives a class with annotated fields what a frozen stdlib data
+class has: an ``__init__`` over the fields in order, with their defaults,
+that calls ``__post_init__`` if the class has one; ``__eq__`` and
+``__hash__`` over the field tuple, equal only to the same class; a
+``Name(field=value, ...)`` repr; ``__match_args__``; and no assignment or
+deletion of attributes.  The three methods over the fields are compiled
+once per class by one ``exec``, as ``collections.namedtuple`` does, so each
+call runs the same code a frozen data class runs.  There are no
+``__slots__``, so ``functools.cached_property`` works on these classes.
+"""
+
+from __future__ import annotations
+
+from typing import Any, TypeVar
+
+T = TypeVar("T")
+
+
+def frozen(cls: type[T]) -> type[T]:
+    """Make ``cls`` an immutable value type over its annotated fields.
+
+    >>> @frozen
+    ... class Point:
+    ...     x: int
+    ...     y: int = 0
+    >>> p = Point(1)
+    >>> p, p == Point(1, 0), p == (1, 0), hash(p) == hash((1, 0))
+    (Point(x=1, y=0), True, False, True)
+    >>> replace(p, y=2)
+    Point(x=1, y=2)
+    >>> p.x = 2
+    Traceback (most recent call last):
+    AttributeError: cannot assign to field 'x'
+    """
+    own = cls.__dict__
+    names = tuple(own.get("__annotations__", {}))
+    params = "".join(f", {n}=_own[{n!r}]" if n in own else f", {n}" for n in names)
+    stores = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    mine = "".join(f"self.{n}, " for n in names)
+    theirs = "".join(f"other.{n}, " for n in names)
+    source = (
+        f"def __init__(self{params}):{stores}{post}\n"
+        f"def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
+        f"        return ({mine}) == ({theirs})\n    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash(({mine}))\n"
+    )
+    methods: dict[str, Any] = {"_own": own, "_set": object.__setattr__}
+    exec(source, methods)
+    for name in ("__init__", "__eq__", "__hash__"):
+        methods[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, methods[name])
+    cls.__match_args__ = names
+    cls.__repr__ = _repr
+    cls.__setattr__ = _refuse_set
+    cls.__delattr__ = _refuse_delete
+    return cls
+
+
+def _repr(self: Any) -> str:
+    fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _refuse_set(self: Any, name: str, value: Any) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self: Any, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(obj: T, **changes: Any) -> T:
+    """A copy of ``obj`` with some fields changed.  It is built through
+    ``__init__``, so the field checks run again; an unknown field name
+    raises ``TypeError``."""
+    for name in obj.__match_args__:  # type: ignore[attr-defined]
+        changes.setdefault(name, getattr(obj, name))
+    return type(obj)(**changes)

@@ -23,10 +23,10 @@ preference between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+from ._value import frozen
 from .cohomology import BundleNumerics
 from .errors import HypothesisError, ReconstructionError
 from .ktheory import KClass, TorsionDescriptor, TorsionKind, from_chern, line_class, line_label, torsion_class
@@ -34,7 +34,7 @@ from .picard import ZERO, BiDegree
 from .quiver import hom_ext_series
 
 
-@dataclass(frozen=True)
+@frozen
 class ShiftedLineClass:
     """A line bundle placed in a single cohomological degree."""
 
@@ -94,7 +94,7 @@ VARIANT_CURVE = "curve_torsion"
 VARIANT_STRUCTURE = "structure_sheaf"
 
 
-@dataclass(frozen=True)
+@frozen
 class E2Entry:
     """One identified entry of the second page."""
 
@@ -103,7 +103,7 @@ class E2Entry:
     torsion: TorsionDescriptor | None = None
 
 
-@dataclass(frozen=True)
+@frozen
 class E2Page:
     """Second page of the convergence spectral sequence for a nef bundle
     with determinant (2, 2).  Entries vanish outside p in {-2, -1, 0},

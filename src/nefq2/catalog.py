@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
+from ._value import frozen, replace
 from .bondal import reconstruct
 from .cohomology import BundleNumerics
 from .errors import HypothesisError, NefQ2Error, ReconstructionError
@@ -69,7 +69,7 @@ from .picard import BiDegree, intersect
 THEOREMS = ("main22", "quadric21", "halfmax", "nearmax")
 
 
-@dataclass(frozen=True)
+@frozen
 class RankExpr:
     """An integer multiplicity affine in the rank r: const + coef*r.
 
@@ -123,7 +123,7 @@ def _terms(raw: Iterable[tuple[tuple[int, int], int | str]]) -> tuple[Term, ...]
     return tuple((BiDegree(*deg), RankExpr.parse(mult)) for deg, mult in raw)
 
 
-@dataclass(frozen=True)
+@frozen
 class CaseSpec:
     """One classification family, as a four-term display."""
 
@@ -502,7 +502,7 @@ def case_numerics(case: CaseSpec, r: int) -> BundleNumerics:
     return to_chern(case_kclass(case, r))
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationReport:
     """Outcome of every numeric check of one case at one rank."""
 

@@ -18,14 +18,14 @@ where c1 = (c1a, c1b).  Everything below is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._value import frozen
 from .errors import HypothesisError
 from .picard import BiDegree, intersect
 
 
-@dataclass(frozen=True)
+@frozen
 class CohomologyVector:
     """Dimensions (h0, h1, h2) of the three cohomology groups."""
 
@@ -48,7 +48,7 @@ class CohomologyVector:
         return (self.h0, self.h1, self.h2)
 
 
-@dataclass(frozen=True)
+@frozen
 class BundleNumerics:
     """Chern data (rank, c1, c2) of an honest sheaf of positive rank.
 
@@ -109,6 +109,8 @@ def euler_char(e: BundleNumerics, p: int = 0, q: int = 0) -> int:
     >>> euler_char(BundleNumerics(3, BiDegree(2, 2), 6), -1, -1)
     -2
     """
+    if type(p) is not int or type(q) is not int:
+        raise TypeError(f"twist degrees must be integers, got {p!r} and {q!r}")
     c1a, c1b = e.c1.a, e.c1.b
     return (
         c1a * c1b

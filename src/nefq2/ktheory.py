@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._value import frozen
 from .cohomology import BundleNumerics
 from .errors import HypothesisError, MalformedClassError, ReconstructionError, VirtualClassError
 from .picard import ZERO, BiDegree, intersect
 
 
-@dataclass(frozen=True)
+@frozen
 class KClass:
     """A (possibly virtual) K-theory class (rank, c1, ch2x2).
 
@@ -165,7 +165,7 @@ class TorsionKind(enum.Enum):
     CURVE_TORSION = "curve"
 
 
-@dataclass(frozen=True)
+@frozen
 class TorsionDescriptor:
     """Description of a cokernel sheaf appearing in a four-term display.
 
@@ -182,6 +182,10 @@ class TorsionDescriptor:
     twist_degree: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.kind) is not TorsionKind or type(self.twist_degree) is not int:
+            raise TypeError("kind must be a TorsionKind and twist_degree an integer")
+        if not (self.support is None or type(self.support) is BiDegree):
+            raise TypeError(f"support must be a BiDegree or None, got {self.support!r}")
         if self.kind is TorsionKind.CURVE_TORSION:
             if self.support is None:
                 raise HypothesisError("curve torsion needs a support bidegree")

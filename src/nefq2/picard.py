@@ -16,10 +16,10 @@ regime to guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._value import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class BiDegree:
     """A divisor class on the quadric, as a bidegree.
 

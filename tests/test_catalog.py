@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 from nefq2 import BiDegree, HypothesisError, ReconstructionError, list_cases, verify_all
 from nefq2 import catalog
+from nefq2._value import replace
 from nefq2.catalog import CaseSpec, RankExpr, case_kclass, case_numerics, case_to_json, certify, verify_case
 from nefq2.cohomology import euler_char
 from nefq2.ktheory import KClass, TorsionKind, to_chern

@@ -9,13 +9,12 @@ certificate proves from lo must pass at every rank of lo..lo+50, where
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nefq2 import MalformedClassError, NefQ2Error, list_cases
+from nefq2._value import replace
 from nefq2.bondal import reconstruct
 from nefq2.catalog import (
     CaseSpec,

@@ -290,6 +290,12 @@ def test_json_modules_load_only_for_json_output(argv, loaded):
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", loaded + "\n")
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    probe = 'import sys, nefq2.cli; print(sorted({"dataclasses", "inspect"} & set(sys.modules)))'
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
 class _ByteCount:
     """A stdout that keeps only the number of characters written."""
 

@@ -72,6 +72,13 @@ def test_euler_char_twist_arguments():
             assert euler_char(line, p, q) == (p + 1) * (q + 1)
 
 
+def test_euler_char_rejects_non_integer_twists():
+    e = BundleNumerics(3, BiDegree(2, 2), 6)
+    for p, q in ((True, 0), (0, False), (1.0, 0), (0, 1.0), ("1", 0)):
+        with pytest.raises(TypeError, match="twist degrees must be integers"):
+            euler_char(e, p, q)
+
+
 def test_euler_char_examples():
     e = BundleNumerics(2, BiDegree(2, 2), 5)
     assert euler_char(e) == 5

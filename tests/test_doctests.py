@@ -6,9 +6,9 @@ import doctest
 
 import pytest
 
-from nefq2 import bondal, catalog, cohomology, ktheory, picard, quiver
+from nefq2 import _value, bondal, catalog, cohomology, ktheory, picard, quiver
 
-MODULES = [picard, cohomology, ktheory, quiver, bondal, catalog]
+MODULES = [_value, picard, cohomology, ktheory, quiver, bondal, catalog]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -5,11 +5,11 @@ the document of the reports' to_json() dicts."""
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
 from nefq2 import BiDegree, __version__, list_cases, verify_all
+from nefq2._value import replace
 from nefq2.catalog import certify, verify_case
 from nefq2.cli import main
 from nefq2.report_json import write_verify_json

@@ -198,6 +198,18 @@ def test_torsion_descriptor_shape_validation():
         TorsionDescriptor(TorsionKind.CURVE_TORSION)
 
 
+def test_torsion_descriptor_field_types():
+    for args in (
+        ("point",),
+        (TorsionKind.CURVE_TORSION, (1, 0)),
+        (TorsionKind.CURVE_TORSION, BiDegree(1, 0), True),
+        (TorsionKind.CURVE_TORSION, BiDegree(1, 0), 1.0),
+        (TorsionKind.POINT_SHEAF, None, False),
+    ):
+        with pytest.raises(TypeError):
+            TorsionDescriptor(*args)
+
+
 def test_four_term_quotient_matches_oracle():
     sub = sum_of_lines([(BiDegree(-2, -2), 1)])
     mid = sum_of_lines([(BiDegree(0, 0), 4)])

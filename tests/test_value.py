@@ -1,0 +1,162 @@
+"""Value semantics of the library's eleven immutable value types: frozen
+fields, equality and hash over the field tuple, equality only with the
+same type, the pinned reprs, and ``replace`` re-running the field checks."""
+
+from __future__ import annotations
+
+from types import MappingProxyType
+
+import pytest
+
+from nefq2 import BiDegree, BundleNumerics, HypothesisError, list_cases
+from nefq2._value import replace
+from nefq2.bondal import E2Entry, E2Page, ShiftedLineClass, e2_page
+from nefq2.catalog import CaseSpec, CheckResult, RankExpr, VerificationReport
+from nefq2.cohomology import CohomologyVector
+from nefq2.ktheory import KClass, TorsionDescriptor, TorsionKind
+
+C22 = BiDegree(2, 2)
+CURVE = TorsionDescriptor(TorsionKind.CURVE_TORSION, C22, 1)
+ENTRY = E2Entry(KClass(0, BiDegree(0, 0), 2), "k(p)", TorsionDescriptor(TorsionKind.POINT_SHEAF))
+CASE = CaseSpec(
+    id="t-1",
+    theorem="t",
+    c1=C22,
+    sub_terms=((BiDegree(0, 0), RankExpr(1)),),
+    mid_terms=((BiDegree(1, 1), RankExpr(-1, 1)),),
+    coker=None,
+    min_rank=2,
+    expected_c2=2,
+    globally_generated=None,
+    bondal_reconstructible=False,
+)
+REPORT = VerificationReport(
+    case_id="t-1",
+    rank_tested=2,
+    computed=BundleNumerics(2, C22, 2),
+    expected_c2=2,
+    flags={"nef": "asserted"},
+    checks=(CheckResult("rank", True, "ok"),),
+)
+
+#: (value, its repr, a change that replace must refuse, the error it raises)
+VALUES = [
+    (BiDegree(1, 2), "BiDegree(a=1, b=2)", {"a": True}, TypeError),
+    (CohomologyVector(4, 0, 0), "CohomologyVector(h0=4, h1=0, h2=0)", {"h1": -1}, ValueError),
+    (
+        BundleNumerics(3, C22, 6),
+        "BundleNumerics(rank=3, c1=BiDegree(a=2, b=2), c2=6)",
+        {"rank": 0},
+        ValueError,
+    ),
+    (KClass(3, C22, 6), "KClass(rank=3, c1=BiDegree(a=2, b=2), ch2x2=6)", {"ch2x2": 6.0}, TypeError),
+    (
+        CURVE,
+        "TorsionDescriptor(kind=<TorsionKind.CURVE_TORSION: 'curve'>, support=BiDegree(a=2, b=2), twist_degree=1)",
+        {"support": None},
+        HypothesisError,
+    ),
+    (
+        ShiftedLineClass(BiDegree(-1, 0), 1),
+        "ShiftedLineClass(degree=BiDegree(a=-1, b=0), shift=1)",
+        {"bogus": 1},
+        TypeError,
+    ),
+    (
+        ENTRY,
+        "E2Entry(kclass=KClass(rank=0, c1=BiDegree(a=0, b=0), ch2x2=2), label='k(p)', "
+        "torsion=TorsionDescriptor(kind=<TorsionKind.POINT_SHEAF: 'point'>, support=None, twist_degree=0))",
+        {"bogus": 1},
+        TypeError,
+    ),
+    (
+        E2Page(6, 3, None, MappingProxyType({(0, 0): ENTRY})),
+        "E2Page(c2=6, rank=3, variant=None, entries=mappingproxy({(0, 0): E2Entry(kclass=KClass(rank=0, "
+        "c1=BiDegree(a=0, b=0), ch2x2=2), label='k(p)', torsion=TorsionDescriptor(kind=<TorsionKind.POINT_SHEAF: "
+        "'point'>, support=None, twist_degree=0))}))",
+        {"bogus": 1},
+        TypeError,
+    ),
+    (RankExpr(-3, 1), "RankExpr(const=-3, coef=1)", {"coef": True}, TypeError),
+    (
+        CASE,
+        "CaseSpec(id='t-1', theorem='t', c1=BiDegree(a=2, b=2), "
+        "sub_terms=((BiDegree(a=0, b=0), RankExpr(const=1, coef=0)),), "
+        "mid_terms=((BiDegree(a=1, b=1), RankExpr(const=-1, coef=1)),), coker=None, min_rank=2, "
+        "expected_c2=2, globally_generated=None, bondal_reconstructible=False, twin_of=None)",
+        {"min_rank": 0},
+        ValueError,
+    ),
+    (
+        REPORT,
+        "VerificationReport(case_id='t-1', rank_tested=2, computed=BundleNumerics(rank=2, "
+        "c1=BiDegree(a=2, b=2), c2=2), expected_c2=2, flags={'nef': 'asserted'}, "
+        "checks=(CheckResult(name='rank', passed=True, detail='ok'),))",
+        {"bogus": 1},
+        TypeError,
+    ),
+]
+IDS = [type(value).__name__ for value, *_ in VALUES]
+
+
+def _fields(value: object) -> tuple:
+    return tuple(getattr(value, name) for name in value.__match_args__)
+
+
+def _hashed(value: object) -> object:
+    """hash(value), or TypeError for a value with an unhashable field."""
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+def test_every_value_type_is_covered():
+    assert len(set(IDS)) == 11
+
+
+@pytest.mark.parametrize("value,text,bad,error", VALUES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(value, text, bad, error):
+    for name in value.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+@pytest.mark.parametrize("value,text,bad,error", VALUES, ids=IDS)
+def test_reprs_are_unchanged(value, text, bad, error):
+    assert repr(value) == text
+    assert repr(replace(value)) == text
+
+
+@pytest.mark.parametrize("value,text,bad,error", VALUES, ids=IDS)
+def test_equality_and_hash_follow_the_field_tuple(value, text, bad, error):
+    copy = replace(value)
+    assert copy is not value and copy == value and not copy != value
+    assert _hashed(value) == _hashed(_fields(value))
+    assert value != _fields(value)
+    assert value.__eq__(_fields(value)) is NotImplemented
+
+
+@pytest.mark.parametrize("value,text,bad,error", VALUES, ids=IDS)
+def test_replace_runs_the_field_checks_again(value, text, bad, error):
+    with pytest.raises(error):
+        replace(value, **bad)
+
+
+def test_equal_only_to_the_same_type():
+    assert BiDegree(1, 2) != (1, 2)
+    assert KClass(3, C22, 6) != BundleNumerics(3, C22, 6)
+    assert len({KClass(3, C22, 6), BundleNumerics(3, C22, 6)}) == 2
+    assert RankExpr(2) != BiDegree(2, 0)
+
+
+def test_defaults_and_derived_values():
+    assert TorsionDescriptor(TorsionKind.POINT_SHEAF) == TorsionDescriptor(TorsionKind.POINT_SHEAF, None, 0)
+    assert RankExpr(4) == RankExpr(4, 0)
+    assert replace(BiDegree(1, 2), b=5) == BiDegree(1, 5)
+    page = e2_page(7, 3)
+    assert replace(page) == page and replace(page).entries is page.entries
+    case = list_cases("main22")[0]
+    assert replace(case) == case and replace(case, id="x") != case

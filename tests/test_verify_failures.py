@@ -9,12 +9,12 @@ a table holding one passing case and one broken case.  The snapshots in
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from nefq2 import catalog, cli
+from nefq2._value import replace
 from nefq2.catalog import CaseSpec, RankExpr
 from nefq2.picard import ZERO, BiDegree
 
