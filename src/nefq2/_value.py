@@ -9,10 +9,19 @@ deletion of attributes.  The three methods over the fields are compiled
 once per class by one ``exec``, as ``collections.namedtuple`` does, so each
 call runs the same code a frozen data class runs.  There are no
 ``__slots__``, so ``functools.cached_property`` works on these classes.
+
+The ``__init__`` also owns the type rule of every value type: a field
+annotated ``Name`` or ``Name | None`` holds exactly that class (or None),
+so a bool is not an int, and anything else raises ``TypeError`` naming
+``Type.field``.  ``Name`` is looked up in the class's module, then in
+builtins.  A subscripted generic such as ``tuple[Term, ...]`` is not
+checked; any other annotation is refused when the class is decorated.
 """
 
 from __future__ import annotations
 
+import builtins
+import sys
 from typing import Any, TypeVar
 
 T = TypeVar("T")
@@ -33,11 +42,16 @@ def frozen(cls: type[T]) -> type[T]:
     >>> p.x = 2
     Traceback (most recent call last):
     AttributeError: cannot assign to field 'x'
+    >>> Point(1, True)
+    Traceback (most recent call last):
+    TypeError: Point.y must be int, got True
     """
     own = cls.__dict__
-    names = tuple(own.get("__annotations__", {}))
+    notes = own.get("__annotations__", {})
+    names = tuple(notes)
+    scope: dict[str, Any] = {"_own": own, "_set": object.__setattr__}
     params = "".join(f", {n}=_own[{n!r}]" if n in own else f", {n}" for n in names)
-    stores = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+    stores = "".join(f"{_check(cls, n, notes[n], scope)}\n    _set(self, {n!r}, {n})" for n in names)
     post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
     mine = "".join(f"self.{n}, " for n in names)
     theirs = "".join(f"other.{n}, " for n in names)
@@ -47,16 +61,33 @@ def frozen(cls: type[T]) -> type[T]:
         f"        return ({mine}) == ({theirs})\n    return NotImplemented\n"
         f"def __hash__(self):\n    return hash(({mine}))\n"
     )
-    methods: dict[str, Any] = {"_own": own, "_set": object.__setattr__}
-    exec(source, methods)
+    exec(source, scope)
     for name in ("__init__", "__eq__", "__hash__"):
-        methods[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, methods[name])
+        scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, scope[name])
     cls.__match_args__ = names
     cls.__repr__ = _repr
     cls.__setattr__ = _refuse_set
     cls.__delattr__ = _refuse_delete
     return cls
+
+
+def _check(cls: type, name: str, note: str, scope: dict[str, Any]) -> str:
+    """The lines of ``__init__`` that test field ``name``, none for a generic.
+    The class tested for is bound as a plain name in ``scope``."""
+    if note.partition("[")[0].isidentifier() and note.endswith("]"):
+        return ""
+    field, kind_name = f"{cls.__qualname__}.{name}", note.removesuffix(" | None")
+    if not kind_name.isidentifier():
+        raise TypeError(f"{field}: cannot check the annotation {note!r}")
+    kind = getattr(sys.modules[cls.__module__], kind_name, getattr(builtins, kind_name, None))
+    if not isinstance(kind, type):
+        raise TypeError(f"{field}: {kind_name!r} does not name a class")
+    alias, optional = f"_t{len(scope)}", kind_name != note
+    scope[alias] = kind
+    test = (f"{name} is not None and " if optional else "") + f"type({name}) is not {alias}"
+    message = f"{field} must be {kind_name}{' or None' if optional else ''}, got "
+    return f"\n    if {test}:\n        raise TypeError({message!r} + repr({name}))"
 
 
 def _repr(self: Any) -> str:

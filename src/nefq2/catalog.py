@@ -85,10 +85,6 @@ class RankExpr:
     const: int
     coef: int = 0
 
-    def __post_init__(self) -> None:
-        if type(self.const) is not int or type(self.coef) is not int:
-            raise TypeError("const and coef must be integers")
-
     def evaluate(self, r: int) -> int:
         return self.const + self.coef * r
 
@@ -140,13 +136,8 @@ class CaseSpec:
     twin_of: str | None = None
 
     def __post_init__(self) -> None:
-        if type(self.expected_c2) is not int or type(self.min_rank) is not int:
-            raise TypeError("expected_c2 and min_rank must be integers")
         if self.min_rank < 1:
             raise ValueError(f"min_rank must be >= 1, got {self.min_rank}")
-        gg = self.globally_generated
-        if type(self.bondal_reconstructible) is not bool or not (gg is None or type(gg) is bool):
-            raise TypeError("bondal_reconstructible must be a bool, globally_generated a bool or None")
 
     @functools.cached_property
     def _certificate(self) -> Certificate:

@@ -60,51 +60,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nefq2 {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("cohomology", help="h^i of the line bundle O(a,b)")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-
-    p = commands.add_parser("chi", help="Euler characteristic of a twisted bundle")
-    p.add_argument("rank", type=int)
-    p.add_argument("c1a", type=int)
-    p.add_argument("c1b", type=int)
-    p.add_argument("c2", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-
-    p = commands.add_parser("twist", help="Chern data of E tensor O(la,lb)")
-    p.add_argument("rank", type=int)
-    p.add_argument("c1a", type=int)
-    p.add_argument("c1b", type=int)
-    p.add_argument("c2", type=int)
-    p.add_argument("la", type=int)
-    p.add_argument("lb", type=int)
-
-    p = commands.add_parser(
-        "ses",
-        help="quotient Chern data for 0 -> sub -> mid -> Q -> 0 of line bundle sums",
-    )
-    p.add_argument(
-        "--sub",
-        action="append",
-        default=[],
-        type=_line_term,
-        metavar="A,B[:MULT]",
-        help="line bundle summand of the sub (repeatable)",
-    )
-    p.add_argument(
-        "--mid",
-        action="append",
-        default=[],
-        type=_line_term,
-        metavar="A,B[:MULT]",
-        help="line bundle summand of the middle (repeatable)",
-    )
-
-    p = commands.add_parser("bondal", help="second page and module-profile reconstruction")
-    p.add_argument("c2", type=int)
-    p.add_argument("rank", type=int)
-    p.add_argument(
+    parsers: dict[str, argparse.ArgumentParser] = {}
+    for name, run, ints, text in (
+        ("cohomology", _run_cohomology, "a b", "h^i of the line bundle O(a,b)"),
+        ("chi", _run_chi, "rank c1a c1b c2 p q", "Euler characteristic of a twisted bundle"),
+        ("twist", _run_twist, "rank c1a c1b c2 la lb", "Chern data of E tensor O(la,lb)"),
+        ("ses", _run_ses, "", "quotient Chern data for 0 -> sub -> mid -> Q -> 0 of line bundle sums"),
+        ("bondal", _run_bondal, "c2 rank", "second page and module-profile reconstruction"),
+    ):
+        p = parsers[name] = commands.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        for arg in ints.split():
+            p.add_argument(arg, type=int)
+    for flag, part in (("--sub", "sub"), ("--mid", "middle")):
+        text = f"line bundle summand of the {part} (repeatable)"
+        parsers["ses"].add_argument(
+            flag, action="append", default=[], type=_line_term, metavar="A,B[:MULT]", help=text
+        )
+    parsers["bondal"].add_argument(
         "--variant",
         choices=[VARIANT_CURVE, VARIANT_STRUCTURE],
         help="required meaning for c2=8; omitted there, both variants print",
@@ -113,6 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("catalog", help="the classification tables")
     catalog_commands = p.add_subparsers(dest="catalog_command", required=True)
     p = catalog_commands.add_parser("list", help="list the cases of a table")
+    p.set_defaults(run=_run_catalog_list)
     p.add_argument(
         "--theorem",
         choices=[*THEOREMS, "all"],
@@ -124,6 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = commands.add_parser("verify", help="recompute and check a table")
+    p.set_defaults(run=_run_verify)
     p.add_argument("theorem", choices=[*THEOREMS, "all"])
     p.add_argument("--rank-min", type=int, default=None)
     p.add_argument("--rank-max", type=int, default=10)
@@ -153,6 +128,33 @@ def _print_page(page: E2Page) -> None:
     print("  four-term identity: PASS")
     abutment = to_chern(page.convergence_class())
     print(f"  converges to {abutment}: PASS")
+
+
+def _run_cohomology(args: argparse.Namespace) -> int:
+    v = cohomology_q2(BiDegree(args.a, args.b))
+    print(f"h0={v.h0} h1={v.h1} h2={v.h2} chi={v.chi}")
+    return 0
+
+
+def _numerics(args: argparse.Namespace) -> BundleNumerics:
+    return BundleNumerics(args.rank, BiDegree(args.c1a, args.c1b), args.c2)
+
+
+def _run_chi(args: argparse.Namespace) -> int:
+    print(euler_char(_numerics(args), args.p, args.q))
+    return 0
+
+
+def _run_twist(args: argparse.Namespace) -> int:
+    print(twist_chern(_numerics(args), BiDegree(args.la, args.lb)))
+    return 0
+
+
+def _run_ses(args: argparse.Namespace) -> int:
+    if not args.sub or not args.mid:
+        _build_parser().error("ses needs at least one --sub and one --mid term")
+    print(ses_quotient_chern(to_chern(sum_of_lines(args.sub)), to_chern(sum_of_lines(args.mid))))
+    return 0
 
 
 def _run_bondal(args: argparse.Namespace) -> int:
@@ -226,38 +228,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(raw_argv)
     args.raw_argv = raw_argv
     try:
-        if args.command == "cohomology":
-            v = cohomology_q2(BiDegree(args.a, args.b))
-            print(f"h0={v.h0} h1={v.h1} h2={v.h2} chi={v.chi}")
-            return 0
-        if args.command == "chi":
-            e = BundleNumerics(args.rank, BiDegree(args.c1a, args.c1b), args.c2)
-            print(euler_char(e, args.p, args.q))
-            return 0
-        if args.command == "twist":
-            e = BundleNumerics(args.rank, BiDegree(args.c1a, args.c1b), args.c2)
-            print(twist_chern(e, BiDegree(args.la, args.lb)))
-            return 0
-        if args.command == "ses":
-            if not args.sub or not args.mid:
-                parser.error("ses needs at least one --sub and one --mid term")
-            sub = to_chern(sum_of_lines(args.sub))
-            mid = to_chern(sum_of_lines(args.mid))
-            print(ses_quotient_chern(sub, mid))
-            return 0
-        if args.command == "bondal":
-            return _run_bondal(args)
-        if args.command == "catalog":
-            return _run_catalog_list(args)
-        if args.command == "verify":
-            return _run_verify(args)
+        return args.run(args)
     except ReconstructionError as exc:
         print(f"internal identity failed: {exc}", file=sys.stderr)
         return 1
     except (NefQ2Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable command dispatch")
 
 
 def entry() -> None:

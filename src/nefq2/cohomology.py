@@ -34,11 +34,8 @@ class CohomologyVector:
     h2: int
 
     def __post_init__(self) -> None:
-        for h in (self.h0, self.h1, self.h2):
-            if type(h) is not int:
-                raise TypeError("cohomology dimensions must be integers")
-            if h < 0:
-                raise ValueError("cohomology dimensions must be non-negative")
+        if min(self.h0, self.h1, self.h2) < 0:
+            raise ValueError("cohomology dimensions must be non-negative")
 
     @property
     def chi(self) -> int:
@@ -62,8 +59,6 @@ class BundleNumerics:
     c2: int
 
     def __post_init__(self) -> None:
-        if type(self.rank) is not int or type(self.c2) is not int:
-            raise TypeError("rank and c2 must be integers")
         if self.rank < 1:
             raise ValueError("rank must be a positive integer")
 

@@ -43,10 +43,6 @@ class KClass:
     c1: BiDegree
     ch2x2: int
 
-    def __post_init__(self) -> None:
-        if type(self.rank) is not int or type(self.ch2x2) is not int:
-            raise TypeError("rank and ch2x2 must be integers")
-
     def __add__(self, other: KClass) -> KClass:
         if type(other) is not KClass:
             return NotImplemented
@@ -182,10 +178,6 @@ class TorsionDescriptor:
     twist_degree: int = 0
 
     def __post_init__(self) -> None:
-        if type(self.kind) is not TorsionKind or type(self.twist_degree) is not int:
-            raise TypeError("kind must be a TorsionKind and twist_degree an integer")
-        if not (self.support is None or type(self.support) is BiDegree):
-            raise TypeError(f"support must be a BiDegree or None, got {self.support!r}")
         if self.kind is TorsionKind.CURVE_TORSION:
             if self.support is None:
                 raise HypothesisError("curve torsion needs a support bidegree")
@@ -254,7 +246,8 @@ class IdealResolution(enum.Enum):
     CI_11_21 = "ci_11_21"
 
 
-_IDEAL_RESOLUTIONS: dict[IdealResolution, tuple[list[tuple[BiDegree, int]], list[tuple[BiDegree, int]], int]] = {
+_Resolution = tuple[list[tuple[BiDegree, int]], list[tuple[BiDegree, int]], int]
+_IDEAL_RESOLUTIONS: dict[IdealResolution, _Resolution] = {
     # (kernel terms, middle terms, number of points cut out)
     IdealResolution.EMPTY: ([], [(ZERO, 1)], 0),
     IdealResolution.TWO_POINTS_GENERAL: (
@@ -270,9 +263,15 @@ _IDEAL_RESOLUTIONS: dict[IdealResolution, tuple[list[tuple[BiDegree, int]], list
 }
 
 
+def _resolution(kind: IdealResolution) -> _Resolution:
+    if type(kind) is not IdealResolution:
+        raise TypeError(f"kind must be an IdealResolution, got {kind!r}")
+    return _IDEAL_RESOLUTIONS[kind]
+
+
 def ideal_sheaf_length(kind: IdealResolution) -> int:
     """Number of points the resolved ideal sheaf cuts out."""
-    return _IDEAL_RESOLUTIONS[kind][2]
+    return _resolution(kind)[2]
 
 
 def ideal_sheaf_class(kind: IdealResolution) -> KClass:
@@ -286,7 +285,7 @@ def ideal_sheaf_class(kind: IdealResolution) -> KClass:
     >>> ideal_sheaf_class(IdealResolution.CI_11_21)
     KClass(rank=1, c1=BiDegree(a=0, b=0), ch2x2=-6)
     """
-    kernel, middle, length = _IDEAL_RESOLUTIONS[kind]
+    kernel, middle, length = _resolution(kind)
     built = sum_of_lines(middle) - sum_of_lines(kernel)
     expected = line_class(ZERO) - length * POINT_CLASS
     if built != expected:

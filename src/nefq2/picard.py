@@ -32,10 +32,6 @@ class BiDegree:
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        if type(self.a) is not int or type(self.b) is not int:
-            raise TypeError("bidegree coordinates must be integers")
-
     def __add__(self, other: BiDegree) -> BiDegree:
         if type(other) is not BiDegree:
             return NotImplemented

@@ -237,6 +237,15 @@ def test_ideal_sheaf_lengths():
     assert ideal_sheaf_length(IdealResolution.CI_11_21) == 3
 
 
+def test_ideal_sheaf_rules_take_only_a_resolution():
+    # the enum's value or name is a TypeError, not a KeyError
+    for kind in ("empty", "EMPTY", None, 0):
+        with pytest.raises(TypeError, match="IdealResolution"):
+            ideal_sheaf_class(kind)
+        with pytest.raises(TypeError, match="IdealResolution"):
+            ideal_sheaf_length(kind)
+
+
 def test_ideal_sheaf_classes_match_oracle():
     # c2 of an ideal sheaf of points equals its length
     assert quotient_chern([((-2, -2), 1)], [((-1, -1), 2)]) == (1, (0, 0), 2)

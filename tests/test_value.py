@@ -1,15 +1,19 @@
-"""Value semantics of the library's eleven immutable value types: frozen
-fields, equality and hash over the field tuple, equality only with the
-same type, the pinned reprs, and ``replace`` re-running the field checks."""
+"""Value semantics of the library's immutable value types: frozen fields,
+equality and hash over the field tuple, equality only with the same type,
+the pinned reprs, ``replace`` re-running the field checks, and the type
+rule that ``frozen`` compiles into every ``__init__``."""
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from types import MappingProxyType
 
 import pytest
 
+import nefq2
 from nefq2 import BiDegree, BundleNumerics, HypothesisError, list_cases
-from nefq2._value import replace
+from nefq2._value import _repr, frozen, replace
 from nefq2.bondal import E2Entry, E2Page, ShiftedLineClass, e2_page
 from nefq2.catalog import CaseSpec, CheckResult, RankExpr, VerificationReport
 from nefq2.cohomology import CohomologyVector
@@ -59,14 +63,14 @@ VALUES = [
     (
         ShiftedLineClass(BiDegree(-1, 0), 1),
         "ShiftedLineClass(degree=BiDegree(a=-1, b=0), shift=1)",
-        {"bogus": 1},
+        {"shift": 1.0},
         TypeError,
     ),
     (
         ENTRY,
         "E2Entry(kclass=KClass(rank=0, c1=BiDegree(a=0, b=0), ch2x2=2), label='k(p)', "
         "torsion=TorsionDescriptor(kind=<TorsionKind.POINT_SHEAF: 'point'>, support=None, twist_degree=0))",
-        {"bogus": 1},
+        {"torsion": TorsionKind.POINT_SHEAF},
         TypeError,
     ),
     (
@@ -74,7 +78,7 @@ VALUES = [
         "E2Page(c2=6, rank=3, variant=None, entries=mappingproxy({(0, 0): E2Entry(kclass=KClass(rank=0, "
         "c1=BiDegree(a=0, b=0), ch2x2=2), label='k(p)', torsion=TorsionDescriptor(kind=<TorsionKind.POINT_SHEAF: "
         "'point'>, support=None, twist_degree=0))}))",
-        {"bogus": 1},
+        {"variant": b"curve"},
         TypeError,
     ),
     (RankExpr(-3, 1), "RankExpr(const=-3, coef=1)", {"coef": True}, TypeError),
@@ -92,11 +96,29 @@ VALUES = [
         "VerificationReport(case_id='t-1', rank_tested=2, computed=BundleNumerics(rank=2, "
         "c1=BiDegree(a=2, b=2), c2=2), expected_c2=2, flags={'nef': 'asserted'}, "
         "checks=(CheckResult(name='rank', passed=True, detail='ok'),))",
-        {"bogus": 1},
+        {"computed": KClass(2, C22, 4)},
         TypeError,
     ),
 ]
 IDS = [type(value).__name__ for value, *_ in VALUES]
+
+
+def _value_types() -> list[type]:
+    """Every class of the package that ``frozen`` built, found by its repr."""
+    modules = [importlib.import_module(f"nefq2.{m.name}") for m in pkgutil.iter_modules(nefq2.__path__)]
+    return [
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__ and vars(cls).get("__repr__") is _repr
+    ]
+
+
+#: (type, field) for every field annotated with a class name, with or
+#: without ``| None``; a generic such as ``tuple[Term, ...]`` is not checked
+CHECKED = [
+    (cls, name) for cls in _value_types() for name, note in vars(cls)["__annotations__"].items() if "[" not in note
+]
 
 
 def _fields(value: object) -> tuple:
@@ -112,7 +134,7 @@ def _hashed(value: object) -> object:
 
 
 def test_every_value_type_is_covered():
-    assert len(set(IDS)) == 11
+    assert sorted(IDS) == sorted(cls.__name__ for cls in _value_types())
 
 
 @pytest.mark.parametrize("value,text,bad,error", VALUES, ids=IDS)
@@ -143,6 +165,48 @@ def test_equality_and_hash_follow_the_field_tuple(value, text, bad, error):
 def test_replace_runs_the_field_checks_again(value, text, bad, error):
     with pytest.raises(error):
         replace(value, **bad)
+
+
+def test_replace_refuses_an_unknown_field():
+    with pytest.raises(TypeError):
+        replace(ShiftedLineClass(BiDegree(-1, 0), 1), bogus=1)
+
+
+@pytest.mark.parametrize("cls,name", CHECKED, ids=[f"{c.__name__}.{n}" for c, n in CHECKED])
+def test_every_checked_field_refuses_a_foreign_value(cls, name):
+    value = next(v for v, *_ in VALUES if type(v) is cls)
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.{name} must be \w+( or None)?, got <object object"):
+        replace(value, **{name: object()})
+
+
+def test_the_type_rule_is_exact_and_names_the_field():
+    with pytest.raises(TypeError, match=r"^BundleNumerics\.c1 must be BiDegree, got \(2, 2\)$"):
+        BundleNumerics(2, (2, 2), 5)
+    with pytest.raises(TypeError, match=r"^KClass\.rank must be int, got True$"):
+        KClass(True, C22, 0)
+    with pytest.raises(TypeError, match=r"^CaseSpec\.coker must be TorsionDescriptor or None, got 'point'$"):
+        replace(CASE, coker="point")
+    assert replace(CASE, coker=None) == CASE
+
+
+def test_frozen_refuses_an_annotation_it_cannot_check():
+    with pytest.raises(TypeError, match=r"Either\.x: cannot check the annotation 'int \| str'"):
+
+        @frozen
+        class Either:
+            x: int | str
+
+    with pytest.raises(TypeError, match=r"Lost\.x: 'Nowhere' does not name a class"):
+
+        @frozen
+        class Lost:
+            x: Nowhere  # noqa: F821
+
+    with pytest.raises(TypeError, match=r"Module\.x: 'pytest' does not name a class"):
+
+        @frozen
+        class Module:
+            x: pytest
 
 
 def test_equal_only_to_the_same_type():
