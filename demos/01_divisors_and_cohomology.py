@@ -9,15 +9,15 @@ structure of the surface.
 
 from nefq2 import BiDegree
 from nefq2.cohomology import cohomology_q2
-from nefq2.picard import intersect, is_effective, self_intersection
+from nefq2.picard import intersect, is_effective
 
 # Divisor classes are pairs of ruling degrees.  The intersection form
 # pairs opposite rulings: (a,b).(c,d) = ad + bc.
 h = BiDegree(1, 1)
-print(f"hyperplane class {h}: self-intersection {self_intersection(h)}")
+print(f"hyperplane class {h}: self-intersection {intersect(h, h)}")
 
 f1, f2 = BiDegree(1, 0), BiDegree(0, 1)
-print(f"rulings {f1}, {f2}: squares {self_intersection(f1)}, {self_intersection(f2)}, "
+print(f"rulings {f1}, {f2}: squares {intersect(f1, f1)}, {intersect(f2, f2)}, "
       f"product {intersect(f1, f2)}")
 
 # Effectivity is coordinatewise nonnegativity, and on this surface the

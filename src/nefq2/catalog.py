@@ -64,7 +64,7 @@ from .ktheory import (
     to_chern,
     torsion_class,
 )
-from .picard import BiDegree, intersect
+from .picard import BiDegree, intersect, is_effective
 
 THEOREMS = ("main22", "quadric21", "halfmax", "nearmax")
 
@@ -136,6 +136,12 @@ class CaseSpec:
     twin_of: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("sub_terms", "mid_terms"):
+            terms = getattr(self, name)
+            if type(terms) is not tuple or any(
+                type(t) is not tuple or tuple(map(type, t)) != Term.__args__ for t in terms
+            ):
+                raise TypeError(f"CaseSpec.{name} must be a tuple of (BiDegree, RankExpr) pairs, got {terms!r}")
         if self.min_rank < 1:
             raise ValueError(f"min_rank must be >= 1, got {self.min_rank}")
 
@@ -287,7 +293,7 @@ def _require_c1(theorem: str, c1: BiDegree | None) -> BiDegree:
 
 
 def _halfmax_cases(c1: BiDegree, b: int) -> tuple[CaseSpec, ...]:
-    if c1.a < 0 or c1.b < 0:
+    if not is_effective(c1):
         raise HypothesisError(f"determinant {c1} of a nef bundle must be effective")
     if not 0 <= b <= c1.b:
         raise HypothesisError(f"splitting degree b={b} must lie in 0..{c1.b}")
@@ -319,9 +325,11 @@ def list_cases(
 ) -> tuple[CaseSpec, ...]:
     """All cases of one table, in the table's own order (twins follow the
     display they swap).  halfmax needs c1 and b; nearmax needs c1 and
-    takes no b; main22 and quadric21 take neither."""
+    takes no b; main22 and quadric21 take neither, and "all" is both."""
     if not (c1 is None or type(c1) is BiDegree) or not (b is None or type(b) is int):
         raise TypeError(f"c1 must be a BiDegree and b an integer, got {c1!r} and {b!r}")
+    if theorem == "all":
+        return tuple(case for table in _TABLES for case in list_cases(table, c1=c1, b=b))
     if theorem in _TABLES:
         if c1 is not None or b is not None:
             raise HypothesisError(f"{theorem} is not parametric: it takes no --c1 or --b-param")
@@ -358,16 +366,25 @@ class CheckResult(NamedTuple):
 
 class Row(NamedTuple):
     """verify_case's numbers at one rank: the display's rank, c1 and c2,
-    whether c2 < c1^2, and the checks as (name, passed, detail) triples."""
+    whether c2 < c1^2, the (name, passed, detail) checks and whether all pass."""
 
     rank: int
     c1: BiDegree
     c2: int
     weak_fano: bool
     checks: tuple[tuple[str, bool, str], ...]
+    passed: bool
 
 
 _C1_22 = BiDegree(2, 2)
+
+
+def _require_rank(case: CaseSpec, r: int) -> None:
+    """The rank rule of ``row`` and ``case_numerics``: an int >= min_rank."""
+    if type(r) is not int:
+        raise TypeError(f"rank must be an integer, got {r!r}")
+    if r < case.min_rank:
+        raise ValueError(f"{case.id} needs rank >= {case.min_rank}, got {r}")
 
 
 def _rank_check(rank: int, r: int) -> tuple[str, bool, str]:
@@ -396,10 +413,7 @@ class Certificate(NamedTuple):
     def row(self, r: int) -> Row:
         """The checks at rank r, with the errors ``case_numerics`` raises."""
         case, base, slope = self
-        if type(r) is not int:
-            raise TypeError(f"rank must be an integer, got {r!r}")
-        if r < case.min_rank:
-            raise ValueError(f"{case.id} needs rank >= {case.min_rank}, got {r}")
+        _require_rank(case, r)
         rank = base.rank + r * slope.rank
         c1 = base.c1 + r * slope.c1 if slope.c1.a or slope.c1.b else base.c1
         a, b, table = c1.a, c1.b, case.c1
@@ -426,7 +440,7 @@ class Certificate(NamedTuple):
                 checks += (_reconstruction_proof(c2, reconstruct),)
             else:
                 checks += (_reconstruction_check(reconstruct, BundleNumerics(rank, c1, c2)),)
-        return Row(rank, c1, c2, c2 < c1sq, checks)
+        return Row(rank, c1, c2, c2 < c1sq, checks, all([check[1] for check in checks]))
 
     def proved_from(self, lo: int) -> bool:
         """Whether every check of ``row(r)`` passes at every r >= lo, for
@@ -440,32 +454,25 @@ class Certificate(NamedTuple):
         stays so when k >= 0.  At a fixed c2 the reconstruction check is one
         proof for every rank (above c2 = 8 the nef bound fails first).
         """
-        return self._decide(lo)[0]
-
-    def _decide(self, lo: int) -> tuple[bool, list[Row]]:
-        """``proved_from(lo)``, with the rows at lo and lo + 1 unless one raises."""
         try:
-            made = [self.row(lo), self.row(lo + 1)]
+            passed = self.row(lo).passed and self.row(lo + 1).passed
         except NefQ2Error:
-            return False, []
-        terms = self.case.sub_terms + self.case.mid_terms
-        return all(m.coef >= 0 for _, m in terms) and all(ok for row in made for _, ok, _ in row.checks), made
+            return False
+        return passed and all(m.coef >= 0 for _, m in self.case.sub_terms + self.case.mid_terms)
 
     def rows(self, lo: int, hi: int) -> tuple[int, Iterable[Row]]:
         """How many ranks of lo..hi pass every check, with ``row(r)`` for
-        each.  Unless ``proved_from(lo)``, the rows are a list made here from
-        the rows it evaluated, so a rank that raises does so at this call.
-        Proved, every rank passes, and the rows are made as they are read:
-        only the rank and chi checks are made again, the rest are those at lo."""
+        each.  Unless ``proved_from(lo)``, the rows are a list made here, so a
+        rank that raises does so at this call.  Proved, every row passes and is
+        made as it is read, with only the rank and chi checks made again."""
         ranks = range(lo, hi + 1)
-        proved, made = self._decide(lo)
-        if not proved:
-            rows = made[: len(ranks)] + [self.row(r) for r in ranks[len(made) :]]
-            return sum(all(ok for _, ok, _ in row.checks) for row in rows), rows
-        _, c1, c2, weak_fano, checks = made[0]
+        if not self.proved_from(lo):
+            rows = [self.row(r) for r in ranks]
+            return sum(row.passed for row in rows), rows
+        _, c1, c2, weak_fano, checks, _ = self.row(lo)
         same, rest = checks[1:4], checks[5:]  # all but the rank and chi checks
         return len(ranks), (
-            Row(r, c1, c2, weak_fano, (_rank_check(r, r), *same, _chi_check(c1, c2, r), *rest)) for r in ranks
+            Row(r, c1, c2, weak_fano, (_rank_check(r, r), *same, _chi_check(c1, c2, r), *rest), True) for r in ranks
         )
 
 
@@ -488,8 +495,7 @@ def case_numerics(case: CaseSpec, r: int) -> BundleNumerics:
     >>> case_numerics(main22[0], 3)
     BundleNumerics(rank=3, c1=BiDegree(a=2, b=2), c2=0)
     """
-    if r < case.min_rank:
-        raise ValueError(f"{case.id} needs rank >= {case.min_rank}, got {r}")
+    _require_rank(case, r)
     return to_chern(case_kclass(case, r))
 
 
@@ -526,18 +532,18 @@ class VerificationReport:
 
 def _reconstruction_check(
     rebuild: Callable[[BundleNumerics], KClass], *numerics: BundleNumerics
-) -> CheckResult:
+) -> tuple[str, bool, str]:
     """The reconstruction check: rebuild must reproduce every class given."""
     try:
         for e in numerics:
             rebuild(e)
     except ReconstructionError as exc:  # pragma: no cover - implementation bug guard
-        return CheckResult("reconstruction", False, str(exc))
-    return CheckResult("reconstruction", True, "module profile rebuilds the K-class")
+        return ("reconstruction", False, str(exc))
+    return ("reconstruction", True, "module profile rebuilds the K-class")
 
 
 @functools.cache
-def _reconstruction_proof(c2: int, rebuild: Callable[[BundleNumerics], KClass]) -> CheckResult:
+def _reconstruction_proof(c2: int, rebuild: Callable[[BundleNumerics], KClass]) -> tuple[str, bool, str]:
     """The reconstruction check at determinant (2, 2) and c2 in 6..8, for
     every rank r >= 1 at once.
 
@@ -553,7 +559,7 @@ def _reconstruction_proof(c2: int, rebuild: Callable[[BundleNumerics], KClass]) 
 
 def verify_case(case: CaseSpec, r: int) -> VerificationReport:
     """Recompute every numeric claim of one case at one rank."""
-    rank, c1, c2, weak_fano, checks = certify(case).row(r)
+    rank, c1, c2, weak_fano, checks, _ = certify(case).row(r)
     return VerificationReport(
         case_id=case.id,
         rank_tested=r,
@@ -567,13 +573,18 @@ def verify_case(case: CaseSpec, r: int) -> VerificationReport:
 def sweep(
     theorem: str, rank_min: int | None, rank_max: int, *, c1: BiDegree | None = None, b: int | None = None
 ) -> list[tuple[CaseSpec, int]]:
-    """(case, lo) for each case of one table with a rank in lo..rank_max,
-    where lo = max(rank_min, its min_rank)."""
+    """(case, lo) for each case of ``list_cases(theorem)`` with a rank in
+    lo..rank_max, where lo = max(rank_min, its min_rank).  A sweep with no
+    such case raises HypothesisError."""
     if type(rank_max) is not int or not (rank_min is None or type(rank_min) is int):
         raise TypeError(f"rank bounds must be integers, got {rank_min!r} and {rank_max!r}")
     cases = list_cases(theorem, c1=c1, b=b)
     firsts = ((case, case.min_rank if rank_min is None else max(rank_min, case.min_rank)) for case in cases)
-    return [(case, lo) for case, lo in firsts if lo <= rank_max]
+    swept = [(case, lo) for case, lo in firsts if lo <= rank_max]
+    if not swept:
+        lo = "min_rank" if rank_min is None else rank_min
+        raise HypothesisError(f"empty sweep: no case has a rank in {lo}..{rank_max}")
+    return swept
 
 
 def verify_all(
@@ -585,7 +596,7 @@ def verify_all(
     b: int | None = None,
 ) -> list[VerificationReport]:
     """verify_case over the cases of one table x ranks.  Each case is
-    swept from max(rank_min, its min_rank) to rank_max; an empty range
-    contributes nothing."""
+    swept from max(rank_min, its min_rank) to rank_max; a sweep with no
+    rank at all raises HypothesisError."""
     cases = sweep(theorem, rank_min, rank_max, c1=c1, b=b)
     return [verify_case(case, r) for case, lo in cases for r in range(lo, rank_max + 1)]

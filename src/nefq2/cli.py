@@ -18,7 +18,7 @@ from . import __version__
 from .bondal import VARIANT_CURVE, VARIANT_STRUCTURE, E2Page, e2_page, reconstruct
 from .catalog import THEOREMS, CaseSpec, certify, list_cases, sweep
 from .cohomology import BundleNumerics, cohomology_q2, euler_char
-from .errors import HypothesisError, NefQ2Error, ReconstructionError
+from .errors import NefQ2Error, ReconstructionError
 from .ktheory import line_label, ses_quotient_chern, sum_of_lines, to_chern, twist_chern
 from .picard import BiDegree
 
@@ -170,20 +170,11 @@ def _run_bondal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _theorems(args: argparse.Namespace) -> list[str]:
-    """The requested tables; 'all' means both parameter-free tables."""
-    return ["main22", "quadric21"] if args.theorem == "all" else [args.theorem]
-
-
 def _run_verify(args: argparse.Namespace) -> int:
     hi = args.rank_max
-    cases = [s for t in _theorems(args) for s in sweep(t, args.rank_min, hi, c1=args.c1, b=args.b_param)]
-    if not cases:
-        lo = "min_rank" if args.rank_min is None else args.rank_min
-        raise HypothesisError(f"empty sweep: no case has a rank in {lo}..{hi}")
-    # (case, lo, passed, rows), passed counting the ranks whose checks all
-    # pass: an unproved case's rows are all made here, so a rank that raises
-    # does so before any output
+    cases = sweep(args.theorem, args.rank_min, hi, c1=args.c1, b=args.b_param)
+    # (case, lo, passed, rows) as Certificate.rows gives them: an unproved
+    # case's rows are made here, so a rank that raises does so before output
     swept = [(case, lo, *certify(case).rows(lo, hi)) for case, lo in cases]
     passed = sum(count for _, _, count, _ in swept)
     total = sum(hi + 1 - lo for _, lo in cases)
@@ -196,8 +187,8 @@ def _run_verify(args: argparse.Namespace) -> int:
         # the rows of any other case are a list, so they can be read again
         for case, lo, count, rows in swept:
             first, failures = next(iter(rows)), []
-            if count < hi + 1 - lo:
-                for r, row in enumerate(rows, lo):
+            for r, row in enumerate(rows if count < hi + 1 - lo else (), lo):
+                if not row.passed:
                     failures += [f"    r={r} {name}: {detail}" for name, ok, detail in row.checks if not ok]
             print(
                 f"{case.id}  c2={first.c2}  r={lo}..{hi}  "
@@ -211,7 +202,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_catalog_list(args: argparse.Namespace) -> int:
-    cases = [case for t in _theorems(args) for case in list_cases(t, c1=args.c1, b=args.b_param)]
+    cases = list_cases(args.theorem, c1=args.c1, b=args.b_param)
     if args.format == "json":
         from .report_json import write_catalog_json
 

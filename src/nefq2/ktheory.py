@@ -24,7 +24,7 @@ from typing import Iterable
 from ._value import frozen
 from .cohomology import BundleNumerics
 from .errors import HypothesisError, MalformedClassError, ReconstructionError, VirtualClassError
-from .picard import ZERO, BiDegree, intersect
+from .picard import ZERO, BiDegree, intersect, is_effective
 
 
 @frozen
@@ -223,7 +223,7 @@ def torsion_class(t: TorsionDescriptor) -> KClass:
     if t.kind is TorsionKind.STRUCTURE_SHEAF:
         return line_class(ZERO)
     assert t.support is not None
-    if t.support.a < 0 or t.support.b < 0:
+    if not is_effective(t.support):
         raise HypothesisError(f"curve support {t.support} is not effective")
     base = line_class(ZERO) - line_class(-t.support)
     return base + t.twist_degree * POINT_CLASS

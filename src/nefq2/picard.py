@@ -77,10 +77,6 @@ def intersect(x: BiDegree, y: BiDegree) -> int:
     return x.a * y.b + x.b * y.a
 
 
-def self_intersection(x: BiDegree) -> int:
-    return intersect(x, x)
-
-
 def is_effective(x: BiDegree) -> bool:
     """True iff the class contains an effective divisor, which on this
     surface is the same as being nef."""

@@ -47,7 +47,7 @@ def write_verify_json(
             f'        "globally_generated": {_LITERAL[flags["globally_generated"]]},\n'
             f'        "nef": {string(flags["nef"])},\n        "weak_fano": '
         )
-        for r, (rank, c1, c2, weak_fano, checks) in enumerate(rows, lo):
+        for r, (rank, c1, c2, weak_fano, checks, verdict) in enumerate(rows, lo):
             text = ",\n".join(
                 [
                     f'        {{\n          "detail": {string(detail)},\n          "name": {string(name)},\n'
@@ -60,7 +60,7 @@ def write_verify_json(
                 f'      "computed": {{\n        "c1": [\n          {c1.a},\n          {c1.b}\n        ],\n'
                 f'        "c2": {c2},\n        "rank": {rank}\n      }},\n'
                 f'{middle}{_LITERAL[weak_fano]}\n      }},\n'
-                f'      "passed": {_LITERAL[all([check[1] for check in checks])]},\n'
+                f'      "passed": {_LITERAL[verdict]},\n'
                 f'      "rank_tested": {r}\n    }}'
             )
             lead = ",\n"

@@ -141,6 +141,27 @@ def test_case_counts_and_order():
         list_cases("bogus")
 
 
+def test_all_means_the_parameter_free_tables():
+    assert list_cases("all") == list_cases("main22") + list_cases("quadric21")
+    assert catalog.sweep("all", None, 10) == [(c, c.min_rank) for c in list_cases("all")]
+    with pytest.raises(HypothesisError, match="^main22 is not parametric"):
+        list_cases("all", c1=BiDegree(2, 2))
+    with pytest.raises(HypothesisError, match="^main22 is not parametric"):
+        verify_all("all", b=1)
+
+
+def test_an_empty_sweep_raises():
+    for theorem, rank_min, rank_max, text in (
+        ("all", 20, 3, "20..3"),
+        ("main22", None, 0, "min_rank..0"),
+        ("quadric21", 5, 4, "5..4"),
+    ):
+        with pytest.raises(HypothesisError, match=rf"^empty sweep: no case has a rank in {text}$"):
+            catalog.sweep(theorem, rank_min, rank_max)
+    with pytest.raises(HypothesisError, match="^empty sweep"):
+        verify_all("nearmax", 30, 29, c1=BiDegree(3, 2))
+
+
 def test_parameter_free_tables_are_built_once():
     assert list_cases("main22") is list_cases("main22")
     assert list_cases("quadric21") is list_cases("quadric21")
@@ -441,6 +462,24 @@ def test_case_spec_checks_its_fields():
     assert replace(case, globally_generated=None).globally_generated is None
 
 
+def test_case_spec_terms_are_bidegree_rank_expr_pairs():
+    case = list_cases("main22")[0]
+    good = (ZERO, RankExpr(1))
+    for field in ("sub_terms", "mid_terms"):
+        for terms in (
+            ((ZERO, 1),),
+            (((0, 0), RankExpr(1)),),
+            ((ZERO, RankExpr(1), 0),),
+            ([ZERO, RankExpr(1)],),
+            (good, (ZERO, "r")),
+            [good],
+            None,
+        ):
+            with pytest.raises(TypeError, match=rf"^CaseSpec\.{field} must be a tuple of \(BiDegree, RankExpr\) pairs"):
+                replace(case, **{field: terms})
+        assert getattr(replace(case, **{field: (good,)}), field) == (good,)
+
+
 def test_sweep_proves_reconstruction_twice_per_c2(monkeypatch):
     calls = []
     reconstruct = catalog.reconstruct
@@ -513,6 +552,10 @@ def test_ranks_must_be_integers():
             verify_case(case, r)
         with pytest.raises(TypeError):
             certify(case).row(r)
+        with pytest.raises(TypeError, match=f"^rank must be an integer, got {r!r}$"):
+            case_numerics(case, r)
+    with pytest.raises(ValueError, match="^main22-1 needs rank >= 1, got 0$"):
+        case_numerics(case, 0)
     # verify_all sweeps through catalog.sweep, which checks the bounds
     for rank_min, rank_max in ((None, True), (None, 10.0), (True, 10), (1.0, 10)):
         with pytest.raises(TypeError):
@@ -527,6 +570,7 @@ def test_verify_all():
         max(0, 4 - c.min_rank + 1) for c in list_cases("main22")
     )
     assert len(reports) == expected
-    assert verify_all("main22", rank_min=9, rank_max=8) == []
+    with pytest.raises(HypothesisError, match=r"^empty sweep: no case has a rank in 9\.\.8$"):
+        verify_all("main22", rank_min=9, rank_max=8)
     with pytest.raises(HypothesisError):
         verify_all("halfmax")
