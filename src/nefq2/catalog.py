@@ -66,7 +66,8 @@ from .ktheory import (
 )
 from .picard import BiDegree, intersect, is_effective
 
-THEOREMS = ("main22", "quadric21", "halfmax", "nearmax")
+#: The names ``list_cases`` takes: the four tables, and both parameter-free ones.
+THEOREMS = ("main22", "quadric21", "halfmax", "nearmax", "all")
 
 
 @frozen

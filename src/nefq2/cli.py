@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_catalog_list)
     p.add_argument(
         "--theorem",
-        choices=[*THEOREMS, "all"],
+        choices=THEOREMS,
         default="all",
         help="table to list ('all' = both parameter-free tables)",
     )
@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("verify", help="recompute and check a table")
     p.set_defaults(run=_run_verify)
-    p.add_argument("theorem", choices=[*THEOREMS, "all"])
+    p.add_argument("theorem", choices=THEOREMS)
     p.add_argument("--rank-min", type=int, default=None)
     p.add_argument("--rank-max", type=int, default=10)
     p.add_argument("--c1", type=_bidegree, metavar="A,B")
