@@ -45,6 +45,7 @@ INVOCATIONS: tuple[tuple[str, tuple[str, ...], bool], ...] = (
     # further successful runs
     ("bondal_8_5_both_variants", ("bondal", "8", "5"), True),
     ("verify_all_json", ("verify", "all", "--format", "json"), True),
+    ("verify_all_rank_max_300", ("verify", "all", "--rank-max", "300"), True),
     ("verify_quadric21_json", ("verify", "quadric21", "--format", "json"), True),
     ("verify_halfmax", ("verify", "halfmax", "--c1", "3,2", "--b-param", "1"), True),
     ("verify_nearmax_json", ("verify", "nearmax", "--c1", "3,3", "--format", "json"), True),

@@ -4,6 +4,7 @@ the document of the reports' to_json() dicts."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -57,6 +58,13 @@ def test_non_ascii_invocation_is_escaped(capsys):
     out = capsys.readouterr().out
     assert out.isascii()
     assert '"invocation": "nefq2 verify main22 --rank-max \\uff13 --format json",' in out
+
+
+def test_rank_300_sweep_bytes_are_pinned(capsys):
+    assert main(["verify", "main22", "--rank-max", "300", "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 8_467_160
+    assert hashlib.sha256(out).hexdigest() == "e813117018b808befda56e541da709738be509c169b9bdbdb62f998282ba6346"
 
 
 def _written(argv, cases, hi) -> str:
