@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from ._value import frozen, replace
 from .bondal import reconstruct
@@ -151,17 +151,11 @@ class CaseSpec:
         base = _display_class(self, 0)
         return Certificate(self, base, _display_class(self, 1) - base)
 
-    @property
-    def case_number(self) -> str:
-        """The family label within its table, e.g. '6-1-2-swap'."""
-        return self.id.removeprefix(self.theorem + "-")
-
-    def flags(self, *, weak_fano: bool | None = None) -> dict[str, Any]:
-        wf = weak_fano if weak_fano is not None else self.expected_c2 < intersect(self.c1, self.c1)
+    def flags(self) -> dict[str, Any]:
         return {
             "nef": "asserted",
             "globally_generated": self.globally_generated,
-            "weak_fano": wf,
+            "weak_fano": self.expected_c2 < intersect(self.c1, self.c1),
             "bondal_reconstructible": self.bondal_reconstructible,
         }
 
@@ -365,16 +359,42 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-class Row(NamedTuple):
-    """verify_case's numbers at one rank: the display's rank, c1 and c2,
-    whether c2 < c1^2, the (name, passed, detail) checks and whether all pass."""
+class VerificationReport(NamedTuple):
+    """Outcome of every numeric check of one case at one rank: the case, the
+    rank tested, the display's rank, c1 and c2 there, whether c2 < c1^2, the
+    (name, passed, detail) checks and whether all of them pass."""
 
+    case: CaseSpec
+    rank_tested: int
     rank: int
     c1: BiDegree
     c2: int
     weak_fano: bool
     checks: tuple[tuple[str, bool, str], ...]
     passed: bool
+
+    @property
+    def case_id(self) -> str:
+        return self.case.id
+
+    @property
+    def computed(self) -> BundleNumerics:
+        return BundleNumerics(self.rank, self.c1, self.c2)
+
+    @property
+    def flags(self) -> dict[str, Any]:
+        return {**self.case.flags(), "weak_fano": self.weak_fano}
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "case_id": self.case.id,
+            "rank_tested": self.rank_tested,
+            "computed": {"rank": self.rank, "c1": [self.c1.a, self.c1.b], "c2": self.c2},
+            "expected_c2": self.case.expected_c2,
+            "flags": self.flags,
+            "checks": [{"name": n, "passed": p, "detail": d} for n, p, d in self.checks],
+            "passed": self.passed,
+        }
 
 
 _C1_22 = BiDegree(2, 2)
@@ -411,7 +431,7 @@ class Certificate(NamedTuple):
     base: KClass
     slope: KClass
 
-    def row(self, r: int) -> Row:
+    def row(self, r: int) -> VerificationReport:
         """The checks at rank r, with the errors ``case_numerics`` raises."""
         case, base, slope = self
         _require_rank(case, r)
@@ -441,7 +461,7 @@ class Certificate(NamedTuple):
                 checks += (_reconstruction_proof(c2, reconstruct),)
             else:
                 checks += (_reconstruction_check(reconstruct, BundleNumerics(rank, c1, c2)),)
-        return Row(rank, c1, c2, c2 < c1sq, checks, all([check[1] for check in checks]))
+        return VerificationReport(case, r, rank, c1, c2, c2 < c1sq, checks, all([check[1] for check in checks]))
 
     def proved_from(self, lo: int) -> bool:
         """Whether every check of ``row(r)`` passes at every r >= lo, for
@@ -461,7 +481,7 @@ class Certificate(NamedTuple):
             return False
         return passed and all(m.coef >= 0 for _, m in self.case.sub_terms + self.case.mid_terms)
 
-    def rows(self, lo: int, hi: int) -> tuple[int, Iterable[Row]]:
+    def rows(self, lo: int, hi: int) -> tuple[int, Iterable[VerificationReport]]:
         """How many ranks of lo..hi pass every check, with ``row(r)`` for
         each.  Unless ``proved_from(lo)``, the rows are a list made here, so a
         rank that raises does so at this call.  Proved, every row passes and is
@@ -470,10 +490,13 @@ class Certificate(NamedTuple):
         if not self.proved_from(lo):
             rows = [self.row(r) for r in ranks]
             return sum(row.passed for row in rows), rows
-        _, c1, c2, weak_fano, checks, _ = self.row(lo)
+        case, _, _, c1, c2, weak_fano, checks, _ = self.row(lo)
         same, rest = checks[1:4], checks[5:]  # all but the rank and chi checks
         return len(ranks), (
-            Row(r, c1, c2, weak_fano, (_rank_check(r, r), *same, _chi_check(c1, c2, r), *rest), True) for r in ranks
+            VerificationReport(
+                case, r, r, c1, c2, weak_fano, (_rank_check(r, r), *same, _chi_check(c1, c2, r), *rest), True
+            )
+            for r in ranks
         )
 
 
@@ -498,37 +521,6 @@ def case_numerics(case: CaseSpec, r: int) -> BundleNumerics:
     """
     _require_rank(case, r)
     return to_chern(case_kclass(case, r))
-
-
-@frozen
-class VerificationReport:
-    """Outcome of every numeric check of one case at one rank."""
-
-    case_id: str
-    rank_tested: int
-    computed: BundleNumerics
-    expected_c2: int
-    flags: Mapping[str, Any]
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "case_id": self.case_id,
-            "rank_tested": self.rank_tested,
-            "computed": {
-                "rank": self.computed.rank,
-                "c1": [self.computed.c1.a, self.computed.c1.b],
-                "c2": self.computed.c2,
-            },
-            "expected_c2": self.expected_c2,
-            "flags": dict(self.flags),
-            "checks": [{"name": n, "passed": p, "detail": d} for n, p, d in self.checks],
-            "passed": self.passed,
-        }
 
 
 def _reconstruction_check(
@@ -559,16 +551,10 @@ def _reconstruction_proof(c2: int, rebuild: Callable[[BundleNumerics], KClass]) 
 
 
 def verify_case(case: CaseSpec, r: int) -> VerificationReport:
-    """Recompute every numeric claim of one case at one rank."""
-    rank, c1, c2, weak_fano, checks, _ = certify(case).row(r)
-    return VerificationReport(
-        case_id=case.id,
-        rank_tested=r,
-        computed=BundleNumerics(rank, c1, c2),
-        expected_c2=case.expected_c2,
-        flags=case.flags(weak_fano=weak_fano),
-        checks=tuple(CheckResult._make(check) for check in checks),
-    )
+    """Recompute every numeric claim of one case at one rank: ``certify(case).row(r)``
+    with each check a ``CheckResult``."""
+    report = certify(case).row(r)
+    return report._replace(checks=tuple([CheckResult._make(check) for check in report.checks]))
 
 
 def sweep(

@@ -187,9 +187,9 @@ def _run_verify(args: argparse.Namespace) -> int:
         # the rows of any other case are a list, so they can be read again
         for case, lo, count, rows in swept:
             first, failures = next(iter(rows)), []
-            for r, row in enumerate(rows if count < hi + 1 - lo else (), lo):
-                if not row.passed:
-                    failures += [f"    r={r} {name}: {detail}" for name, ok, detail in row.checks if not ok]
+            for row in rows if count < hi + 1 - lo else ():
+                r, checks = row.rank_tested, row.checks
+                failures += [f"    r={r} {name}: {detail}" for name, ok, detail in checks if not ok]
             print(
                 f"{case.id}  c2={first.c2}  r={lo}..{hi}  "
                 f"weak_fano={'yes' if first.weak_fano else 'no'}  "

@@ -168,9 +168,10 @@ class TorsionDescriptor:
     POINT_SHEAF is a length-one skyscraper; STRUCTURE_SHEAF is the full
     structure sheaf (rank one!); CURVE_TORSION is a rank-one sheaf on a
     curve of the given bidegree, twisted so that its degree gains
-    ``twist_degree`` points.  Only twist degree 0 occurs in the shipped
-    catalog; other values follow the one-twist-unit-per-point convention
-    but are otherwise unexercised.
+    ``twist_degree`` points.  Only curve torsion takes a support or a
+    twist.  Only twist degree 0 occurs in the shipped catalog; other values
+    follow the one-twist-unit-per-point convention but are otherwise
+    unexercised.
     """
 
     kind: TorsionKind
@@ -183,6 +184,8 @@ class TorsionDescriptor:
                 raise HypothesisError("curve torsion needs a support bidegree")
         elif self.support is not None:
             raise HypothesisError(f"{self.kind.value} cokernel takes no support class")
+        elif self.twist_degree:
+            raise HypothesisError(f"{self.kind.value} cokernel takes no twist, got {self.twist_degree}")
 
     def label(self) -> str:
         if self.kind is TorsionKind.POINT_SHEAF:
@@ -263,17 +266,6 @@ _IDEAL_RESOLUTIONS: dict[IdealResolution, _Resolution] = {
 }
 
 
-def _resolution(kind: IdealResolution) -> _Resolution:
-    if type(kind) is not IdealResolution:
-        raise TypeError(f"kind must be an IdealResolution, got {kind!r}")
-    return _IDEAL_RESOLUTIONS[kind]
-
-
-def ideal_sheaf_length(kind: IdealResolution) -> int:
-    """Number of points the resolved ideal sheaf cuts out."""
-    return _resolution(kind)[2]
-
-
 def ideal_sheaf_class(kind: IdealResolution) -> KClass:
     """K-class of the ideal sheaf resolved by the chosen Koszul display.
 
@@ -285,7 +277,9 @@ def ideal_sheaf_class(kind: IdealResolution) -> KClass:
     >>> ideal_sheaf_class(IdealResolution.CI_11_21)
     KClass(rank=1, c1=BiDegree(a=0, b=0), ch2x2=-6)
     """
-    kernel, middle, length = _resolution(kind)
+    if type(kind) is not IdealResolution:
+        raise TypeError(f"kind must be an IdealResolution, got {kind!r}")
+    kernel, middle, length = _IDEAL_RESOLUTIONS[kind]
     built = sum_of_lines(middle) - sum_of_lines(kernel)
     expected = line_class(ZERO) - length * POINT_CLASS
     if built != expected:
@@ -293,17 +287,3 @@ def ideal_sheaf_class(kind: IdealResolution) -> KClass:
             f"ideal sheaf resolution {kind.value} gave {built}, expected {expected}"
         )
     return built
-
-
-def quotient_c2_bound(c1_total: BiDegree, sub: BiDegree) -> int:
-    """Upper bound for c2 of the quotient of a nef bundle with first Chern
-    class ``c1_total`` by a sub-line-bundle of class ``sub``:
-    the self-intersection (c1_total - sub)^2.
-
-    >>> quotient_c2_bound(BiDegree(2, 2), BiDegree(0, 1))
-    4
-    >>> quotient_c2_bound(BiDegree(2, 2), BiDegree(2, 2))
-    0
-    """
-    diff = c1_total - sub
-    return intersect(diff, diff)

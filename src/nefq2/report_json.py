@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii as string
 from typing import Any, Callable, Iterable
 
 from . import __version__
-from .catalog import CaseSpec, Row, case_to_json
+from .catalog import CaseSpec, VerificationReport, case_to_json
 
 #: How json.dumps prints the schema's literals.
 _LITERAL = {True: "true", False: "false", None: "null"}
@@ -27,18 +27,18 @@ def write_catalog_json(cases: Iterable[CaseSpec], write: Callable[[str], Any]) -
 
 def write_verify_json(
     invocation: str,
-    swept: Iterable[tuple[CaseSpec, int, int, Iterable[Row]]],
+    swept: Iterable[tuple[CaseSpec, int, int, Iterable[VerificationReport]]],
     passed: int,
     total: int,
     write: Callable[[str], Any],
 ) -> None:
     """Write the document {"invocation", "results", "summary",
-    "tool_version"}, whose results are [verify_case(case, r).to_json() for r
-    in lo..] over the (case, lo, passed, rows) of ``Certificate.rows``, and
-    whose summary holds the given counts."""
+    "tool_version"}, whose results are the rows' ``to_json()`` over the
+    (case, lo, passed, rows) of ``Certificate.rows``, and whose summary holds
+    the given counts."""
     write(f'{{\n  "invocation": {string(invocation)},\n  "results": ')
     lead = "[\n"
-    for case, lo, _, rows in swept:
+    for case, _, _, rows in swept:
         flags = case.flags()
         top = f'    {{\n      "case_id": {string(case.id)},\n      "checks": [\n'
         middle = (
@@ -47,7 +47,7 @@ def write_verify_json(
             f'        "globally_generated": {_LITERAL[flags["globally_generated"]]},\n'
             f'        "nef": {string(flags["nef"])},\n        "weak_fano": '
         )
-        for r, (rank, c1, c2, weak_fano, checks, verdict) in enumerate(rows, lo):
+        for _, r, rank, c1, c2, weak_fano, checks, verdict in rows:
             text = ",\n".join(
                 [
                     f'        {{\n          "detail": {string(detail)},\n          "name": {string(name)},\n'

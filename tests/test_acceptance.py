@@ -48,7 +48,7 @@ FAMILY_C2 = {
 
 
 def _family(case) -> str:
-    return case.case_number.removesuffix("-swap").split("-")[0]
+    return case.id.removeprefix(case.theorem + "-").split("-")[0]
 
 
 def test_criterion_1_c2_table_from_oracle():

@@ -10,7 +10,17 @@ import pytest
 from nefq2 import BiDegree, HypothesisError, ReconstructionError, list_cases, verify_all
 from nefq2 import catalog
 from nefq2._value import replace
-from nefq2.catalog import CaseSpec, RankExpr, case_kclass, case_numerics, case_to_json, certify, verify_case
+from nefq2.catalog import (
+    CaseSpec,
+    CheckResult,
+    RankExpr,
+    VerificationReport,
+    case_kclass,
+    case_numerics,
+    case_to_json,
+    certify,
+    verify_case,
+)
 from nefq2.cohomology import euler_char
 from nefq2.ktheory import KClass, TorsionKind, to_chern
 from nefq2.picard import ZERO, intersect
@@ -61,7 +71,7 @@ MAIN22_IDS = [
 
 
 def _family(case: CaseSpec) -> str:
-    return case.case_number.removesuffix("-swap").split("-")[0]
+    return case.id.removeprefix(case.theorem + "-").split("-")[0]
 
 
 def _sample_cases():
@@ -528,6 +538,25 @@ def test_verify_case_reports():
     doc = report.to_json()
     assert doc["case_id"] == "main22-1"
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_verify_case_is_the_certificate_row_with_named_checks():
+    for case in list_cases("main22") + list_cases("quadric21"):
+        for r in (case.min_rank, case.min_rank + 3):
+            report, row = verify_case(case, r), certify(case).row(r)
+            assert type(report) is type(row) is VerificationReport
+            for name in VerificationReport._fields:
+                assert getattr(report, name) == getattr(row, name), (case.id, r, name)
+            assert all(type(check) is CheckResult for check in report.checks)
+            assert (report.case_id, report.computed) == (case.id, case_numerics(case, r))
+            assert report.flags == {**case.flags(), "weak_fano": row.c2 < intersect(row.c1, row.c1)}
+
+
+def test_verify_all_is_the_rows_of_the_certificates():
+    reports = verify_all("all")
+    rows = [row for case in list_cases("all") for row in certify(case).rows(case.min_rank, 10)[1]]
+    assert reports == rows and len(reports) == 261
+    assert all(type(check) is CheckResult for report in reports for check in report.checks)
 
 
 def test_verify_case_runs_reconstruction_when_marked():

@@ -99,9 +99,10 @@ cases = st.one_of(
 
 
 def direct(case: CaseSpec, r: int, k: KClass):
-    """verify_case's checks as the formulas read before the certificate, on
-    the class k of the display at rank r, with whether all of them pass; an
-    error as (type, message)."""
+    """verify_case's report as the formulas read before the certificate, on
+    the class k of the display at rank r: the case, r, the display's rank, c1
+    and c2, whether it is weak Fano, the checks and whether all of them pass;
+    an error as (type, message)."""
     try:
         if r < case.min_rank:
             raise ValueError(f"{case.id} needs rank >= {case.min_rank}, got {r}")
@@ -122,7 +123,7 @@ def direct(case: CaseSpec, r: int, k: KClass):
         ]
         if case.bondal_reconstructible and e.c2 >= 6 and e.c1 == BiDegree(2, 2):
             checks.append(_reconstruction_check(reconstruct, e))
-        return (e.rank, e.c1, e.c2, is_weak_fano(e), tuple(checks), all(ok for _, ok, _ in checks))
+        return (case, r, e.rank, e.c1, e.c2, is_weak_fano(e), tuple(checks), all(ok for _, ok, _ in checks))
     except (NefQ2Error, ValueError) as exc:
         return (type(exc), str(exc))
 
@@ -135,7 +136,7 @@ def evaluated(cert: Certificate, r: int):
 
 
 def passes(outcome) -> bool:
-    return len(outcome) == 6 and all(passed for _, passed, _ in outcome[4])
+    return len(outcome) == 8 and all(passed for _, passed, _ in outcome[6])
 
 
 def check_proof(cert: Certificate, lo: int) -> None:

@@ -23,9 +23,7 @@ from nefq2.ktheory import (
     four_term_quotient,
     from_chern,
     ideal_sheaf_class,
-    ideal_sheaf_length,
     line_class,
-    quotient_c2_bound,
     ses_quotient_chern,
     sum_of_lines,
     to_chern,
@@ -198,6 +196,17 @@ def test_torsion_descriptor_shape_validation():
         TorsionDescriptor(TorsionKind.CURVE_TORSION)
 
 
+def test_only_curve_torsion_takes_a_twist():
+    # a point or structure-sheaf cokernel has no degree to twist: its class,
+    # label and JSON would all drop the twist
+    for kind in (TorsionKind.POINT_SHEAF, TorsionKind.STRUCTURE_SHEAF):
+        for twist in (3, -1):
+            with pytest.raises(HypothesisError, match=f"{kind.value} cokernel takes no twist, got {twist}"):
+                TorsionDescriptor(kind, twist_degree=twist)
+    twisted, curve = (TorsionDescriptor(TorsionKind.CURVE_TORSION, BiDegree(2, 2), d) for d in (3, 0))
+    assert torsion_class(twisted) == torsion_class(curve) + 3 * POINT_CLASS
+
+
 def test_torsion_descriptor_field_types():
     for args in (
         ("point",),
@@ -231,23 +240,17 @@ def test_ideal_sheaf_classes():
     assert ci == line_class(BiDegree(0, 0)) - 3 * POINT_CLASS
 
 
-def test_ideal_sheaf_lengths():
-    assert ideal_sheaf_length(IdealResolution.EMPTY) == 0
-    assert ideal_sheaf_length(IdealResolution.TWO_POINTS_GENERAL) == 2
-    assert ideal_sheaf_length(IdealResolution.CI_11_21) == 3
-
-
 def test_ideal_sheaf_rules_take_only_a_resolution():
     # the enum's value or name is a TypeError, not a KeyError
     for kind in ("empty", "EMPTY", None, 0):
         with pytest.raises(TypeError, match="IdealResolution"):
             ideal_sheaf_class(kind)
-        with pytest.raises(TypeError, match="IdealResolution"):
-            ideal_sheaf_length(kind)
 
 
 def test_ideal_sheaf_classes_match_oracle():
     # c2 of an ideal sheaf of points equals its length
+    assert quotient_chern([], [((0, 0), 1)]) == (1, (0, 0), 0)
+    assert to_chern(ideal_sheaf_class(IdealResolution.EMPTY)).c2 == 0
     assert quotient_chern([((-2, -2), 1)], [((-1, -1), 2)]) == (1, (0, 0), 2)
     assert to_chern(ideal_sheaf_class(IdealResolution.TWO_POINTS_GENERAL)).c2 == 2
     assert quotient_chern([((-3, -2), 1)], [((-2, -1), 1), ((-1, -1), 1)]) == (
@@ -256,10 +259,3 @@ def test_ideal_sheaf_classes_match_oracle():
         3,
     )
     assert to_chern(ideal_sheaf_class(IdealResolution.CI_11_21)).c2 == 3
-
-
-def test_quotient_c2_bound():
-    assert quotient_c2_bound(BiDegree(2, 2), BiDegree(0, 1)) == 4
-    assert quotient_c2_bound(BiDegree(2, 2), BiDegree(2, 2)) == 0
-    assert quotient_c2_bound(BiDegree(2, 1), BiDegree(0, 1)) == 0
-    assert quotient_c2_bound(BiDegree(2, 2), BiDegree(1, 1)) == 2

@@ -15,7 +15,7 @@ import nefq2
 from nefq2 import BiDegree, BundleNumerics, HypothesisError, list_cases
 from nefq2._value import _repr, frozen, replace
 from nefq2.bondal import E2Entry, E2Page, ShiftedLineClass, e2_page
-from nefq2.catalog import CaseSpec, CheckResult, RankExpr, VerificationReport
+from nefq2.catalog import CaseSpec, RankExpr
 from nefq2.cohomology import CohomologyVector
 from nefq2.ktheory import KClass, TorsionDescriptor, TorsionKind
 
@@ -33,14 +33,6 @@ CASE = CaseSpec(
     expected_c2=2,
     globally_generated=None,
     bondal_reconstructible=False,
-)
-REPORT = VerificationReport(
-    case_id="t-1",
-    rank_tested=2,
-    computed=BundleNumerics(2, C22, 2),
-    expected_c2=2,
-    flags={"nef": "asserted"},
-    checks=(CheckResult("rank", True, "ok"),),
 )
 
 #: (value, its repr, a change that replace must refuse, the error it raises)
@@ -90,14 +82,6 @@ VALUES = [
         "expected_c2=2, globally_generated=None, bondal_reconstructible=False, twin_of=None)",
         {"min_rank": 0},
         ValueError,
-    ),
-    (
-        REPORT,
-        "VerificationReport(case_id='t-1', rank_tested=2, computed=BundleNumerics(rank=2, "
-        "c1=BiDegree(a=2, b=2), c2=2), expected_c2=2, flags={'nef': 'asserted'}, "
-        "checks=(CheckResult(name='rank', passed=True, detail='ok'),))",
-        {"computed": KClass(2, C22, 4)},
-        TypeError,
     ),
 ]
 IDS = [type(value).__name__ for value, *_ in VALUES]
