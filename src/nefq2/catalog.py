@@ -432,7 +432,7 @@ class Certificate(NamedTuple):
     slope: KClass
 
     def row(self, r: int) -> VerificationReport:
-        """The checks at rank r, with the errors ``case_numerics`` raises."""
+        """The report of every check at rank r, with the errors ``case_numerics`` raises."""
         case, base, slope = self
         _require_rank(case, r)
         rank = base.rank + r * slope.rank
