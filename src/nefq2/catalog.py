@@ -456,11 +456,12 @@ class Certificate(NamedTuple):
                 "every display multiplicity evaluates >= 0",
             ),
         )
-        if case.bondal_reconstructible and c2 >= 6 and c1 == _C1_22:
-            if c2 <= 8:
+        if case.bondal_reconstructible:  # decided here, so only c2 in 6..8 at c1 (2,2) reaches the cache
+            if c1 == _C1_22 and 6 <= c2 <= 8:
                 checks += (_reconstruction_proof(c2, reconstruct),)
             else:
-                checks += (_reconstruction_check(reconstruct, BundleNumerics(rank, c1, c2)),)
+                needs = "the module profile needs c1 (2,2) and 6 <= c2 <= 8"
+                checks += (("reconstruction", False, f"{needs}, got c1 ({a},{b}) and c2 {c2}"),)
         return VerificationReport(case, r, rank, c1, c2, c2 < c1sq, checks, all([check[1] for check in checks]))
 
     def proved_from(self, lo: int) -> bool:
@@ -472,8 +473,8 @@ class Certificate(NamedTuple):
         rank = r, an even twice c2 and c2 = expected_c2 at two ranks hold at
         every rank, the nef bound on that fixed c2 holds everywhere, and chi
         = const - c2 + rank grows with r.  A multiplicity c + k*r >= 0 at lo
-        stays so when k >= 0.  At a fixed c2 the reconstruction check is one
-        proof for every rank (above c2 = 8 the nef bound fails first).
+        stays so when k >= 0.  At fixed c1 and c2 the reconstruction check is
+        one verdict for every rank.
         """
         try:
             passed = self.row(lo).passed and self.row(lo + 1).passed
@@ -523,18 +524,6 @@ def case_numerics(case: CaseSpec, r: int) -> BundleNumerics:
     return to_chern(case_kclass(case, r))
 
 
-def _reconstruction_check(
-    rebuild: Callable[[BundleNumerics], KClass], *numerics: BundleNumerics
-) -> tuple[str, bool, str]:
-    """The reconstruction check: rebuild must reproduce every class given."""
-    try:
-        for e in numerics:
-            rebuild(e)
-    except ReconstructionError as exc:  # pragma: no cover - implementation bug guard
-        return ("reconstruction", False, str(exc))
-    return ("reconstruction", True, "module profile rebuilds the K-class")
-
-
 @functools.cache
 def _reconstruction_proof(c2: int, rebuild: Callable[[BundleNumerics], KClass]) -> tuple[str, bool, str]:
     """The reconstruction check at determinant (2, 2) and c2 in 6..8, for
@@ -547,7 +536,12 @@ def _reconstruction_proof(c2: int, rebuild: Callable[[BundleNumerics], KClass]) 
     at r = 1 and r = 2.  The verdict is cached per c2 and per rebuild
     function, so a replaced ``reconstruct`` is proved afresh.
     """
-    return _reconstruction_check(rebuild, *(BundleNumerics(r, _C1_22, c2) for r in (1, 2)))
+    try:
+        for r in (1, 2):
+            rebuild(BundleNumerics(r, _C1_22, c2))
+    except ReconstructionError as exc:  # pragma: no cover - implementation bug guard
+        return ("reconstruction", False, str(exc))
+    return ("reconstruction", True, "module profile rebuilds the K-class")
 
 
 def verify_case(case: CaseSpec, r: int) -> VerificationReport:

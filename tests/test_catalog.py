@@ -566,6 +566,14 @@ def test_verify_case_runs_reconstruction_when_marked():
     assert report.passed
     report = verify_case(by_id["main22-1"], 2)
     assert "reconstruction" not in [c.name for c in report.checks]
+    # a flag where the module profile does not exist (c2 = 2) fails, and is not skipped
+    report = verify_case(replace(by_id["main22-3"], bondal_reconstructible=True), 2)
+    assert report.checks[-1] == (
+        "reconstruction",
+        False,
+        "the module profile needs c1 (2,2) and 6 <= c2 <= 8, got c1 (2,2) and c2 2",
+    )
+    assert not report.passed
 
 
 def test_verify_case_below_min_rank():

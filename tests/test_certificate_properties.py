@@ -21,7 +21,6 @@ from nefq2.catalog import (
     Certificate,
     RankExpr,
     _display_class,
-    _reconstruction_check,
     case_kclass,
     certify,
 )
@@ -121,8 +120,15 @@ def direct(case: CaseSpec, r: int, k: KClass):
                 "every display multiplicity evaluates >= 0",
             ),
         ]
-        if case.bondal_reconstructible and e.c2 >= 6 and e.c1 == BiDegree(2, 2):
-            checks.append(_reconstruction_check(reconstruct, e))
+        if case.bondal_reconstructible:
+            # the module profile exists only at c1 (2,2) with c2 in 6..8: rebuild
+            # the class there, at its own rank, and fail the flag anywhere else
+            if e.c1 == BiDegree(2, 2) and e.c2 in (6, 7, 8):
+                reconstruct(e)
+                checks.append(("reconstruction", True, "module profile rebuilds the K-class"))
+            else:
+                window = f"needs c1 (2,2) and 6 <= c2 <= 8, got c1 {e.c1} and c2 {e.c2}"
+                checks.append(("reconstruction", False, f"the module profile {window}"))
         return (case, r, e.rank, e.c1, e.c2, is_weak_fano(e), tuple(checks), all(ok for _, ok, _ in checks))
     except (NefQ2Error, ValueError) as exc:
         return (type(exc), str(exc))

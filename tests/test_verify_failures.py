@@ -59,7 +59,7 @@ BROKEN = {
         bondal_reconstructible=False,
     ),
     # mid O(3,-1) + O(-1,3) + O^(r-1) over O: c1 (2,2) and c2 = 10 above the nef
-    # bound; marked reconstructible, its module profile has hom = r - 2 < 0 at r = 1
+    # bound; marked reconstructible, though the module profile stops at c2 = 8
     "c2_above_8": CaseSpec(
         id="main22-c2-10",
         theorem="main22",
@@ -82,7 +82,7 @@ RUNS = tuple(
 ) + (
     # from r = 3 on chi = r - 3 is never negative: the same case passes
     ("failing_chi_negative_from_3", "chi_negative", ("--rank-min", "3", "--rank-max", "6")),
-    # from r = 2 on the profile exists, and the reconstruction is checked rank by rank
+    # the reconstruction verdict is one for every rank: from r = 2 on it fails as at r = 1
     ("failing_c2_above_8_from_2", "c2_above_8", ("--rank-min", "2", "--rank-max", "4")),
 )
 
