@@ -21,6 +21,7 @@ from nefq2.picard import ZERO, BiDegree
 GOLDEN = Path(__file__).parent / "golden"
 
 _MAIN22 = {c.id: c for c in catalog.list_cases("main22")}
+_QUADRIC21 = {c.id: c for c in catalog.list_cases("quadric21")}
 
 #: A broken case for each way a table row can fail.
 BROKEN = {
@@ -72,6 +73,10 @@ BROKEN = {
         globally_generated=False,
         bondal_reconstructible=True,
     ),
+    # marked reconstructible below the window: c2 = 2 has no module profile
+    "flag_below_6": replace(_MAIN22["main22-3"], bondal_reconstructible=True),
+    # marked reconstructible off determinant (2,2): quadric21-5 has c1 (2,1)
+    "flag_off_22": replace(_QUADRIC21["quadric21-5"], bondal_reconstructible=True),
 }
 
 #: (snapshot name, broken case, argv after "verify main22")
