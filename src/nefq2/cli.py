@@ -32,9 +32,9 @@ def _bidegree(text: str) -> BiDegree:
 
 
 def _line_term(text: str) -> tuple[BiDegree, int]:
-    deg, _, mult = text.partition(":")
+    deg, colon, mult = text.partition(":")
     try:
-        count = int(mult) if mult else 1
+        count = int(mult) if colon else 1
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad multiplicity in {text!r}")
     if count < 0:

@@ -66,6 +66,15 @@ def test_ses_malformed_degree(capsys):
     assert exc.value.code == 2
 
 
+def test_ses_empty_multiplicity(capsys):
+    # 'a,b:' is an error, not multiplicity 1; only a term with no colon means 1
+    with pytest.raises(SystemExit) as exc:
+        main(["ses", "--sub", "0,0:", "--mid", "1,1:3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --sub: bad multiplicity in '0,0:'\n")
+    assert run(capsys, "ses", "--sub", "0,0", "--mid", "1,1:3") == (0, "rank=2 c1=(3,3) c2=6\n", "")
+
+
 def test_space_separated_negative_bidegrees(capsys):
     # '--c1 -1,-1' is a value, as '--c1=-1,-1' is, not an unknown option
     code, out, err = run(capsys, "catalog", "list", "--theorem", "halfmax", "--c1", "-1,-1", "--b-param", "0")
