@@ -76,6 +76,8 @@ def line_cohomology_p1(d: int) -> tuple[int, int]:
     >>> line_cohomology_p1(-4)
     (0, 3)
     """
+    if type(d) is not int:
+        raise TypeError(f"degree must be an integer, got {d!r}")
     h0 = d + 1 if d >= 0 else 0
     h1 = -d - 1 if d <= -2 else 0
     return (h0, h1)

@@ -23,6 +23,12 @@ def test_p1_line_cohomology():
     assert line_cohomology_p1(-5) == (0, 4)
 
 
+def test_p1_line_cohomology_takes_only_integer_degrees():
+    for d in (1.5, True, False, 2.0, "1", None):
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            line_cohomology_p1(d)
+
+
 def test_p1_euler_characteristic_is_degree_plus_one():
     for d in range(-12, 13):
         h0, h1 = line_cohomology_p1(d)
