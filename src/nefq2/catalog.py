@@ -539,7 +539,7 @@ def _reconstruction_proof(c2: int, rebuild: Callable[[BundleNumerics], KClass]) 
     try:
         for r in (1, 2):
             rebuild(BundleNumerics(r, _C1_22, c2))
-    except ReconstructionError as exc:  # pragma: no cover - implementation bug guard
+    except ReconstructionError as exc:  # an internal identity failed: a bug, shown as a failing check
         return ("reconstruction", False, str(exc))
     return ("reconstruction", True, "module profile rebuilds the K-class")
 
