@@ -6,12 +6,12 @@ Sweeping the classification catalog
 import json
 
 from nefq2 import BiDegree, list_cases, verify_all
-from nefq2.catalog import case_numerics, case_to_json
+from nefq2.catalog import case_to_json, certify
 
 # Every display in the determinant-(2,2) catalog, with its invariants.
 print("case            min_rank  c2   c2 at r=min..min+3")
 for case in list_cases("main22"):
-    values = [case_numerics(case, r).c2 for r in range(case.min_rank, case.min_rank + 4)]
+    values = [certify(case).row(r).c2 for r in range(case.min_rank, case.min_rank + 4)]
     print(f"{case.id:<16} {case.min_rank:>7}  {case.expected_c2:>2}   {values}")
 
 # The same machinery covers the determinant-(2,1) catalog and the two

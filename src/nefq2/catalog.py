@@ -26,8 +26,8 @@ the ruling-swapped twin of the row, id suffix ``-swap``, right after it.
 Each CaseSpec records a four-term display 0 -> sub -> mid -> E -> coker
 -> 0 whose sub and mid are direct sums of line bundles with
 multiplicities affine in the rank r, together with provenance-free flags
-(nef is asserted by the table, weak_fano and the numerics are always
-recomputed; nothing about a bundle is ever looked up).
+(nef is asserted by the table, weak_fano, min_rank and the numerics are
+always recomputed; nothing about a bundle is ever looked up).
 
 JSON schema (stable, lexicographic key order):
 
@@ -64,7 +64,7 @@ from .ktheory import (
     to_chern,
     torsion_class,
 )
-from .picard import BiDegree, intersect, is_effective
+from .picard import ZERO, BiDegree, intersect, is_effective
 
 #: The names ``list_cases`` takes: the four tables, and both parameter-free ones.
 THEOREMS = ("main22", "quadric21", "halfmax", "nearmax", "all")
@@ -130,7 +130,6 @@ class CaseSpec:
     sub_terms: tuple[Term, ...]
     mid_terms: tuple[Term, ...]
     coker: TorsionDescriptor | None
-    min_rank: int
     expected_c2: int
     globally_generated: bool | None
     bondal_reconstructible: bool
@@ -143,8 +142,12 @@ class CaseSpec:
                 type(t) is not tuple or tuple(map(type, t)) != Term.__args__ for t in terms
             ):
                 raise TypeError(f"CaseSpec.{name} must be a tuple of (BiDegree, RankExpr) pairs, got {terms!r}")
-        if self.min_rank < 1:
-            raise ValueError(f"min_rank must be >= 1, got {self.min_rank}")
+
+    @functools.cached_property
+    def min_rank(self) -> int:
+        """The smallest r >= 1 at which every multiplicity c + k*r with k > 0
+        is >= 0, derived from the display on first use."""
+        return max([1] + [-(m.const // m.coef) for _, m in self.sub_terms + self.mid_terms if m.coef > 0])
 
     @functools.cached_property
     def _certificate(self) -> Certificate:
@@ -208,16 +211,13 @@ def _table(theorem: str, c1: BiDegree, rows: Iterable[tuple[Any, ...]]) -> tuple
     cases: list[CaseSpec] = []
     for number, sub, mid, c2, *options in rows:
         opts: dict[str, Any] = options[0] if options else {}
-        sub_terms, mid_terms = _terms(sub), _terms(mid)
         case = CaseSpec(
             id=f"{theorem}-{number}",
             theorem=theorem,
             c1=c1,
-            sub_terms=sub_terms,
-            mid_terms=mid_terms,
+            sub_terms=_terms(sub),
+            mid_terms=_terms(mid),
             coker=opts.get("coker"),
-            # the smallest r >= 1 making every multiplicity non-negative
-            min_rank=max([1] + [-m.const for _, m in sub_terms + mid_terms if m.coef == 1]),
             expected_c2=c2,
             globally_generated=opts.get("gg", True),
             bondal_reconstructible=opts.get("bondal", False),
@@ -398,14 +398,8 @@ class VerificationReport(NamedTuple):
 
 
 _C1_22 = BiDegree(2, 2)
-
-
-def _require_rank(case: CaseSpec, r: int) -> None:
-    """The rank rule of ``row`` and ``case_numerics``: an int >= min_rank."""
-    if type(r) is not int:
-        raise TypeError(f"rank must be an integer, got {r!r}")
-    if r < case.min_rank:
-        raise ValueError(f"{case.id} needs rank >= {case.min_rank}, got {r}")
+#: The class [O] of the trivial line bundle: the slope of every shipped display.
+_SLOPE_O = KClass(1, ZERO, 0)
 
 
 def _rank_check(rank: int, r: int) -> tuple[str, bool, str]:
@@ -432,9 +426,14 @@ class Certificate(NamedTuple):
     slope: KClass
 
     def row(self, r: int) -> VerificationReport:
-        """The report of every check at rank r, with the errors ``case_numerics`` raises."""
+        """The report of every check at rank r.  A rank that is not an int
+        raises TypeError, one below min_rank ValueError, and a class with no
+        Chern data the error of ``to_chern``."""
         case, base, slope = self
-        _require_rank(case, r)
+        if type(r) is not int:
+            raise TypeError(f"rank must be an integer, got {r!r}")
+        if r < case.min_rank:
+            raise ValueError(f"{case.id} needs rank >= {case.min_rank}, got {r}")
         rank = base.rank + r * slope.rank
         c1 = base.c1 + r * slope.c1 if slope.c1.a or slope.c1.b else base.c1
         a, b, table = c1.a, c1.b, case.c1
@@ -466,21 +465,24 @@ class Certificate(NamedTuple):
 
     def proved_from(self, lo: int) -> bool:
         """Whether every check of ``row(r)`` passes at every r >= lo, for
-        lo >= min_rank, decided from the rows at lo and lo + 1.
+        lo >= min_rank: exactly when the slope is [O], no multiplicity falls
+        with r, and ``row(lo)`` passes.  A row(lo) that raises NefQ2Error is
+        not proved.
 
-        c1 is affine in r, so it equals the table's c1 at both ranks only if
-        its slope is 0.  Then rank, twice c2 and chi are affine in r as well:
-        rank = r, an even twice c2 and c2 = expected_c2 at two ranks hold at
-        every rank, the nef bound on that fixed c2 holds everywhere, and chi
-        = const - c2 + rank grows with r.  A multiplicity c + k*r >= 0 at lo
-        stays so when k >= 0.  At fixed c1 and c2 the reconstruction check is
-        one verdict for every rank.
+        With the slope [O] = (1, 0, 0) the rank is base.rank + r, so it is r
+        at every rank once it is lo at lo, and c1 and twice c2 do not move:
+        the c1, c2 and nef bound checks, the parity of twice c2 and the
+        reconstruction verdict are those at lo, and chi = const - c2 + rank
+        grows with r.  A multiplicity c + k*r >= 0 at lo stays so when
+        k >= 0.  Conversely, the rank, c1 and c2 checks pass at every rank
+        only if the slope is [O], and a falling multiplicity turns negative.
         """
         try:
-            passed = self.row(lo).passed and self.row(lo + 1).passed
+            passed = self.row(lo).passed
         except NefQ2Error:
             return False
-        return passed and all(m.coef >= 0 for _, m in self.case.sub_terms + self.case.mid_terms)
+        terms = self.case.sub_terms + self.case.mid_terms
+        return passed and self.slope == _SLOPE_O and all(m.coef >= 0 for _, m in terms)
 
     def rows(self, lo: int, hi: int) -> tuple[int, Iterable[VerificationReport]]:
         """How many ranks of lo..hi pass every check, with ``row(r)`` for
@@ -511,17 +513,6 @@ def case_kclass(case: CaseSpec, r: int) -> KClass:
     at every r, including the virtual classes below min_rank."""
     _, base, slope = certify(case)
     return base + r * slope
-
-
-def case_numerics(case: CaseSpec, r: int) -> BundleNumerics:
-    """Chern data of the family member of rank r, computed from the display.
-
-    >>> main22 = list_cases("main22")
-    >>> case_numerics(main22[0], 3)
-    BundleNumerics(rank=3, c1=BiDegree(a=2, b=2), c2=0)
-    """
-    _require_rank(case, r)
-    return to_chern(case_kclass(case, r))
 
 
 @functools.cache

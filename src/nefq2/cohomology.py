@@ -93,6 +93,8 @@ def cohomology_q2(x: BiDegree) -> CohomologyVector:
     >>> cohomology_q2(BiDegree(-3, 0))
     CohomologyVector(h0=0, h1=2, h2=0)
     """
+    if type(x) is not BiDegree:
+        raise TypeError(f"degree must be a BiDegree, got {x!r}")
     f0, f1 = line_cohomology_p1(x.a)
     g0, g1 = line_cohomology_p1(x.b)
     return CohomologyVector(f0 * g0, f0 * g1 + f1 * g0, f1 * g1)

@@ -82,6 +82,8 @@ def line_class(x: BiDegree) -> KClass:
     >>> line_class(BiDegree(-1, -1))
     KClass(rank=1, c1=BiDegree(a=-1, b=-1), ch2x2=2)
     """
+    if type(x) is not BiDegree:
+        raise TypeError(f"degree must be a BiDegree, got {x!r}")
     return KClass(1, x, 2 * x.a * x.b)
 
 

@@ -13,7 +13,7 @@ import time
 
 from nefq2 import BiDegree, BundleNumerics, euler_char, list_cases, verify_all
 from nefq2.bondal import VARIANT_CURVE, VARIANT_STRUCTURE, e2_page, reconstruct
-from nefq2.catalog import case_numerics, case_to_json
+from nefq2.catalog import case_to_json, certify
 from nefq2.cohomology import cohomology_q2
 from nefq2.ktheory import (
     IdealResolution,
@@ -214,7 +214,7 @@ def test_criterion_8_quadric21_table():
         for r in range(case.min_rank, 11):
             rank, c1, c2 = case_chern(case, r)
             assert (rank, c1, c2) == (r, (2, 1), case.expected_c2)
-            assert case_numerics(case, r) == BundleNumerics(r, BiDegree(2, 1), c2)
+            assert certify(case).row(r).computed == BundleNumerics(r, BiDegree(2, 1), c2)
     reports = verify_all("quadric21", rank_max=10)
     assert reports and all(rep.passed for rep in reports)
     print("\nACCEPT 8 PASS: c1=(2,1) families realize c2 = 0,1,2,3,4 exactly")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 
@@ -16,7 +17,6 @@ from nefq2.catalog import (
     RankExpr,
     VerificationReport,
     case_kclass,
-    case_numerics,
     case_to_json,
     certify,
     verify_case,
@@ -219,21 +219,30 @@ def test_min_ranks():
     assert got["main22-6-1-2"] == 3
     assert got["main22-6-2"] == 4
     assert got["main22-13"] == 1
-    for case in list_cases("main22"):
-        # min_rank really is minimal: every multiplicity evaluates >= 0
-        # there, and either r-1 fails or the floor of one is active
-        assert all(m.evaluate(case.min_rank) >= 0 for _, m in case.mid_terms)
-        assert all(m.evaluate(case.min_rank) >= 0 for _, m in case.sub_terms)
-        if case.min_rank > 1:
-            bad = case.min_rank - 1
-            assert any(m.evaluate(bad) < 0 for _, m in case.mid_terms)
+    for case in _grid_cases():  # list_cases("all"), then the parametric grid
+        # min_rank is the first rank, found by search, at which every
+        # multiplicity of the display evaluates >= 0
+        terms = case.sub_terms + case.mid_terms
+        first = next(r for r in itertools.count(1) if all(m.evaluate(r) >= 0 for _, m in terms))
+        assert case.min_rank == first, case.id
+
+
+def test_min_rank_is_derived_from_the_display():
+    case = {c.id: c for c in list_cases("main22")}["main22-6-2"]
+    assert "min_rank" not in CaseSpec.__match_args__
+    assert case.min_rank == 4 and vars(case)["min_rank"] == 4
+    # a replaced display has its own min_rank, and min_rank is not a field
+    assert replace(case, mid_terms=case.mid_terms[:-1] + ((ZERO, RankExpr(-6, 1)),)).min_rank == 6
+    for value in (0, 4):
+        with pytest.raises(TypeError):
+            replace(case, min_rank=value)
 
 
 def test_every_case_matches_whitney_oracle():
     for case in _sample_cases():
         for r in range(case.min_rank, case.min_rank + 6):
             rank, c1, c2 = case_chern(case, r)
-            got = case_numerics(case, r)
+            got = certify(case).row(r).computed
             assert (got.rank, (got.c1.a, got.c1.b), got.c2) == (rank, c1, c2)
             assert rank == r
             assert c2 == case.expected_c2
@@ -247,10 +256,7 @@ def test_expected_c2_table():
 
 def test_c2_independent_of_rank():
     for case in list_cases("main22"):
-        values = {
-            case_numerics(case, r).c2
-            for r in range(case.min_rank, case.min_rank + 5)
-        }
+        values = {certify(case).row(r).c2 for r in range(case.min_rank, case.min_rank + 5)}
         assert values == {case.expected_c2}
 
 
@@ -284,8 +290,8 @@ def test_twins():
         assert [(d.swap(), m) for d, m in tw.sub_terms] == list(base.sub_terms)
         assert [(d.swap(), m) for d, m in tw.mid_terms] == list(base.mid_terms)
         for r in range(base.min_rank, base.min_rank + 4):
-            a = case_numerics(base, r)
-            b = case_numerics(tw, r)
+            a = certify(base).row(r).computed
+            b = certify(tw).row(r).computed
             assert (a.rank, a.c2) == (b.rank, b.c2)
             assert a.c1 == b.c1.swap()
     bases_with_twin = {tw.twin_of for tw in swaps}
@@ -320,9 +326,9 @@ def test_same_numerics_across_distinct_displays():
     for cid in ("main22-6-1", "main22-6-1-1", "main22-6-1-2", "main22-6-2", "main22-6-3"):
         other = by_id[cid]
         r = max(six.min_rank, other.min_rank)
-        assert case_numerics(other, r) == case_numerics(six, r)
+        assert certify(other).row(r).computed == certify(six).row(r).computed
     # cases eight and nine differ in display but not in (rank, c1, c2)
-    assert case_numerics(by_id["main22-8"], 3) == case_numerics(by_id["main22-9"], 3)
+    assert certify(by_id["main22-8"]).row(3).computed == certify(by_id["main22-9"]).row(3).computed
 
 
 def test_quadric21_table():
@@ -424,7 +430,7 @@ def test_table_claims_hold_for_every_rank():
             assert m.coef in (0, 1) and m.evaluate(case.min_rank) >= 0, case.id
         for r in _cross_check_ranks(case):
             oracle = case_chern(case, r)
-            e = case_numerics(case, r)
+            e = to_chern(case_kclass(case, r))
             assert oracle == (e.rank, (e.c1.a, e.c1.b), e.c2), (case.id, r)
             assert e.c2 == case.expected_c2, case.id
             assert 0 <= e.c2 <= intersect(case.c1, case.c1), case.id
@@ -458,8 +464,6 @@ def test_case_spec_checks_its_fields():
     for field, value in (
         ("expected_c2", False),
         ("expected_c2", 0.0),
-        ("min_rank", True),
-        ("min_rank", "1"),
         ("bondal_reconstructible", 0),
         ("bondal_reconstructible", None),
         ("globally_generated", 1),
@@ -467,8 +471,6 @@ def test_case_spec_checks_its_fields():
     ):
         with pytest.raises(TypeError):
             replace(case, **{field: value})
-    with pytest.raises(ValueError):
-        replace(case, min_rank=0)
     assert replace(case, globally_generated=None).globally_generated is None
 
 
@@ -522,7 +524,7 @@ def test_a_failing_reconstruction_is_not_proved(monkeypatch):
 def test_case_kclass_consistency():
     for case in _sample_cases():
         r = case.min_rank + 1
-        assert to_chern(case_kclass(case, r)) == case_numerics(case, r)
+        assert to_chern(case_kclass(case, r)) == certify(case).row(r).computed
 
 
 def test_verify_case_reports():
@@ -548,7 +550,7 @@ def test_verify_case_is_the_certificate_row_with_named_checks():
             for name in VerificationReport._fields:
                 assert getattr(report, name) == getattr(row, name), (case.id, r, name)
             assert all(type(check) is CheckResult for check in report.checks)
-            assert (report.case_id, report.computed) == (case.id, case_numerics(case, r))
+            assert (report.case_id, report.computed) == (case.id, to_chern(case_kclass(case, r)))
             assert report.flags == {**case.flags(), "weak_fano": row.c2 < intersect(row.c1, row.c1)}
 
 
@@ -587,12 +589,10 @@ def test_ranks_must_be_integers():
     for r in (True, 1.0, "1"):
         with pytest.raises(TypeError):
             verify_case(case, r)
-        with pytest.raises(TypeError):
-            certify(case).row(r)
         with pytest.raises(TypeError, match=f"^rank must be an integer, got {r!r}$"):
-            case_numerics(case, r)
+            certify(case).row(r)
     with pytest.raises(ValueError, match="^main22-1 needs rank >= 1, got 0$"):
-        case_numerics(case, 0)
+        certify(case).row(0)
     # verify_all sweeps through catalog.sweep, which checks the bounds
     for rank_min, rank_max in ((None, True), (None, 10.0), (True, 10), (1.0, 10)):
         with pytest.raises(TypeError):

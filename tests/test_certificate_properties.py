@@ -9,8 +9,10 @@ certificate proves from lo must pass at every rank of lo..lo+50, where
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from nefq2 import MalformedClassError, NefQ2Error, list_cases
@@ -52,19 +54,17 @@ def displays(draw) -> CaseSpec:
     multiplicities, maybe an O^(k-r), and O^(r+k) or O^(2r+k) in the middle
     so that the rank is r, with c1 and c2 the display's own at min_rank, so
     that many of them pass.  The others have any multiplicities, so c1 and
-    c2 may move with r."""
+    c2 may move with r.  A flat negative multiplicity, or a falling one such
+    as O^(k-r), fails the multiplicities check at some ranks >= min_rank."""
     like_a_row = draw(st.booleans())
     sub, mid = (tuple(draw(fixed_terms if like_a_row else any_terms)) for _ in range(2))
     coker = draw(cokers)
-    min_rank = draw(st.integers(1, 5))
     if like_a_row:
         if draw(st.booleans()):
             mid += ((ZERO, RankExpr(draw(st.integers(0, 40)), -1)),)  # negative from some rank on
         k = sum(m.const for _, m in sub) - sum(m.const for _, m in mid)
         k -= coker is not None and coker.kind is TorsionKind.STRUCTURE_SHEAF
         mid += ((ZERO, RankExpr(k, 1 - sum(m.coef for _, m in mid))),)
-        terms = sub + mid
-        min_rank = next((r for r in range(1, 40) if all(m.evaluate(r) >= 0 for _, m in terms)), min_rank)
     case = CaseSpec(
         id="random",
         theorem="main22",
@@ -72,14 +72,13 @@ def displays(draw) -> CaseSpec:
         sub_terms=sub,
         mid_terms=mid,
         coker=coker,
-        min_rank=min_rank,
         expected_c2=draw(st.integers(-2, 12)),
         globally_generated=draw(st.sampled_from((True, False, None))),
         bondal_reconstructible=draw(st.booleans()),
     )
     if like_a_row:
         try:
-            e = to_chern(_display_class(case, min_rank))
+            e = to_chern(_display_class(case, case.min_rank))
         except NefQ2Error:
             return case
         case = replace(case, c1=e.c1, expected_c2=e.c2)
@@ -169,6 +168,37 @@ def test_row_equals_the_direct_evaluation_of_a_display(case, above, offset):
     check_proof(cert, case.min_rank + offset)
 
 
+def first_rank(case: CaseSpec) -> int:
+    """min_rank by search: the first r >= 1 at which no multiplicity that
+    rises with r is negative."""
+    terms = case.sub_terms + case.mid_terms
+    return next(r for r in itertools.count(1) if all(m.evaluate(r) >= 0 for _, m in terms if m.coef > 0))
+
+
+@SETTINGS
+@given(cases)
+def test_min_rank_is_the_first_rank_found_by_search(case):
+    assert case.min_rank == first_rank(case)
+
+
+@pytest.mark.parametrize(
+    "negative",
+    (lambda m: m.coef == 0 and m.const < 0, lambda m: m.coef < 0),
+    ids=("flat", "falling"),
+)
+def test_displays_fail_the_multiplicities_check_through_negative_terms(negative):
+    # min_rank ignores flat and falling multiplicities, so displays() still
+    # makes rows whose multiplicities check fails at or above min_rank
+    def fails(case: CaseSpec) -> bool:
+        if not any(negative(m) for _, m in case.sub_terms + case.mid_terms):
+            return False
+        rows = [evaluated(certify(case), r) for r in range(case.min_rank, case.min_rank + 51)]
+        return any(len(row) == 8 and row.checks[5][:2] == ("multiplicities", False) for row in rows)
+
+    case = find(displays(), fails, settings=settings(max_examples=2000, database=None))
+    assert not certify(case).proved_from(case.min_rank)
+
+
 kclasses = st.builds(KClass, st.integers(-4, 6), degrees, st.integers(-9, 9))
 
 
@@ -208,7 +238,7 @@ def test_a_class_right_at_one_rank_is_proved_exactly_for_the_slope_of_O(case, sl
 
 
 def test_odd_parity_raises_the_error_of_to_chern():
-    case = CaseSpec("odd", "main22", ZERO, (), (), None, 1, -1, True, False)
+    case = CaseSpec("odd", "main22", ZERO, (), (), None, -1, True, False)
     cert = Certificate(case, KClass(0, ZERO, 0), KClass(1, ZERO, 1))
     with pytest.raises(MalformedClassError, match="parity"):
         cert.row(1)

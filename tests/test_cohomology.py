@@ -27,6 +27,10 @@ def test_p1_line_cohomology_takes_only_integer_degrees():
     for d in (1.5, True, False, 2.0, "1", None):
         with pytest.raises(TypeError, match="degree must be an integer"):
             line_cohomology_p1(d)
+    # a tuple is not a BiDegree: a TypeError, not an AttributeError
+    for x in ((1, 1), [1, 1], 1):
+        with pytest.raises(TypeError, match=r"^degree must be a BiDegree, got "):
+            cohomology_q2(x)
 
 
 def test_p1_euler_characteristic_is_degree_plus_one():

@@ -69,6 +69,10 @@ def test_kclass_rejects_non_integers():
         line_class(BiDegree(1, 1)) + 1
     with pytest.raises(TypeError):
         line_class(BiDegree(1, 1)) - BiDegree(1, 1)
+    # a tuple is not a BiDegree: a TypeError, not an AttributeError
+    for x in ((1, 1), [1, 1], 1):
+        with pytest.raises(TypeError, match=r"^degree must be a BiDegree, got "):
+            line_class(x)
 
 
 def test_sum_of_lines():

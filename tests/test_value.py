@@ -29,7 +29,6 @@ CASE = CaseSpec(
     sub_terms=((BiDegree(0, 0), RankExpr(1)),),
     mid_terms=((BiDegree(1, 1), RankExpr(-1, 1)),),
     coker=None,
-    min_rank=2,
     expected_c2=2,
     globally_generated=None,
     bondal_reconstructible=False,
@@ -78,10 +77,10 @@ VALUES = [
         CASE,
         "CaseSpec(id='t-1', theorem='t', c1=BiDegree(a=2, b=2), "
         "sub_terms=((BiDegree(a=0, b=0), RankExpr(const=1, coef=0)),), "
-        "mid_terms=((BiDegree(a=1, b=1), RankExpr(const=-1, coef=1)),), coker=None, min_rank=2, "
+        "mid_terms=((BiDegree(a=1, b=1), RankExpr(const=-1, coef=1)),), coker=None, "
         "expected_c2=2, globally_generated=None, bondal_reconstructible=False, twin_of=None)",
-        {"min_rank": 0},
-        ValueError,
+        {"mid_terms": ((C22, -1),)},
+        TypeError,
     ),
 ]
 IDS = [type(value).__name__ for value, *_ in VALUES]

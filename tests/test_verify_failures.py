@@ -41,7 +41,6 @@ BROKEN = {
         sub_terms=((BiDegree(-3, -3), RankExpr(1)),),
         mid_terms=((ZERO, RankExpr(1, 1)),),
         coker=None,
-        min_rank=1,
         expected_c2=18,
         globally_generated=True,
         bondal_reconstructible=False,
@@ -54,7 +53,6 @@ BROKEN = {
         sub_terms=((ZERO, RankExpr(0, 1)),),
         mid_terms=((ZERO, RankExpr(2)),),
         coker=None,
-        min_rank=1,
         expected_c2=0,
         globally_generated=None,
         bondal_reconstructible=False,
@@ -68,7 +66,6 @@ BROKEN = {
         sub_terms=((ZERO, RankExpr(1)),),
         mid_terms=((BiDegree(3, -1), RankExpr(1)), (BiDegree(-1, 3), RankExpr(1)), (ZERO, RankExpr(-1, 1))),
         coker=None,
-        min_rank=1,
         expected_c2=10,
         globally_generated=False,
         bondal_reconstructible=True,
