@@ -29,7 +29,9 @@ from typing import Mapping
 from ._value import frozen
 from .cohomology import BundleNumerics
 from .errors import HypothesisError, ReconstructionError
-from .ktheory import KClass, TorsionDescriptor, TorsionKind, from_chern, line_class, line_label, torsion_class
+from .ktheory import (
+    KClass, TorsionDescriptor, TorsionKind, _line_sum, from_chern, line_class, line_label, torsion_class
+)
 from .picard import ZERO, BiDegree
 from .quiver import hom_ext_series
 
@@ -62,11 +64,7 @@ def series_tensor_class(series: tuple[int, int, int, int]) -> KClass:
         raise TypeError(f"composition series entries must be integers, got {series!r}")
     if len(series) != 4 or min(series) < 0:
         raise ValueError(f"composition series must be 4 non-negative integers, got {series!r}")
-    total = KClass.zero()
-    for mult, entry in zip(series, DICTIONARY):
-        signed = mult if entry.shift % 2 == 0 else -mult
-        total = total + signed * line_class(entry.degree)
-    return total
+    return _line_sum([(entry.degree, -mult if entry.shift % 2 else mult) for mult, entry in zip(series, DICTIONARY)])
 
 
 def reconstruct(e: BundleNumerics) -> KClass:

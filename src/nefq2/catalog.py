@@ -53,17 +53,9 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 from ._value import frozen, replace
 from .bondal import reconstruct
-from .cohomology import BundleNumerics
+from .cohomology import BundleNumerics, _chi
 from .errors import HypothesisError, NefQ2Error, ReconstructionError
-from .ktheory import (
-    KClass,
-    TorsionDescriptor,
-    TorsionKind,
-    four_term_quotient,
-    line_class,
-    to_chern,
-    torsion_class,
-)
+from .ktheory import KClass, TorsionDescriptor, TorsionKind, _chern_c2, _line_sum, four_term_quotient, torsion_class
 from .picard import ZERO, BiDegree, intersect, is_effective
 
 #: The names ``list_cases`` takes: the four tables, and both parameter-free ones.
@@ -343,14 +335,9 @@ def list_cases(
 
 def _display_class(case: CaseSpec, r: int) -> KClass:
     """Alternating K-sum of the display, term by term, at rank r."""
-    def side(terms: tuple[Term, ...]) -> KClass:
-        total = KClass.zero()
-        for deg, mult in terms:
-            total = total + mult.evaluate(r) * line_class(deg)
-        return total
-
+    sub, mid = ([(deg, mult.evaluate(r)) for deg, mult in terms] for terms in (case.sub_terms, case.mid_terms))
     coker = torsion_class(case.coker) if case.coker is not None else KClass.zero()
-    return four_term_quotient(side(case.sub_terms), side(case.mid_terms), coker)
+    return four_term_quotient(_line_sum(sub), _line_sum(mid), coker)
 
 
 class CheckResult(NamedTuple):
@@ -406,8 +393,7 @@ def _rank_check(rank: int, r: int) -> tuple[str, bool, str]:
     return ("rank", rank == r, f"display rank {rank}, requested {r}")
 
 
-def _chi_check(c1: BiDegree, c2: int, rank: int) -> tuple[str, bool, str]:
-    chi = c1.a * c1.b - c2 + c1.a + c1.b + rank  # Riemann-Roch, as euler_char
+def _chi_nonnegative(chi: int) -> tuple[str, bool, str]:
     return ("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family")
 
 
@@ -428,7 +414,7 @@ class Certificate(NamedTuple):
     def row(self, r: int) -> VerificationReport:
         """The report of every check at rank r.  A rank that is not an int
         raises TypeError, one below min_rank ValueError, and a class with no
-        Chern data the error of ``to_chern``."""
+        Chern data the error of ``ktheory.to_chern``."""
         case, base, slope = self
         if type(r) is not int:
             raise TypeError(f"rank must be an integer, got {r!r}")
@@ -437,18 +423,15 @@ class Certificate(NamedTuple):
         rank = base.rank + r * slope.rank
         c1 = base.c1 + r * slope.c1 if slope.c1.a or slope.c1.b else base.c1
         a, b, table = c1.a, c1.b, case.c1
-        c1sq = 2 * a * b
-        twice_c2 = c1sq - base.ch2x2 - r * slope.ch2x2
-        if rank < 1 or twice_c2 % 2:
-            to_chern(base + r * slope)  # raises: a virtual class or an odd ch2 parity
-        c2 = twice_c2 // 2
+        c1sq = intersect(c1, c1)
+        c2 = _chern_c2(rank, c1, base.ch2x2 + r * slope.ch2x2)
         checks = (
             _rank_check(rank, r),
             # the text of f"display c1 {c1}, table c1 {table}", without two str() calls
             ("c1", a == table.a and b == table.b, f"display c1 ({a},{b}), table c1 ({table.a},{table.b})"),
             ("c2", c2 == case.expected_c2, f"computed c2 {c2}, expected {case.expected_c2}"),
             ("c2_bound", 0 <= c2 <= c1sq, f"c2 {c2} against nef bound 0..{c1sq}"),
-            _chi_check(c1, c2, rank),
+            _chi_nonnegative(_chi(rank, c1, c2)),
             (
                 "multiplicities",
                 all([m.const + m.coef * r >= 0 for _, m in case.sub_terms + case.mid_terms]),
@@ -495,9 +478,10 @@ class Certificate(NamedTuple):
             return sum(row.passed for row in rows), rows
         case, _, _, c1, c2, weak_fano, checks, _ = self.row(lo)
         same, rest = checks[1:4], checks[5:]  # all but the rank and chi checks
+        k = _chi(0, c1, c2)  # chi is k + rank, and the rank is r
         return len(ranks), (
             VerificationReport(
-                case, r, r, c1, c2, weak_fano, (_rank_check(r, r), *same, _chi_check(c1, c2, r), *rest), True
+                case, r, r, c1, c2, weak_fano, (_rank_check(r, r), *same, _chi_nonnegative(k + r), *rest), True
             )
             for r in ranks
         )

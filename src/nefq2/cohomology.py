@@ -110,14 +110,12 @@ def euler_char(e: BundleNumerics, p: int = 0, q: int = 0) -> int:
     """
     if type(p) is not int or type(q) is not int:
         raise TypeError(f"twist degrees must be integers, got {p!r} and {q!r}")
-    c1a, c1b = e.c1.a, e.c1.b
-    return (
-        c1a * c1b
-        - e.c2
-        + (q + 1) * c1a
-        + (p + 1) * c1b
-        + e.rank * (p + 1) * (q + 1)
-    )
+    return _chi(e.rank, e.c1, e.c2, p, q)
+
+
+def _chi(rank: int, c1: BiDegree, c2: int, p: int = 0, q: int = 0) -> int:
+    """chi(E(p, q)) by Riemann-Roch, for Chern data given as plain values."""
+    return c1.a * c1.b - c2 + (q + 1) * c1.a + (p + 1) * c1.b + rank * (p + 1) * (q + 1)
 
 
 def projective_bundle_degree(e: BundleNumerics) -> int:
@@ -164,10 +162,11 @@ def ext1_module_profile(e: BundleNumerics) -> HomExtProfile:
         )
     # Each entry is +-chi of a twist: h0 for the untwisted bundle, h1 for
     # the three negative twists, all other groups vanishing by hypothesis.
-    n0 = euler_char(e, 0, 0)
-    n1 = -euler_char(e, -1, 0)
-    n2 = -euler_char(e, 0, -1)
-    n3 = -euler_char(e, -1, -1)
+    r, c1, c2 = e.rank, e.c1, e.c2
+    n0 = _chi(r, c1, c2)
+    n1 = -_chi(r, c1, c2, -1, 0)
+    n2 = -_chi(r, c1, c2, 0, -1)
+    n3 = -_chi(r, c1, c2, -1, -1)
     if n1 < 0 or n2 < 0:
         raise HypothesisError(
             "the Hom/Ext profile is defined only for c2 >= 6; "

@@ -84,34 +84,52 @@ def line_class(x: BiDegree) -> KClass:
     """
     if type(x) is not BiDegree:
         raise TypeError(f"degree must be a BiDegree, got {x!r}")
-    return KClass(1, x, 2 * x.a * x.b)
+    return KClass(1, x, intersect(x, x))
+
+
+def _line_sum(terms: Iterable[tuple[BiDegree, int]]) -> KClass:
+    """K-class of the sum of mult * O(deg) over (deg, mult) terms, the
+    multiplicities of either sign, added up in plain ints."""
+    rank = a = b = ch2x2 = 0
+    for deg, mult in terms:
+        if type(deg) is not BiDegree or type(mult) is not int:
+            raise TypeError(f"a term is a BiDegree and an int multiplicity, got {deg!r} and {mult!r}")
+        rank += mult
+        a += mult * deg.a
+        b += mult * deg.b
+        ch2x2 += mult * intersect(deg, deg)
+    return KClass(rank, BiDegree(a, b), ch2x2)
 
 
 def sum_of_lines(terms: Iterable[tuple[BiDegree, int]]) -> KClass:
     """K-class of a direct sum of line bundles with multiplicities."""
-    total = KClass.zero()
+    terms = tuple(terms)
+    total = _line_sum(terms)
     for deg, mult in terms:
         if mult < 0:
             raise ValueError(f"negative multiplicity {mult} for O{deg}")
-        total = total + mult * line_class(deg)
     return total
+
+
+def _chern_c2(rank: int, c1: BiDegree, ch2x2: int) -> int:
+    """c2 of an honest class (rank, c1, ch2x2): the rank is positive and
+    2*c2 = c1^2 - ch2x2 is even (it always is for integral combinations of
+    sheaf classes).  The class is built only to name it in an error."""
+    twice_c2 = intersect(c1, c1) - ch2x2
+    if rank < 1:
+        raise VirtualClassError(f"cannot take Chern data of a virtual class {KClass(rank, c1, ch2x2)}")
+    if twice_c2 % 2 != 0:
+        raise MalformedClassError(f"ch2 parity violated in {KClass(rank, c1, ch2x2)}: c1^2 - ch2x2 is odd")
+    return twice_c2 // 2
 
 
 def to_chern(k: KClass) -> BundleNumerics:
     """Convert an honest class to Chern data (rank, c1, c2).
 
-    2*c2 = c1^2 - ch2x2 must be even (it always is for integral
-    combinations of sheaf classes) and the rank must be positive.
-
     >>> to_chern(KClass(2, BiDegree(2, 2), 4))
     BundleNumerics(rank=2, c1=BiDegree(a=2, b=2), c2=2)
     """
-    if k.rank < 1:
-        raise VirtualClassError(f"cannot take Chern data of a virtual class {k}")
-    twice_c2 = intersect(k.c1, k.c1) - k.ch2x2
-    if twice_c2 % 2 != 0:
-        raise MalformedClassError(f"ch2 parity violated in {k}: c1^2 - ch2x2 is odd")
-    return BundleNumerics(k.rank, k.c1, twice_c2 // 2)
+    return BundleNumerics(k.rank, k.c1, _chern_c2(k.rank, k.c1, k.ch2x2))
 
 
 def from_chern(e: BundleNumerics) -> KClass:
