@@ -108,6 +108,8 @@ def euler_char(e: BundleNumerics, p: int = 0, q: int = 0) -> int:
     >>> euler_char(BundleNumerics(3, BiDegree(2, 2), 6), -1, -1)
     -2
     """
+    if type(e) is not BundleNumerics:
+        raise TypeError(f"Chern data must be a BundleNumerics, got {e!r}")
     if type(p) is not int or type(q) is not int:
         raise TypeError(f"twist degrees must be integers, got {p!r} and {q!r}")
     return _chi(e.rank, e.c1, e.c2, p, q)

@@ -129,6 +129,8 @@ def to_chern(k: KClass) -> BundleNumerics:
     >>> to_chern(KClass(2, BiDegree(2, 2), 4))
     BundleNumerics(rank=2, c1=BiDegree(a=2, b=2), c2=2)
     """
+    if type(k) is not KClass:
+        raise TypeError(f"class must be a KClass, got {k!r}")
     return BundleNumerics(k.rank, k.c1, _chern_c2(k.rank, k.c1, k.ch2x2))
 
 
@@ -241,6 +243,8 @@ def torsion_class(t: TorsionDescriptor) -> KClass:
     >>> torsion_class(TorsionDescriptor(TorsionKind.CURVE_TORSION, BiDegree(2, 2)))
     KClass(rank=0, c1=BiDegree(a=2, b=2), ch2x2=-8)
     """
+    if type(t) is not TorsionDescriptor:
+        raise TypeError(f"cokernel must be a TorsionDescriptor, got {t!r}")
     if t.kind is TorsionKind.POINT_SHEAF:
         return POINT_CLASS
     if t.kind is TorsionKind.STRUCTURE_SHEAF:

@@ -74,10 +74,14 @@ def intersect(x: BiDegree, y: BiDegree) -> int:
     >>> intersect(BiDegree(2, 2), BiDegree(2, 2))
     8
     """
+    if type(x) is not BiDegree or type(y) is not BiDegree:
+        raise TypeError(f"classes must be BiDegrees, got {x!r} and {y!r}")
     return x.a * y.b + x.b * y.a
 
 
 def is_effective(x: BiDegree) -> bool:
     """True iff the class contains an effective divisor, which on this
     surface is the same as being nef."""
+    if type(x) is not BiDegree:
+        raise TypeError(f"class must be a BiDegree, got {x!r}")
     return x.a >= 0 and x.b >= 0

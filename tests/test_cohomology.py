@@ -87,6 +87,9 @@ def test_euler_char_rejects_non_integer_twists():
     for p, q in ((True, 0), (0, False), (1.0, 0), (0, 1.0), ("1", 0)):
         with pytest.raises(TypeError, match="twist degrees must be integers"):
             euler_char(e, p, q)
+    # a tuple is not a BundleNumerics: a TypeError, not an AttributeError
+    with pytest.raises(TypeError, match=r"^Chern data must be a BundleNumerics, got "):
+        euler_char((2, (2, 2), 5))
 
 
 def test_euler_char_examples():

@@ -73,6 +73,8 @@ def test_kclass_rejects_non_integers():
     for x in ((1, 1), [1, 1], 1):
         with pytest.raises(TypeError, match=r"^degree must be a BiDegree, got "):
             line_class(x)
+    with pytest.raises(TypeError, match=r"^class must be a KClass, got "):
+        to_chern((1, (0, 0), 0))
 
 
 def test_sum_of_lines():
@@ -221,6 +223,9 @@ def test_torsion_descriptor_field_types():
     ):
         with pytest.raises(TypeError):
             TorsionDescriptor(*args)
+    # the kind's value is not a descriptor: a TypeError, not an AttributeError
+    with pytest.raises(TypeError, match=r"^cokernel must be a TorsionDescriptor, got "):
+        torsion_class("point")
 
 
 def test_four_term_quotient_matches_oracle():

@@ -28,6 +28,13 @@ def test_bidegree_requires_integers():
         BiDegree(1, 1) + 1
     with pytest.raises(TypeError):
         BiDegree(1, 1) - (1, 1)
+    # a tuple is not a BiDegree: a TypeError, not an AttributeError
+    with pytest.raises(TypeError, match=r"^classes must be BiDegrees, got "):
+        intersect((1, 1), (1, 1))
+    with pytest.raises(TypeError, match=r"^classes must be BiDegrees, got "):
+        intersect(BiDegree(1, 1), (1, 1))
+    with pytest.raises(TypeError, match=r"^class must be a BiDegree, got "):
+        is_effective((1, 1))
 
 
 def test_bidegree_arithmetic():
