@@ -82,6 +82,9 @@ def test_sum_of_lines():
     assert k == KClass(5, BiDegree(2, 2), 4)
     with pytest.raises(ValueError):
         sum_of_lines([(BiDegree(1, 0), -1)])
+    for term in ((BiDegree(1, 0), True), (BiDegree(1, 0), 1.5), ((1, 0), 1)):
+        with pytest.raises(TypeError, match=r"^a term is a BiDegree and an int multiplicity, got "):
+            sum_of_lines([term])
 
 
 def test_to_chern_round_trip():

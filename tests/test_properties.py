@@ -2,8 +2,8 @@
 
 Each identity is checked on random bidegrees, Chern data and K-classes:
 Kuenneth against Riemann-Roch, Serre duality, the to_chern/from_chern
-round trip and its parity error, the composition of twists, and the
-RankExpr parse/render round trip.
+round trip and its parity error, the composition of twists, the signed
+sum of line bundles, and the RankExpr parse/render round trip.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from nefq2 import MalformedClassError
 from nefq2.catalog import RankExpr
 from nefq2.cohomology import BundleNumerics, cohomology_q2, euler_char
-from nefq2.ktheory import KClass, from_chern, to_chern, twist_chern
+from nefq2.ktheory import KClass, _line_sum, from_chern, line_class, to_chern, twist_chern
 from nefq2.picard import ZERO, BiDegree
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -68,6 +68,16 @@ def test_twists_compose(e, x, y):
     assert twist_chern(e, ZERO) == e
     # a twist undone by its inverse
     assert twist_chern(twist_chern(e, x), -x) == e
+
+
+@SETTINGS
+@given(st.lists(st.tuples(degrees, st.integers(-20, 20)), max_size=6))
+def test_line_sum_is_the_term_by_term_sum(terms):
+    # multiplicities of either sign, as in a display below min_rank or a module's image
+    expected = KClass.zero()
+    for d, m in terms:
+        expected = expected + m * line_class(d)
+    assert _line_sum(terms) == expected
 
 
 @SETTINGS
