@@ -471,14 +471,16 @@ class Certificate(NamedTuple):
         """How many ranks of lo..hi pass every check, with ``row(r)`` for
         each.  Unless ``proved_from(lo)``, the rows are a list made here, so a
         rank that raises does so at this call.  Proved, every row passes and is
-        made as it is read, with only the rank and chi checks made again."""
+        made as it is read, with only the rank and chi checks made again: the
+        slope is [O], so chi is affine in r, and it is written as k + r with
+        k = chi at rank 0, computed once, instead of by Riemann-Roch at each r."""
         ranks = range(lo, hi + 1)
         if not self.proved_from(lo):
             rows = [self.row(r) for r in ranks]
             return sum(row.passed for row in rows), rows
         case, _, _, c1, c2, weak_fano, checks, _ = self.row(lo)
         same, rest = checks[1:4], checks[5:]  # all but the rank and chi checks
-        k = _chi(0, c1, c2)  # chi is k + rank, and the rank is r
+        k = _chi(0, c1, c2)
         return len(ranks), (
             VerificationReport(
                 case, r, r, c1, c2, weak_fano, (_rank_check(r, r), *same, _chi_nonnegative(k + r), *rest), True
