@@ -1,10 +1,15 @@
 """The JSON documents of the command line, each in the layout of
 ``json.dumps(document, sort_keys=True, indent=2)``.
 
-The verify document is written report by report from the case
-certificates' rows and one template in sorted key order, byte for byte
-what json.dumps prints for the reports' ``to_json()`` dicts.  Only
-``--format json`` loads this module.
+The verify document is written from the case certificates' rows, each
+row's text by ``_row_text`` in sorted key order, byte for byte what
+json.dumps prints for the report's ``to_json()`` dict.  A case that
+``Certificate.proved_from(lo)`` proves is written from one template per
+case: its row at a sentinel rank far above any sweep, cut at the decimals
+of that rank and of its chi, so that row r is the pieces joined with the
+decimals of r and of chi = k + r.  Rows are written in blocks of
+``_BLOCK``, so the run makes one ``write`` per block and holds at most one
+block.  Only ``--format json`` loads this module.
 """
 
 from __future__ import annotations
@@ -14,15 +19,78 @@ from json.encoder import encode_basestring_ascii as string
 from typing import Any, Callable, Iterable
 
 from . import __version__
-from .catalog import CaseSpec, VerificationReport, case_to_json
+from .catalog import CaseSpec, VerificationReport, case_to_json, certify
+from .cohomology import _chi
 
 #: How json.dumps prints the schema's literals.
 _LITERAL = {True: "true", False: "false", None: "null"}
+#: Rows joined into one write.
+_BLOCK = 64
+#: The rank of a proved case's template row, above any rank a sweep reaches.
+_SENTINEL = 10**30
 
 
 def write_catalog_json(cases: Iterable[CaseSpec], write: Callable[[str], Any]) -> None:
     """Write the document {"cases": [case_to_json(case), ...]}."""
     write(json.dumps({"cases": [case_to_json(case) for case in cases]}, sort_keys=True, indent=2) + "\n")
+
+
+def _case_text(case: CaseSpec) -> tuple[str, str]:
+    """The text of a case's rows before their checks, and from expected_c2
+    up to the weak_fano flag's value."""
+    flags = case.flags()
+    top = f'    {{\n      "case_id": {string(case.id)},\n      "checks": [\n'
+    middle = (
+        f'      "expected_c2": {case.expected_c2},\n      "flags": {{\n'
+        f'        "bondal_reconstructible": {_LITERAL[flags["bondal_reconstructible"]]},\n'
+        f'        "globally_generated": {_LITERAL[flags["globally_generated"]]},\n'
+        f'        "nef": {string(flags["nef"])},\n        "weak_fano": '
+    )
+    return top, middle
+
+
+def _row_text(case_text: tuple[str, str], row: VerificationReport) -> str:
+    """The text of ``row.to_json()`` in the document."""
+    top, middle = case_text
+    _, r, rank, c1, c2, weak_fano, checks, verdict = row
+    text = ",\n".join(
+        [
+            f'        {{\n          "detail": {string(detail)},\n          "name": {string(name)},\n'
+            f'          "passed": {_LITERAL[ok]}\n        }}'
+            for name, ok, detail in checks
+        ]
+    )
+    return (
+        f'{top}{text}\n      ],\n'
+        f'      "computed": {{\n        "c1": [\n          {c1.a},\n          {c1.b}\n        ],\n'
+        f'        "c2": {c2},\n        "rank": {rank}\n      }},\n'
+        f'{middle}{_LITERAL[weak_fano]}\n      }},\n'
+        f'      "passed": {_LITERAL[verdict]},\n'
+        f'      "rank_tested": {r}\n    }}'
+    )
+
+
+def _template(case: CaseSpec, case_text: tuple[str, str]) -> Callable[[int], str] | None:
+    """The row text of a proved case at any rank r it is proved at, as a
+    fill of its row at the sentinel rank R: the decimal of R stands for r
+    in 4 places (rank_tested, the computed rank and twice in the rank
+    detail) and that of k + R for chi = k + r in one, with k = chi at rank
+    0.  None when those decimals occur otherwise in the text (k = 0 puts
+    one decimal in all 5 places)."""
+    _, rows = certify(case).rows(_SENTINEL, _SENTINEL)
+    (row,) = rows
+    text = _row_text(case_text, row)
+    k = _chi(0, row.c1, row.c2)
+    rank, chi = str(_SENTINEL), str(k + _SENTINEL)
+    if (text.count(rank), text.count(chi)) != ((5, 5) if k == 0 else (4, 1)):
+        return None
+    pieces = [part.split(rank) for part in text.split(chi)]
+
+    def fill(r: int) -> str:
+        decimal = str(r)
+        return str(k + r).join([decimal.join(part) for part in pieces])
+
+    return fill
 
 
 def write_verify_json(
@@ -37,33 +105,22 @@ def write_verify_json(
     (case, lo, passed, rows) of ``Certificate.rows``, and whose summary holds
     the given counts."""
     write(f'{{\n  "invocation": {string(invocation)},\n  "results": ')
-    lead = "[\n"
-    for case, _, _, rows in swept:
-        flags = case.flags()
-        top = f'    {{\n      "case_id": {string(case.id)},\n      "checks": [\n'
-        middle = (
-            f'      "expected_c2": {case.expected_c2},\n      "flags": {{\n'
-            f'        "bondal_reconstructible": {_LITERAL[flags["bondal_reconstructible"]]},\n'
-            f'        "globally_generated": {_LITERAL[flags["globally_generated"]]},\n'
-            f'        "nef": {string(flags["nef"])},\n        "weak_fano": '
-        )
-        for _, r, rank, c1, c2, weak_fano, checks, verdict in rows:
-            text = ",\n".join(
-                [
-                    f'        {{\n          "detail": {string(detail)},\n          "name": {string(name)},\n'
-                    f'          "passed": {_LITERAL[ok]}\n        }}'
-                    for name, ok, detail in checks
-                ]
-            )
-            write(
-                f'{lead}{top}{text}\n      ],\n'
-                f'      "computed": {{\n        "c1": [\n          {c1.a},\n          {c1.b}\n        ],\n'
-                f'        "c2": {c2},\n        "rank": {rank}\n      }},\n'
-                f'{middle}{_LITERAL[weak_fano]}\n      }},\n'
-                f'      "passed": {_LITERAL[verdict]},\n'
-                f'      "rank_tested": {r}\n    }}'
-            )
-            lead = ",\n"
+    lead, block = "[\n", []
+    for case, lo, count, rows in swept:
+        case_text = _case_text(case)
+        fill = _template(case, case_text) if certify(case).proved_from(lo) else None
+        if fill is not None:  # proved: every row passes, and count is the number of ranks
+            texts: Iterable[str] = map(fill, range(lo, lo + count))
+        else:
+            texts = (_row_text(case_text, row) for row in rows)
+        for text in texts:
+            block.append(text)
+            if len(block) == _BLOCK:
+                write(lead + ",\n".join(block))
+                lead, block = ",\n", []
+    if block:
+        write(lead + ",\n".join(block))
+        lead = ",\n"
     write("[]" if lead == "[\n" else "\n  ]")
     write(
         f',\n  "summary": {{\n    "failed": {total - passed},\n    "passed": {passed},\n'

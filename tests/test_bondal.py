@@ -61,6 +61,9 @@ def test_reconstruct_example():
     assert k == KClass(4, BiDegree(2, 2), -4)
     # same class as (r+2) structure sheaves minus two anti-diagonal lines
     assert k == 6 * line_class(BiDegree(0, 0)) - 2 * line_class(BiDegree(-1, -1))
+    # a tuple is not a BundleNumerics: a TypeError, not an AttributeError
+    with pytest.raises(TypeError, match=r"^Chern data must be a BundleNumerics, got "):
+        reconstruct((2, (2, 2), 5))
 
 
 def test_reconstruct_sweep():

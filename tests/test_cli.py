@@ -242,6 +242,20 @@ def test_closed_pipe_exits_1_without_traceback():
     assert "Traceback" not in err
 
 
+def test_reader_gone_in_a_block_write_exits_1_quietly():
+    # the 28 MB rank-1000 document is written in blocks of rows: the reader
+    # leaves during the first one
+    argv = ["verify", "main22", "--rank-max", "1000", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nefq2.cli", *argv], env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
 def _limit_address_space() -> None:
     # runs in the child only, between fork and exec
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

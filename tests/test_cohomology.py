@@ -88,8 +88,9 @@ def test_euler_char_rejects_non_integer_twists():
         with pytest.raises(TypeError, match="twist degrees must be integers"):
             euler_char(e, p, q)
     # a tuple is not a BundleNumerics: a TypeError, not an AttributeError
-    with pytest.raises(TypeError, match=r"^Chern data must be a BundleNumerics, got "):
-        euler_char((2, (2, 2), 5))
+    for function in (euler_char, projective_bundle_degree, is_weak_fano, ext1_module_profile):
+        with pytest.raises(TypeError, match=r"^Chern data must be a BundleNumerics, got "):
+            function((2, (2, 2), 5))
 
 
 def test_euler_char_examples():

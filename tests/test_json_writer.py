@@ -1,6 +1,9 @@
-"""The verify document is written report by report from one template; it
-must be exactly what json.dumps(..., sort_keys=True, indent=2) prints for
-the document of the reports' to_json() dicts."""
+"""The verify document is written in blocks of rows: a proved case's rows
+from one template per case, any other case's row by row.  It must be
+exactly what json.dumps(..., sort_keys=True, indent=2) prints for the
+document of the reports' to_json() dicts, on the command line's runs and
+on random displays, and each proved case's template must give the row
+text of every rank."""
 
 from __future__ import annotations
 
@@ -8,12 +11,16 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_catalog import _grid_cases
+from test_certificate_properties import cases as random_cases
 
-from nefq2 import BiDegree, __version__, list_cases, verify_all
+from nefq2 import BiDegree, NefQ2Error, __version__, list_cases, verify_all
 from nefq2._value import replace
 from nefq2.catalog import certify, verify_case
 from nefq2.cli import main
-from nefq2.report_json import write_verify_json
+from nefq2.report_json import _case_text, _row_text, _template, write_verify_json
 
 #: (argv, tables, verify_all keyword arguments)
 RUNS = (
@@ -90,3 +97,56 @@ def test_failing_reports_equal_json_dumps():
     argv = ("verify", "main22", "--rank-max", "5", "--format", "json")
     assert _written(argv, cases, 5) == _dumps(argv, reports)
     assert _written(argv, [], 5) == _dumps(argv, [])
+
+
+#: Case ids with quotes, backslashes and non-ASCII characters, and one with
+#: the decimal of the template's sentinel rank, which the template refuses.
+ids = st.one_of(st.text(max_size=6), st.sampled_from(('main22-12 "∞"', "a\\b\n", f"x{10**30}")))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.tuples(random_cases, ids), max_size=3), st.integers(0, 6), st.integers(0, 8))
+def test_random_displays_are_written_as_json_dumps(drawn, rank_min, span):
+    # proved and failing cases, swept from rank_min as the CLI sweeps them:
+    # a case starts at max(rank_min, min_rank), and one with no rank, or one
+    # whose rows raise, is left out
+    hi = rank_min + span
+    swept, reports = [], []
+    for case, case_id in drawn:
+        case, lo = replace(case, id=case_id), max(rank_min, case.min_rank)
+        if lo > hi:
+            continue
+        try:
+            swept.append((case, lo, *certify(case).rows(lo, hi)))
+        except (NefQ2Error, ValueError):
+            continue
+        reports += [certify(case).row(r) for r in range(lo, hi + 1)]
+    passed = sum(count for _, _, count, _ in swept)
+    chunks: list[str] = []
+    argv = ("verify", "main22", "--rank-min", str(rank_min), "--rank-max", str(hi), "--format", "json")
+    write_verify_json("nefq2 " + " ".join(argv), swept, passed, len(reports), chunks.append)
+    assert "".join(chunks) == _dumps(argv, reports)
+
+
+def test_template_gives_the_row_text_of_every_rank():
+    shipped = list(list_cases("all"))
+    parametric = [case for case in _grid_cases() if case.theorem in ("halfmax", "nearmax")]
+    assert len(parametric) > 50
+    for case in shipped + parametric:
+        text = _case_text(case)
+        fill = _template(case, text)
+        assert fill is not None and certify(case).proved_from(case.min_rank), case.id
+        for r in (case.min_rank, case.min_rank + 1, case.min_rank + 997):
+            assert fill(r) == _row_text(text, certify(case).row(r)), (case.id, r)
+
+
+def test_writes_are_blocks_of_rows():
+    # a rank-5000 sweep of main22 is about 150 MB of text; each write holds
+    # at most one block of rows, so the memory does not grow with the range
+    sizes: list[int] = []
+    swept = [(case, case.min_rank, *certify(case).rows(case.min_rank, 5000)) for case in list_cases("main22")]
+    total = sum(count for _, _, count, _ in swept)
+    write_verify_json("nefq2 verify main22", swept, total, total, lambda text: sizes.append(len(text)))
+    assert sum(sizes) > 100_000_000
+    assert max(sizes) < 100_000
+    assert len(sizes) < total / 60

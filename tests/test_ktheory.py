@@ -75,6 +75,15 @@ def test_kclass_rejects_non_integers():
             line_class(x)
     with pytest.raises(TypeError, match=r"^class must be a KClass, got "):
         to_chern((1, (0, 0), 0))
+    e = BundleNumerics(2, BiDegree(2, 2), 5)
+    for call in (
+        lambda: from_chern((2, (2, 2), 5)),
+        lambda: twist_chern((2, (2, 2), 5), BiDegree(1, 0)),
+        lambda: ses_quotient_chern((2, (2, 2), 5), e),
+        lambda: ses_quotient_chern(e, (2, (2, 2), 5)),
+    ):
+        with pytest.raises(TypeError, match=r"^Chern data must be a BundleNumerics, got "):
+            call()
 
 
 def test_sum_of_lines():
