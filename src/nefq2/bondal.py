@@ -27,7 +27,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._value import frozen
-from .cohomology import BundleNumerics, _check_numerics
+from .cohomology import BundleNumerics
 from .errors import HypothesisError, ReconstructionError
 from .ktheory import (
     KClass, TorsionDescriptor, TorsionKind, _line_sum, from_chern, line_class, line_label, torsion_class
@@ -75,7 +75,8 @@ def reconstruct(e: BundleNumerics) -> KClass:
     >>> reconstruct(BundleNumerics(4, BiDegree(2, 2), 6))
     KClass(rank=4, c1=BiDegree(a=2, b=2), ch2x2=-4)
     """
-    _check_numerics(e)
+    if type(e) is not BundleNumerics:
+        raise TypeError(f"Chern data must be a BundleNumerics, got {e!r}")
     if (e.c1.a, e.c1.b) != (2, 2):
         raise HypothesisError(f"reconstruction is defined for determinant (2,2) only, got {e.c1}")
     hom, ext1 = hom_ext_series(e.rank, e.c2)

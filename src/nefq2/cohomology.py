@@ -66,12 +66,6 @@ class BundleNumerics:
         return f"rank={self.rank} c1={self.c1} c2={self.c2}"
 
 
-def _check_numerics(e: object) -> None:
-    """Raise TypeError unless e is exactly a BundleNumerics."""
-    if type(e) is not BundleNumerics:
-        raise TypeError(f"Chern data must be a BundleNumerics, got {e!r}")
-
-
 def line_cohomology_p1(d: int) -> tuple[int, int]:
     """(h0, h1) of O(d) on one line.
 
@@ -114,7 +108,8 @@ def euler_char(e: BundleNumerics, p: int = 0, q: int = 0) -> int:
     >>> euler_char(BundleNumerics(3, BiDegree(2, 2), 6), -1, -1)
     -2
     """
-    _check_numerics(e)
+    if type(e) is not BundleNumerics:
+        raise TypeError(f"Chern data must be a BundleNumerics, got {e!r}")
     if type(p) is not int or type(q) is not int:
         raise TypeError(f"twist degrees must be integers, got {p!r} and {q!r}")
     return _chi(e.rank, e.c1, e.c2, p, q)
@@ -128,7 +123,8 @@ def _chi(rank: int, c1: BiDegree, c2: int, p: int = 0, q: int = 0) -> int:
 def projective_bundle_degree(e: BundleNumerics) -> int:
     """Top self-intersection of the tautological class on the
     projectivization: c1^2 - c2.  For determinant (2, 2) this is 8 - c2."""
-    _check_numerics(e)
+    if type(e) is not BundleNumerics:
+        raise TypeError(f"Chern data must be a BundleNumerics, got {e!r}")
     return intersect(e.c1, e.c1) - e.c2
 
 
@@ -164,7 +160,8 @@ def ext1_module_profile(e: BundleNumerics) -> HomExtProfile:
     >>> ext1_module_profile(BundleNumerics(2, BiDegree(2, 2), 8))
     HomExtProfile(hom=(2, 0, 0, 0), ext1=(0, 2, 2, 4))
     """
-    _check_numerics(e)
+    if type(e) is not BundleNumerics:
+        raise TypeError(f"Chern data must be a BundleNumerics, got {e!r}")
     if e.c1 != BiDegree(2, 2):
         raise HypothesisError(
             f"module profile is defined for determinant (2,2) only, got {e.c1}"

@@ -22,7 +22,7 @@ import math
 from typing import Iterable
 
 from ._value import frozen
-from .cohomology import BundleNumerics, _check_numerics
+from .cohomology import BundleNumerics
 from .errors import HypothesisError, MalformedClassError, ReconstructionError, VirtualClassError
 from .picard import ZERO, BiDegree, intersect, is_effective
 
@@ -136,7 +136,8 @@ def to_chern(k: KClass) -> BundleNumerics:
 
 def from_chern(e: BundleNumerics) -> KClass:
     """Inverse of :func:`to_chern`."""
-    _check_numerics(e)
+    if type(e) is not BundleNumerics:
+        raise TypeError(f"Chern data must be a BundleNumerics, got {e!r}")
     return KClass(e.rank, e.c1, intersect(e.c1, e.c1) - 2 * e.c2)
 
 
@@ -151,7 +152,8 @@ def twist_chern(e: BundleNumerics, line: BiDegree) -> BundleNumerics:
     >>> twist_chern(BundleNumerics(2, BiDegree(1, 1), 1), BiDegree(1, 0))
     BundleNumerics(rank=2, c1=BiDegree(a=3, b=1), c2=2)
     """
-    _check_numerics(e)
+    if type(e) is not BundleNumerics:
+        raise TypeError(f"Chern data must be a BundleNumerics, got {e!r}")
     r = e.rank
     c1 = e.c1 + r * line
     c2 = e.c2 + (r - 1) * intersect(e.c1, line) + math.comb(r, 2) * intersect(line, line)
@@ -167,8 +169,8 @@ def ses_quotient_chern(sub: BundleNumerics, mid: BundleNumerics) -> BundleNumeri
     ...                    BundleNumerics(4, BiDegree(1, 0), 0))
     BundleNumerics(rank=3, c1=BiDegree(a=2, b=2), c2=6)
     """
-    _check_numerics(sub)
-    _check_numerics(mid)
+    if type(sub) is not BundleNumerics or type(mid) is not BundleNumerics:
+        raise TypeError(f"Chern data must be a BundleNumerics, got {sub!r} and {mid!r}")
     rank = mid.rank - sub.rank
     if rank < 1:
         raise VirtualClassError(
