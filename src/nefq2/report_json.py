@@ -26,7 +26,8 @@ from .cohomology import _chi
 _LITERAL = {True: "true", False: "false", None: "null"}
 #: Rows joined into one write.
 _BLOCK = 64
-#: The rank of a proved case's template row, above any rank a sweep reaches.
+#: The rank of a proved case's template row: its decimal, and that of its
+#: chi, are long enough to occur in no other field of a shipped row.
 _SENTINEL = 10**30
 
 

@@ -141,7 +141,7 @@ def test_template_gives_the_row_text_of_every_rank():
 
 
 def test_writes_are_blocks_of_rows():
-    # a rank-5000 sweep of main22 is about 150 MB of text; each write holds
+    # a rank-5000 sweep of main22 is about 140 MB of text; each write holds
     # at most one block of rows, so the memory does not grow with the range
     sizes: list[int] = []
     swept = [(case, case.min_rank, *certify(case).rows(case.min_rank, 5000)) for case in list_cases("main22")]
