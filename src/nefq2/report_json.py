@@ -7,16 +7,17 @@ json.dumps prints for the report's ``to_json()`` dict.  A case that
 ``Certificate.proved_from(lo)`` proves is written from one template per
 case: its row at a sentinel rank far above any sweep, cut at the decimals
 of that rank and of its chi, so that row r is the pieces joined with the
-decimals of r and of chi = k + r.  Rows are written in blocks of
-``_BLOCK``, so the run makes one ``write`` per block and holds at most one
-block.  Only ``--format json`` loads this module.
+decimals of r and of chi = k + r.  The document is ASCII, and it is
+written in blocks of ``_BLOCK`` characters, whatever the length of its
+rows, so the run holds at most one block and a row.  Only ``--format
+json`` loads this module.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as string
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from . import __version__
 from .catalog import CaseSpec, VerificationReport, case_to_json, certify
@@ -24,8 +25,9 @@ from .cohomology import _chi
 
 #: How json.dumps prints the schema's literals.
 _LITERAL = {True: "true", False: "false", None: "null"}
-#: Rows joined into one write.
-_BLOCK = 64
+#: Characters (and bytes: the text is ASCII) in one write: 64 KiB, the
+#: capacity of a Linux pipe, so a reader draining one reads whole blocks.
+_BLOCK = 1 << 16
 #: The rank of a proved case's template row: its decimal, and that of its
 #: chi, are long enough to occur in no other field of a shipped row.
 _SENTINEL = 10**30
@@ -78,8 +80,7 @@ def _template(case: CaseSpec, case_text: tuple[str, str]) -> Callable[[int], str
     detail) and that of k + R for chi = k + r in one, with k = chi at rank
     0.  None when those decimals occur otherwise in the text (k = 0 puts
     one decimal in all 5 places)."""
-    _, rows = certify(case).rows(_SENTINEL, _SENTINEL)
-    (row,) = rows
+    row = certify(case).row(_SENTINEL)
     text = _row_text(case_text, row)
     k = _chi(0, row.c1, row.c2)
     rank, chi = str(_SENTINEL), str(k + _SENTINEL)
@@ -94,6 +95,49 @@ def _template(case: CaseSpec, case_text: tuple[str, str]) -> Callable[[int], str
     return fill
 
 
+def _blocks(pieces: Iterable[str]) -> Iterator[str]:
+    """The concatenation of pieces, cut into blocks of ``_BLOCK``
+    characters and a shorter last one."""
+    held: list[str] = []
+    size = 0
+    for piece in pieces:
+        held.append(piece)
+        size += len(piece)
+        if size >= _BLOCK:
+            text = "".join(held)
+            cut = size - size % _BLOCK
+            yield from (text[i : i + _BLOCK] for i in range(0, cut, _BLOCK))
+            held, size = [text[cut:]], size - cut
+    if size:
+        yield "".join(held)
+
+
+def _verify_pieces(
+    invocation: str,
+    swept: Iterable[tuple[CaseSpec, int, int, Iterable[VerificationReport]]],
+    passed: int,
+    total: int,
+) -> Iterator[str]:
+    """The verify document's text, in pieces of at most one row."""
+    yield f'{{\n  "invocation": {string(invocation)},\n  "results": '
+    lead = "[\n"
+    for case, lo, count, rows in swept:
+        case_text = _case_text(case)
+        fill = _template(case, case_text) if certify(case).proved_from(lo) else None
+        if fill is not None:  # proved: every row passes, and count is the number of ranks
+            texts: Iterable[str] = map(fill, range(lo, lo + count))
+        else:
+            texts = (_row_text(case_text, row) for row in rows)
+        for text in texts:
+            yield lead + text
+            lead = ",\n"
+    yield "[]" if lead == "[\n" else "\n  ]"
+    yield (
+        f',\n  "summary": {{\n    "failed": {total - passed},\n    "passed": {passed},\n'
+        f'    "total": {total}\n  }},\n  "tool_version": {string(__version__)}\n}}\n'
+    )
+
+
 def write_verify_json(
     invocation: str,
     swept: Iterable[tuple[CaseSpec, int, int, Iterable[VerificationReport]]],
@@ -105,25 +149,5 @@ def write_verify_json(
     "tool_version"}, whose results are the rows' ``to_json()`` over the
     (case, lo, passed, rows) of ``Certificate.rows``, and whose summary holds
     the given counts."""
-    write(f'{{\n  "invocation": {string(invocation)},\n  "results": ')
-    lead, block = "[\n", []
-    for case, lo, count, rows in swept:
-        case_text = _case_text(case)
-        fill = _template(case, case_text) if certify(case).proved_from(lo) else None
-        if fill is not None:  # proved: every row passes, and count is the number of ranks
-            texts: Iterable[str] = map(fill, range(lo, lo + count))
-        else:
-            texts = (_row_text(case_text, row) for row in rows)
-        for text in texts:
-            block.append(text)
-            if len(block) == _BLOCK:
-                write(lead + ",\n".join(block))
-                lead, block = ",\n", []
-    if block:
-        write(lead + ",\n".join(block))
-        lead = ",\n"
-    write("[]" if lead == "[\n" else "\n  ]")
-    write(
-        f',\n  "summary": {{\n    "failed": {total - passed},\n    "passed": {passed},\n'
-        f'    "total": {total}\n  }},\n  "tool_version": {string(__version__)}\n}}\n'
-    )
+    for block in _blocks(_verify_pieces(invocation, swept, passed, total)):
+        write(block)

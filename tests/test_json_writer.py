@@ -1,4 +1,4 @@
-"""The verify document is written in blocks of rows: a proved case's rows
+"""The verify document is written in 64 KiB blocks: a proved case's rows
 from one template per case, any other case's row by row.  It must be
 exactly what json.dumps(..., sort_keys=True, indent=2) prints for the
 document of the reports' to_json() dicts, on the command line's runs and
@@ -20,7 +20,7 @@ from nefq2 import BiDegree, NefQ2Error, __version__, list_cases, verify_all
 from nefq2._value import replace
 from nefq2.catalog import certify, verify_case
 from nefq2.cli import main
-from nefq2.report_json import _case_text, _row_text, _template, write_verify_json
+from nefq2.report_json import _BLOCK, _blocks, _case_text, _row_text, _template, write_verify_json
 
 #: (argv, tables, verify_all keyword arguments)
 RUNS = (
@@ -140,13 +140,23 @@ def test_template_gives_the_row_text_of_every_rank():
             assert fill(r) == _row_text(text, certify(case).row(r)), (case.id, r)
 
 
-def test_writes_are_blocks_of_rows():
-    # a rank-5000 sweep of main22 is about 140 MB of text; each write holds
-    # at most one block of rows, so the memory does not grow with the range
+def test_writes_are_fixed_blocks():
+    # a rank-5000 sweep of main22 is about 140 MB of text; every write but
+    # the last is one 64 KiB block, whatever the rows' lengths, so the
+    # memory does not grow with the range
     sizes: list[int] = []
     swept = [(case, case.min_rank, *certify(case).rows(case.min_rank, 5000)) for case in list_cases("main22")]
     total = sum(count for _, _, count, _ in swept)
     write_verify_json("nefq2 verify main22", swept, total, total, lambda text: sizes.append(len(text)))
     assert sum(sizes) > 100_000_000
     assert max(sizes) < 100_000
-    assert len(sizes) < total / 60
+    assert set(sizes[:-1]) == {1 << 16} and 0 < sizes[-1] <= 1 << 16
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.integers(0, 3 * _BLOCK), max_size=8))
+def test_blocks_cut_the_text_into_whole_blocks(lengths):
+    pieces = [chr(97 + i % 26) * n for i, n in enumerate(lengths)]
+    blocks = list(_blocks(pieces))
+    assert "".join(blocks) == "".join(pieces)
+    assert all(blocks) and all(len(block) == _BLOCK for block in blocks[:-1])
