@@ -10,15 +10,18 @@ vertex simples to shifted line bundles:
 
 So a module with composition series (d0, d1, d2, d3) contributes the
 K-class  d0*[O] - d1*[O(-1,0)] - d2*[O(0,-1)] + d3*[O(-1,-1)]  (signs are
-parities of the shifts).  Feeding in the Hom/Ext profile of a suitable
-nef bundle must reproduce the bundle's own K-class exactly; that identity
-is checked on every call and a failure is an implementation bug.
+parities of the shifts, and Ext^1 sits one shift further).  Feeding in the
+Hom/Ext profile of a suitable nef bundle must reproduce the bundle's own
+K-class exactly; that identity is checked on every call, as one signed
+line sum against ``from_chern``, and a failure is an implementation bug.
 
 The convergence data of the equivalence's spectral sequence is exposed as
 a small second-page table with possible entries only at (p, q) in
 {(-2,1), (-1,1), (0,0)}.  For c2 in {6, 7, 8} the nonzero entries are
 identified sheaves; c2 = 8 has two variants and this module asserts no
-preference between them.
+preference between them.  The q = 1 entries depend on (c2, variant) alone
+and are built once, at import; a page builds only its (0, 0) entry, and
+checks both of its identities on every call.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .ktheory import (
     KClass, TorsionDescriptor, TorsionKind, _line_sum, from_chern, line_class, line_label, torsion_class
 )
 from .picard import ZERO, BiDegree
-from .quiver import hom_ext_series
+from .quiver import _C1_22, hom_ext_series
 
 
 @frozen
@@ -64,13 +67,22 @@ def series_tensor_class(series: tuple[int, int, int, int]) -> KClass:
         raise TypeError(f"composition series entries must be integers, got {series!r}")
     if len(series) != 4 or min(series) < 0:
         raise ValueError(f"composition series must be 4 non-negative integers, got {series!r}")
-    return _line_sum([(entry.degree, -mult if entry.shift % 2 else mult) for mult, entry in zip(series, DICTIONARY)])
+    return _line_sum(_signed_terms(series))
+
+
+def _signed_terms(series: tuple[int, int, int, int], shift: int = 0) -> list[tuple[BiDegree, int]]:
+    """The nonzero (degree, multiplicity) terms of a composition series
+    placed ``shift`` further degrees along: each multiplicity takes the
+    sign of its total shift's parity."""
+    return [
+        (entry.degree, -mult if (entry.shift + shift) % 2 else mult) for mult, entry in zip(series, DICTIONARY) if mult
+    ]
 
 
 def reconstruct(e: BundleNumerics) -> KClass:
     """Recover the K-class of a nef bundle with determinant (2, 2) and
-    c2 >= 6 from its Hom/Ext module profile alone, and check it against
-    the direct conversion.  Returns the reconstructed class.
+    6 <= c2 <= 8 from its Hom/Ext module profile alone, and check it
+    against the direct conversion.  Returns the reconstructed class.
 
     >>> reconstruct(BundleNumerics(4, BiDegree(2, 2), 6))
     KClass(rank=4, c1=BiDegree(a=2, b=2), ch2x2=-4)
@@ -80,7 +92,7 @@ def reconstruct(e: BundleNumerics) -> KClass:
     if (e.c1.a, e.c1.b) != (2, 2):
         raise HypothesisError(f"reconstruction is defined for determinant (2,2) only, got {e.c1}")
     hom, ext1 = hom_ext_series(e.rank, e.c2)
-    rebuilt = series_tensor_class(hom) - series_tensor_class(ext1)
+    rebuilt = _line_sum(_signed_terms(hom) + _signed_terms(ext1, 1))
     direct = from_chern(e)
     if rebuilt != direct:
         raise ReconstructionError(
@@ -88,6 +100,10 @@ def reconstruct(e: BundleNumerics) -> KClass:
         )
     return rebuilt
 
+
+#: The degrees of the page's line bundles, and the zero class.
+_M11, _M10, _M01, _M22 = BiDegree(-1, -1), BiDegree(-1, 0), BiDegree(0, -1), BiDegree(-2, -2)
+_NO_CLASS = KClass.zero()
 
 #: Variant selectors for the c2 = 8 second page.
 VARIANT_CURVE = "curve_torsion"
@@ -116,22 +132,22 @@ class E2Page:
 
     def entry(self, p: int, q: int) -> KClass:
         e = self.entries.get((p, q))
-        return e.kclass if e is not None else KClass.zero()
+        return e.kclass if e is not None else _NO_CLASS
 
     def four_term_residual(self) -> KClass:
         """The alternating K-sum of the four-term presentation of the two
         q = 1 entries; exactness forces zero."""
-        middle_drop = (self.c2 - 4) * line_class(BiDegree(-1, -1))
-        target = (self.c2 - 6) * (line_class(BiDegree(-1, 0)) + line_class(BiDegree(0, -1)))
-        return self.entry(-2, 1) - middle_drop + target - self.entry(-1, 1)
+        drop, target = 4 - self.c2, self.c2 - 6
+        twisted = _line_sum([(_M11, drop), (_M10, target), (_M01, target)])
+        return twisted + self.entry(-2, 1) - self.entry(-1, 1)
 
     def convergence_class(self) -> KClass:
         """Alternating sum over the whole page; equals the abutment class."""
-        total = KClass.zero()
+        rank = a = b = ch2x2 = 0
         for (p, q), e in self.entries.items():
-            signed = e.kclass if (p + q) % 2 == 0 else -e.kclass
-            total = total + signed
-        return total
+            k, sign = e.kclass, -1 if (p + q) % 2 else 1
+            rank, a, b, ch2x2 = rank + sign * k.rank, a + sign * k.c1.a, b + sign * k.c1.b, ch2x2 + sign * k.ch2x2
+        return KClass(rank, BiDegree(a, b), ch2x2)
 
     def third_page_corner(self) -> KClass:
         """Class of the (0, 0) entry on the next page: the abutment minus
@@ -139,14 +155,39 @@ class E2Page:
         return self.convergence_class() - self.entry(-1, 1)
 
 
+def _line_entry(deg: BiDegree, mult: int = 1) -> E2Entry:
+    return E2Entry(mult * line_class(deg), line_label(deg, mult))
+
+
+def _sheaf_entry(kind: TorsionKind, *support: BiDegree) -> E2Entry:
+    t = TorsionDescriptor(kind, *support)
+    return E2Entry(torsion_class(t), t.label(), t)
+
+
+#: The q = 1 entries of each page, keyed by (c2, variant): they do not
+#: depend on the rank, so they are built once.
+_Q1_ENTRIES: dict[tuple[int, str | None], dict[tuple[int, int], E2Entry]] = {
+    (6, None): {(-2, 1): _line_entry(_M11, 2)},
+    (7, None): {(-2, 1): _line_entry(_M22), (-1, 1): _sheaf_entry(TorsionKind.POINT_SHEAF)},
+    (8, VARIANT_CURVE): {(-1, 1): _sheaf_entry(TorsionKind.CURVE_TORSION, BiDegree(2, 2))},
+    (8, VARIANT_STRUCTURE): {(-2, 1): _line_entry(_M22), (-1, 1): _sheaf_entry(TorsionKind.STRUCTURE_SHEAF)},
+}
+
+
 def e2_page(c2: int, rank: int, variant: str | None = None) -> E2Page:
     """Build the identified second page for c2 in {6, 7, 8}.
 
     For c2 = 8 a variant is required: ``curve_torsion`` (torsion quotient
     on a (2,2) curve) or ``structure_sheaf`` (structure-sheaf quotient).
-    The four-term exactness identity and the convergence identity are
-    recomputed on every call.
+    The q = 1 entries come from a table built at import; the (0, 0) entry
+    O^(rank + 8 - c2) is built here.  The four-term exactness identity and
+    the convergence identity (against ``from_chern``) are recomputed on
+    every call.  A c2 or rank that is not an int raises TypeError.
     """
+    if type(c2) is not int:
+        raise TypeError(f"c2 must be an integer, got {c2!r}")
+    if type(rank) is not int:
+        raise TypeError(f"rank must be an integer, got {rank!r}")
     if c2 not in (6, 7, 8):
         raise HypothesisError(
             "the Hom/Ext profile is defined only for c2 >= 6, and the page is "
@@ -163,28 +204,12 @@ def e2_page(c2: int, rank: int, variant: str | None = None) -> E2Page:
         raise HypothesisError(f"c2={c2} admits no variant, got {variant!r}")
 
     n0 = rank + 8 - c2
-    entries: dict[tuple[int, int], E2Entry] = {
-        (0, 0): E2Entry(n0 * line_class(ZERO), line_label(ZERO, n0))
-    }
-    if c2 == 6:
-        entries[(-2, 1)] = E2Entry(2 * line_class(BiDegree(-1, -1)), line_label(BiDegree(-1, -1), 2))
-    elif c2 == 7:
-        entries[(-2, 1)] = E2Entry(line_class(BiDegree(-2, -2)), line_label(BiDegree(-2, -2)))
-        point = TorsionDescriptor(TorsionKind.POINT_SHEAF)
-        entries[(-1, 1)] = E2Entry(torsion_class(point), point.label(), point)
-    elif variant == VARIANT_CURVE:
-        curve = TorsionDescriptor(TorsionKind.CURVE_TORSION, BiDegree(2, 2), 0)
-        entries[(-1, 1)] = E2Entry(torsion_class(curve), curve.label(), curve)
-    else:
-        entries[(-2, 1)] = E2Entry(line_class(BiDegree(-2, -2)), line_label(BiDegree(-2, -2)))
-        sheaf = TorsionDescriptor(TorsionKind.STRUCTURE_SHEAF)
-        entries[(-1, 1)] = E2Entry(torsion_class(sheaf), sheaf.label(), sheaf)
-
-    page = E2Page(c2, rank, variant, MappingProxyType(entries))
+    corner = E2Entry(KClass(n0, ZERO, 0), line_label(ZERO, n0))
+    page = E2Page(c2, rank, variant, MappingProxyType({(0, 0): corner, **_Q1_ENTRIES[c2, variant]}))
     residual = page.four_term_residual()
-    if residual != KClass.zero():
+    if residual != _NO_CLASS:
         raise ReconstructionError(f"four-term identity violated on page c2={c2}: residual {residual}")
-    abutment = from_chern(BundleNumerics(rank, BiDegree(2, 2), c2))
+    abutment = from_chern(BundleNumerics(rank, _C1_22, c2))
     if page.convergence_class() != abutment:
         raise ReconstructionError(
             f"page c2={c2} converges to {page.convergence_class()}, expected {abutment}"

@@ -349,7 +349,7 @@ class CheckResult(NamedTuple):
 class VerificationReport(NamedTuple):
     """Outcome of every numeric check of one case at one rank: the case, the
     rank tested, the display's rank, c1 and c2 there, whether c2 < c1^2, the
-    (name, passed, detail) checks and whether all of them pass."""
+    checks and whether all of them pass."""
 
     case: CaseSpec
     rank_tested: int
@@ -357,7 +357,7 @@ class VerificationReport(NamedTuple):
     c1: BiDegree
     c2: int
     weak_fano: bool
-    checks: tuple[tuple[str, bool, str], ...]
+    checks: tuple[CheckResult, ...]
     passed: bool
 
     @property
@@ -389,12 +389,12 @@ _C1_22 = BiDegree(2, 2)
 _SLOPE_O = KClass(1, ZERO, 0)
 
 
-def _rank_check(rank: int, r: int) -> tuple[str, bool, str]:
-    return ("rank", rank == r, f"display rank {rank}, requested {r}")
+def _rank_check(rank: int, r: int) -> CheckResult:
+    return CheckResult("rank", rank == r, f"display rank {rank}, requested {r}")
 
 
-def _chi_nonnegative(chi: int) -> tuple[str, bool, str]:
-    return ("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family")
+def _chi_nonnegative(chi: int) -> CheckResult:
+    return CheckResult("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family")
 
 
 class Certificate(NamedTuple):
@@ -402,7 +402,7 @@ class Certificate(NamedTuple):
 
     The class is linear in the multiplicities and each of them is affine in
     r, so at rank r it is exactly base + r * slope.  ``row(r)`` evaluates
-    every check of ``verify_case`` from it in plain ints, ``proved_from(lo)``
+    every check of a case from it in plain ints, ``proved_from(lo)``
     decides whether all of them pass at every r >= lo, and ``rows(lo, hi)``
     counts the ranks of a sweep that pass, with their rows.
     """
@@ -412,9 +412,10 @@ class Certificate(NamedTuple):
     slope: KClass
 
     def row(self, r: int) -> VerificationReport:
-        """The report of every check at rank r.  A rank that is not an int
-        raises TypeError, one below min_rank ValueError, and a class with no
-        Chern data the error of ``ktheory.to_chern``."""
+        """The report of every check at rank r, each a ``CheckResult``, the
+        reconstruction check included.  A rank that is not an int raises
+        TypeError, one below min_rank ValueError, and a class with no Chern
+        data the error of ``ktheory.to_chern``."""
         case, base, slope = self
         if type(r) is not int:
             raise TypeError(f"rank must be an integer, got {r!r}")
@@ -428,11 +429,11 @@ class Certificate(NamedTuple):
         checks = (
             _rank_check(rank, r),
             # the text of f"display c1 {c1}, table c1 {table}", without two str() calls
-            ("c1", a == table.a and b == table.b, f"display c1 ({a},{b}), table c1 ({table.a},{table.b})"),
-            ("c2", c2 == case.expected_c2, f"computed c2 {c2}, expected {case.expected_c2}"),
-            ("c2_bound", 0 <= c2 <= c1sq, f"c2 {c2} against nef bound 0..{c1sq}"),
+            CheckResult("c1", a == table.a and b == table.b, f"display c1 ({a},{b}), table c1 ({table.a},{table.b})"),
+            CheckResult("c2", c2 == case.expected_c2, f"computed c2 {c2}, expected {case.expected_c2}"),
+            CheckResult("c2_bound", 0 <= c2 <= c1sq, f"c2 {c2} against nef bound 0..{c1sq}"),
             _chi_nonnegative(_chi(rank, c1, c2)),
-            (
+            CheckResult(
                 "multiplicities",
                 all([m.const + m.coef * r >= 0 for _, m in case.sub_terms + case.mid_terms]),
                 "every display multiplicity evaluates >= 0",
@@ -443,8 +444,8 @@ class Certificate(NamedTuple):
                 checks += (_reconstruction_proof(c2, reconstruct),)
             else:
                 needs = "the module profile needs c1 (2,2) and 6 <= c2 <= 8"
-                checks += (("reconstruction", False, f"{needs}, got c1 ({a},{b}) and c2 {c2}"),)
-        return VerificationReport(case, r, rank, c1, c2, c2 < c1sq, checks, all([check[1] for check in checks]))
+                checks += (CheckResult("reconstruction", False, f"{needs}, got c1 ({a},{b}) and c2 {c2}"),)
+        return VerificationReport(case, r, rank, c1, c2, c2 < c1sq, checks, all([check.passed for check in checks]))
 
     def proved_from(self, lo: int) -> bool:
         """Whether every check of ``row(r)`` passes at every r >= lo, for
@@ -502,7 +503,7 @@ def case_kclass(case: CaseSpec, r: int) -> KClass:
 
 
 @functools.cache
-def _reconstruction_proof(c2: int, rebuild: Callable[[BundleNumerics], KClass]) -> tuple[str, bool, str]:
+def _reconstruction_proof(c2: int, rebuild: Callable[[BundleNumerics], KClass]) -> CheckResult:
     """The reconstruction check at determinant (2, 2) and c2 in 6..8, for
     every rank r >= 1 at once.
 
@@ -517,15 +518,13 @@ def _reconstruction_proof(c2: int, rebuild: Callable[[BundleNumerics], KClass]) 
         for r in (1, 2):
             rebuild(BundleNumerics(r, _C1_22, c2))
     except ReconstructionError as exc:  # an internal identity failed: a bug, shown as a failing check
-        return ("reconstruction", False, str(exc))
-    return ("reconstruction", True, "module profile rebuilds the K-class")
+        return CheckResult("reconstruction", False, str(exc))
+    return CheckResult("reconstruction", True, "module profile rebuilds the K-class")
 
 
 def verify_case(case: CaseSpec, r: int) -> VerificationReport:
-    """Recompute every numeric claim of one case at one rank: ``certify(case).row(r)``
-    with each check a ``CheckResult``."""
-    report = certify(case).row(r)
-    return report._replace(checks=tuple([CheckResult._make(check) for check in report.checks]))
+    """Recompute every numeric claim of one case at one rank: ``certify(case).row(r)``."""
+    return certify(case).row(r)
 
 
 def sweep(

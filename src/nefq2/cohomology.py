@@ -152,8 +152,9 @@ def ext1_module_profile(e: BundleNumerics) -> HomExtProfile:
         hom  = (r + 8 - c2, 0, 0, 0)
         ext1 = (0, c2 - 6, c2 - 6, c2 - 4)
 
-    which requires c2 >= 6.  The hypotheses themselves are asserted by
-    the caller; this function only enforces their numeric consequences.
+    which requires c2 >= 6; under the nef bound c2 <= c1^2 = 8 every entry
+    is then non-negative.  The hypotheses themselves are asserted by the
+    caller; this function only enforces 6 <= c2 <= 8.
 
     >>> ext1_module_profile(BundleNumerics(3, BiDegree(2, 2), 6))
     HomExtProfile(hom=(5, 0, 0, 0), ext1=(0, 0, 0, 2))
@@ -162,9 +163,14 @@ def ext1_module_profile(e: BundleNumerics) -> HomExtProfile:
     """
     if type(e) is not BundleNumerics:
         raise TypeError(f"Chern data must be a BundleNumerics, got {e!r}")
-    if e.c1 != BiDegree(2, 2):
+    if (e.c1.a, e.c1.b) != (2, 2):
         raise HypothesisError(
             f"module profile is defined for determinant (2,2) only, got {e.c1}"
+        )
+    if not 6 <= e.c2 <= 8:
+        raise HypothesisError(
+            "the Hom/Ext profile is defined only for 6 <= c2 <= 8: a smaller c2 forces a section "
+            f"after a ruling twist, and a larger one violates the nef bound c2 <= 8; got c2={e.c2}"
         )
     # Each entry is +-chi of a twist: h0 for the untwisted bundle, h1 for
     # the three negative twists, all other groups vanishing by hypothesis.
@@ -173,14 +179,4 @@ def ext1_module_profile(e: BundleNumerics) -> HomExtProfile:
     n1 = -_chi(r, c1, c2, -1, 0)
     n2 = -_chi(r, c1, c2, 0, -1)
     n3 = -_chi(r, c1, c2, -1, -1)
-    if n1 < 0 or n2 < 0:
-        raise HypothesisError(
-            "the Hom/Ext profile is defined only for c2 >= 6; "
-            f"c2={e.c2} forces a section after a ruling twist"
-        )
-    if n0 < 0 or n3 < 0:
-        raise HypothesisError(
-            f"profile dimensions must be non-negative (rank={e.rank}, c2={e.c2} "
-            "violates the nef bound)"
-        )
     return HomExtProfile((n0, 0, 0, 0), (0, n1, n2, n3))

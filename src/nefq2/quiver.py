@@ -32,6 +32,9 @@ COLLECTION: tuple[BiDegree, BiDegree, BiDegree, BiDegree] = (
     BiDegree(1, 1),
 )
 
+#: The determinant of every bundle whose module profile is read here.
+_C1_22 = BiDegree(2, 2)
+
 
 def build_algebra() -> tuple[tuple[int, int, int, int], ...]:
     """The algebra's dimension matrix hom_dims[i][j], computed from line
@@ -55,9 +58,10 @@ def simple_module(i: int) -> tuple[int, int, int, int]:
 def hom_ext_series(rank: int, c2: int) -> HomExtProfile:
     """Composition series of Hom(G, E) and Ext^1(G, E) for a nef bundle E
     with determinant (2, 2), no ruling-degree sub-line-bundle and
-    vanishing h1.  Requires c2 >= 6 (and the nef bound c2 <= rank + 8).
+    vanishing h1.  Requires 6 <= c2 <= 8, the upper end the nef bound
+    c2 <= c1^2.
 
     >>> hom_ext_series(3, 7)
     HomExtProfile(hom=(4, 0, 0, 0), ext1=(0, 1, 1, 3))
     """
-    return ext1_module_profile(BundleNumerics(rank, BiDegree(2, 2), c2))
+    return ext1_module_profile(BundleNumerics(rank, _C1_22, c2))

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import re
 
-from nefq2 import BiDegree, BundleNumerics, HypothesisError, list_cases
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nefq2 import BiDegree, BundleNumerics, HypothesisError, ReconstructionError, list_cases
+from nefq2 import bondal
 from nefq2.bondal import (
     DICTIONARY,
     VARIANT_CURVE,
@@ -15,8 +20,9 @@ from nefq2.bondal import (
     series_tensor_class,
 )
 from nefq2.catalog import RankExpr, certify
-from nefq2.ktheory import KClass, TorsionKind, from_chern, line_class
-from nefq2.quiver import simple_module
+from nefq2.cohomology import ext1_module_profile
+from nefq2.ktheory import POINT_CLASS, KClass, TorsionKind, from_chern, line_class
+from nefq2.quiver import hom_ext_series, simple_module
 
 from whitney_oracle import case_chern
 
@@ -174,3 +180,78 @@ def test_e2_page_hypothesis_errors():
         e2_page(6, 3, variant=VARIANT_CURVE)
     with pytest.raises(HypothesisError):
         e2_page(7, 0)
+
+
+@pytest.mark.parametrize(
+    ("args", "name"),
+    [((True, 3), "c2"), ((7.0, 3), "c2"), ((6, 2.5), "rank")],
+    ids=["bool_c2", "float_c2", "float_rank"],
+)
+def test_e2_page_type_rule(args, name):
+    # the argument that is not exactly an int is named, before any hypothesis
+    bad = args[0] if name == "c2" else args[1]
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+        e2_page(*args)
+
+
+@pytest.mark.parametrize("rank", [1, 5])
+def test_module_profile_enforces_the_nef_bound(rank):
+    # a nef bundle with determinant (2, 2) has c2 <= c1^2 = 8; c2 = 9 once
+    # passed at every rank with r + 8 - c2 >= 0
+    e = BundleNumerics(rank, BiDegree(2, 2), 9)
+    for call in (lambda: ext1_module_profile(e), lambda: hom_ext_series(rank, 9), lambda: reconstruct(e)):
+        with pytest.raises(HypothesisError, match=r"6 <= c2 <= 8.*nef bound.*got c2=9$"):
+            call()
+    assert hom_ext_series(rank, 8) == ((rank, 0, 0, 0), (0, 2, 2, 4))
+
+
+def _line(a: int, b: int, mult: int = 1) -> KClass:
+    """mult * [O(a, b)], written out: rank mult, c1 mult*(a, b), twice ch2 mult*2ab."""
+    return KClass(mult, BiDegree(mult * a, mult * b), mult * 2 * a * b)
+
+
+#: (c2, variant) -> the q = 1 entries {(p, q): (class, label)}, by the formulas:
+#: 2[O(-1,-1)], [O(-2,-2)], the point class, the class [O] - [O(-2,-2)] of a
+#: curve of bidegree (2, 2) and the structure sheaf's class [O].
+Q1_PAGE = {
+    (6, None): {(-2, 1): (_line(-1, -1, 2), "O(-1,-1)^2")},
+    (7, None): {(-2, 1): (_line(-2, -2), "O(-2,-2)"), (-1, 1): (KClass(0, BiDegree(0, 0), 2), "k(p)")},
+    (8, VARIANT_CURVE): {(-1, 1): (KClass(0, BiDegree(2, 2), -8), "O_C(0) on a (2,2) curve")},
+    (8, VARIANT_STRUCTURE): {(-2, 1): (_line(-2, -2), "O(-2,-2)"), (-1, 1): (_line(0, 0), "O")},
+}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 10**6), st.sampled_from(sorted(Q1_PAGE, key=str)))
+def test_pages_and_reconstruction_match_the_formulas(rank, key):
+    c2, variant = key
+    page = e2_page(c2, rank, variant)
+    n0 = rank + 8 - c2
+    expected = {(0, 0): (_line(0, 0, n0), "O" if n0 == 1 else f"O^{n0}"), **Q1_PAGE[key]}
+    assert {pos: (e.kclass, e.label) for pos, e in page.entries.items()} == expected
+    assert (page.c2, page.rank, page.variant) == (c2, rank, variant)
+    assert page.four_term_residual() == KClass.zero()
+    e = BundleNumerics(rank, BiDegree(2, 2), c2)
+    assert page.convergence_class() == from_chern(e) == KClass(rank, BiDegree(2, 2), 8 - 2 * c2)
+    hom, ext1 = hom_ext_series(rank, c2)
+    assert reconstruct(e) == series_tensor_class(hom) - series_tensor_class(ext1) == from_chern(e)
+
+
+def test_every_call_checks_its_identities(monkeypatch):
+    # a from_chern one point off must fail each call: no verdict is cached
+    pages = [(6, None), (7, None), (8, VARIANT_CURVE), (8, VARIANT_STRUCTURE)]
+    monkeypatch.setattr(bondal, "from_chern", lambda e: from_chern(e) + POINT_CLASS)
+    for c2, variant in pages:
+        e = BundleNumerics(4, BiDegree(2, 2), c2)
+        for _ in range(2):
+            with pytest.raises(ReconstructionError, match=rf"^page c2={c2} converges to "):
+                e2_page(c2, 4, variant)
+            with pytest.raises(ReconstructionError, match="^module profile rebuilt "):
+                reconstruct(e)
+    # and a line sum one point off breaks the four-term identity of every page
+    line_sum = bondal._line_sum
+    monkeypatch.setattr(bondal, "_line_sum", lambda terms: line_sum(terms) + POINT_CLASS)
+    for c2, variant in pages:
+        for _ in range(2):
+            with pytest.raises(ReconstructionError, match=rf"^four-term identity violated on page c2={c2}: "):
+                e2_page(c2, 4, variant)
