@@ -279,6 +279,12 @@ def _require_c1(theorem: str, c1: BiDegree | None) -> BiDegree:
     return c1
 
 
+#: How many parameters of each parametric table keep their cases: a repeated
+#: parameter gets the same tuple, and so the same certificates.
+_PARAMETERS_KEPT = 256
+
+
+@functools.lru_cache(maxsize=_PARAMETERS_KEPT)
 def _halfmax_cases(c1: BiDegree, b: int) -> tuple[CaseSpec, ...]:
     if not is_effective(c1):
         raise HypothesisError(f"determinant {c1} of a nef bundle must be effective")
@@ -292,6 +298,7 @@ def _halfmax_cases(c1: BiDegree, b: int) -> tuple[CaseSpec, ...]:
     return _table("halfmax", c1, [row])
 
 
+@functools.lru_cache(maxsize=_PARAMETERS_KEPT)
 def _nearmax_cases(c1: BiDegree) -> tuple[CaseSpec, ...]:
     if c1.a < 1 or c1.b < 1:
         raise HypothesisError(f"the near-maximal table needs both determinant degrees >= 1, got {c1}")
@@ -397,7 +404,41 @@ def _chi_nonnegative(chi: int) -> CheckResult:
     return CheckResult("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family")
 
 
-class Certificate(NamedTuple):
+def _reconstruction_check(c1: BiDegree, c2: int) -> CheckResult:
+    """The reconstruction check of a flagged case: the cached proof at c1
+    (2,2) with c2 in 6..8, through the ``reconstruct`` of this module as it
+    is at the call, and a failing check anywhere else."""
+    if c1 == _C1_22 and 6 <= c2 <= 8:
+        return _reconstruction_proof(c2, reconstruct)
+    needs = "the module profile needs c1 (2,2) and 6 <= c2 <= 8"
+    return CheckResult("reconstruction", False, f"{needs}, got c1 ({c1.a},{c1.b}) and c2 {c2}")
+
+
+def _report(case: CaseSpec, r: int, rank: int, c1: BiDegree, c2: int) -> VerificationReport:
+    """The report of every check at rank r of a display whose class there
+    has this rank, c1 and c2."""
+    a, b, table = c1.a, c1.b, case.c1
+    c1sq = intersect(c1, c1)
+    checks = (
+        _rank_check(rank, r),
+        # the text of f"display c1 {c1}, table c1 {table}", without two str() calls
+        CheckResult("c1", a == table.a and b == table.b, f"display c1 ({a},{b}), table c1 ({table.a},{table.b})"),
+        CheckResult("c2", c2 == case.expected_c2, f"computed c2 {c2}, expected {case.expected_c2}"),
+        CheckResult("c2_bound", 0 <= c2 <= c1sq, f"c2 {c2} against nef bound 0..{c1sq}"),
+        _chi_nonnegative(_chi(rank, c1, c2)),
+        CheckResult(
+            "multiplicities",
+            all([m.const + m.coef * r >= 0 for _, m in case.sub_terms + case.mid_terms]),
+            "every display multiplicity evaluates >= 0",
+        ),
+    )
+    if case.bondal_reconstructible:
+        checks += (_reconstruction_check(c1, c2),)
+    return VerificationReport(case, r, rank, c1, c2, c2 < c1sq, checks, all([check.passed for check in checks]))
+
+
+@frozen
+class Certificate:
     """A case's display class as base + r * slope, and what follows from it.
 
     The class is linear in the multiplicities and each of them is affine in
@@ -405,53 +446,70 @@ class Certificate(NamedTuple):
     every check of a case from it in plain ints, ``proved_from(lo)``
     decides whether all of them pass at every r >= lo, and ``rows(lo, hi)``
     counts the ranks of a sweep that pass, with their rows.
+
+    A display is flat when its slope is [O] and no multiplicity falls with
+    r.  Then c1 and c2 do not move with r, and neither do the c1, c2,
+    c2_bound and multiplicities checks at r >= min_rank: the certificate
+    keeps them, with chi at rank 0, from its first row at min_rank, unless
+    that row raises.  It keeps nothing that depends on anything but its
+    fields.
     """
 
     case: CaseSpec
     base: KClass
     slope: KClass
 
+    @property
+    def _flat(self) -> bool:
+        return self.slope == _SLOPE_O and all([m.coef >= 0 for _, m in self.case.sub_terms + self.case.mid_terms])
+
+    @functools.cached_property
+    def _fixed(self) -> tuple[BiDegree, int, bool, int, tuple[CheckResult, ...]] | None:
+        """For a flat display whose row at min_rank does not raise: c1, c2,
+        weak_fano, k = chi at rank 0 and the checks of ``row(r)`` that do not
+        move with r (c1, c2, c2_bound, multiplicities).  None otherwise."""
+        if not self._flat:
+            return None
+        base, lo = self.base, self.case.min_rank
+        try:
+            c2 = _chern_c2(base.rank + lo, base.c1, base.ch2x2)
+        except NefQ2Error:
+            return None
+        _, _, _, c1, _, weak_fano, checks, _ = _report(self.case, lo, base.rank + lo, base.c1, c2)
+        return c1, c2, weak_fano, _chi(0, c1, c2), checks[1:4] + checks[5:6]
+
     def row(self, r: int) -> VerificationReport:
         """The report of every check at rank r, each a ``CheckResult``, the
         reconstruction check included.  A rank that is not an int raises
         TypeError, one below min_rank ValueError, and a class with no Chern
-        data the error of ``ktheory.to_chern``."""
-        case, base, slope = self
+        data the error of ``ktheory.to_chern``.
+
+        For a flat display only the rank, chi (k + rank) and reconstruction
+        checks are made here; the others are the certificate's own.  The
+        reconstruction check goes through ``reconstruct`` at every call, so
+        a replaced function is seen."""
+        case = self.case
         if type(r) is not int:
             raise TypeError(f"rank must be an integer, got {r!r}")
         if r < case.min_rank:
             raise ValueError(f"{case.id} needs rank >= {case.min_rank}, got {r}")
-        rank = base.rank + r * slope.rank
-        c1 = base.c1 + r * slope.c1 if slope.c1.a or slope.c1.b else base.c1
-        a, b, table = c1.a, c1.b, case.c1
-        c1sq = intersect(c1, c1)
-        c2 = _chern_c2(rank, c1, base.ch2x2 + r * slope.ch2x2)
-        checks = (
-            _rank_check(rank, r),
-            # the text of f"display c1 {c1}, table c1 {table}", without two str() calls
-            CheckResult("c1", a == table.a and b == table.b, f"display c1 ({a},{b}), table c1 ({table.a},{table.b})"),
-            CheckResult("c2", c2 == case.expected_c2, f"computed c2 {c2}, expected {case.expected_c2}"),
-            CheckResult("c2_bound", 0 <= c2 <= c1sq, f"c2 {c2} against nef bound 0..{c1sq}"),
-            _chi_nonnegative(_chi(rank, c1, c2)),
-            CheckResult(
-                "multiplicities",
-                all([m.const + m.coef * r >= 0 for _, m in case.sub_terms + case.mid_terms]),
-                "every display multiplicity evaluates >= 0",
-            ),
-        )
-        if case.bondal_reconstructible:  # decided here, so only c2 in 6..8 at c1 (2,2) reaches the cache
-            if c1 == _C1_22 and 6 <= c2 <= 8:
-                checks += (_reconstruction_proof(c2, reconstruct),)
-            else:
-                needs = "the module profile needs c1 (2,2) and 6 <= c2 <= 8"
-                checks += (CheckResult("reconstruction", False, f"{needs}, got c1 ({a},{b}) and c2 {c2}"),)
-        return VerificationReport(case, r, rank, c1, c2, c2 < c1sq, checks, all([check.passed for check in checks]))
+        fixed = self._fixed
+        if fixed is None:
+            base, slope = self.base, self.slope
+            rank = base.rank + r * slope.rank
+            c1 = base.c1 + r * slope.c1 if slope.c1.a or slope.c1.b else base.c1
+            return _report(case, r, rank, c1, _chern_c2(rank, c1, base.ch2x2 + r * slope.ch2x2))
+        c1, c2, weak_fano, k, (c1_check, c2_check, bound, multiplicities) = fixed
+        rank = self.base.rank + r
+        checks = (_rank_check(rank, r), c1_check, c2_check, bound, _chi_nonnegative(k + rank), multiplicities)
+        if case.bondal_reconstructible:
+            checks += (_reconstruction_check(c1, c2),)
+        return VerificationReport(case, r, rank, c1, c2, weak_fano, checks, all([check.passed for check in checks]))
 
     def proved_from(self, lo: int) -> bool:
         """Whether every check of ``row(r)`` passes at every r >= lo, for
-        lo >= min_rank: exactly when the slope is [O], no multiplicity falls
-        with r, and ``row(lo)`` passes.  A row(lo) that raises NefQ2Error is
-        not proved.
+        lo >= min_rank: exactly when the display is flat and ``row(lo)``
+        passes.  A row(lo) that raises NefQ2Error is not proved.
 
         With the slope [O] = (1, 0, 0) the rank is base.rank + r, so it is r
         at every rank once it is lo at lo, and c1 and twice c2 do not move:
@@ -465,29 +523,22 @@ class Certificate(NamedTuple):
             passed = self.row(lo).passed
         except NefQ2Error:
             return False
-        terms = self.case.sub_terms + self.case.mid_terms
-        return passed and self.slope == _SLOPE_O and all(m.coef >= 0 for _, m in terms)
+        return passed and self._flat
 
     def rows(self, lo: int, hi: int) -> tuple[int, Iterable[VerificationReport]]:
         """How many ranks of lo..hi pass every check, with ``row(r)`` for
-        each.  Unless ``proved_from(lo)``, the rows are a list made here, so a
-        rank that raises does so at this call.  Proved, every row passes and is
-        made as it is read, with only the rank and chi checks made again: the
-        slope is [O], so chi is affine in r, and it is written as k + r with
-        k = chi at rank 0, computed once, instead of by Riemann-Roch at each r."""
+        each.  A bound that is not an int raises TypeError.  Unless
+        ``proved_from(lo)``, the rows are a list made here, so a rank that
+        raises does so at this call.  Proved, every rank passes and the rows
+        are ``map(self.row, lo..hi)``, made as they are read."""
+        for name, bound in (("lo", lo), ("hi", hi)):
+            if type(bound) is not int:
+                raise TypeError(f"{name} must be an integer, got {bound!r}")
         ranks = range(lo, hi + 1)
-        if not self.proved_from(lo):
-            rows = [self.row(r) for r in ranks]
-            return sum(row.passed for row in rows), rows
-        case, _, _, c1, c2, weak_fano, checks, _ = self.row(lo)
-        same, rest = checks[1:4], checks[5:]  # all but the rank and chi checks
-        k = _chi(0, c1, c2)
-        return len(ranks), (
-            VerificationReport(
-                case, r, r, c1, c2, weak_fano, (_rank_check(r, r), *same, _chi_nonnegative(k + r), *rest), True
-            )
-            for r in ranks
-        )
+        if self.proved_from(lo):
+            return len(ranks), map(self.row, ranks)
+        rows = [self.row(r) for r in ranks]
+        return sum(row.passed for row in rows), rows
 
 
 def certify(case: CaseSpec) -> Certificate:
@@ -497,9 +548,12 @@ def certify(case: CaseSpec) -> Certificate:
 
 def case_kclass(case: CaseSpec, r: int) -> KClass:
     """Alternating K-sum of the display at rank r (no honesty checks), exact
-    at every r, including the virtual classes below min_rank."""
-    _, base, slope = certify(case)
-    return base + r * slope
+    at every r, including the virtual classes below min_rank.  A rank that
+    is not an int raises TypeError."""
+    if type(r) is not int:
+        raise TypeError(f"rank must be an integer, got {r!r}")
+    cert = certify(case)
+    return cert.base + r * cert.slope
 
 
 @functools.cache

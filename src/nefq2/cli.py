@@ -173,8 +173,9 @@ def _run_bondal(args: argparse.Namespace) -> int:
 def _run_verify(args: argparse.Namespace) -> int:
     hi = args.rank_max
     cases = sweep(args.theorem, args.rank_min, hi, c1=args.c1, b=args.b_param)
-    # (case, lo, passed, rows) as Certificate.rows gives them: an unproved
-    # case's rows are made here, so a rank that raises does so before output
+    # (case, lo, passed, rows) as Certificate.rows gives them: a proved
+    # case's rows are made by row as they are read, an unproved case's are
+    # made here, so a rank that raises does so before output
     swept = [(case, lo, *certify(case).rows(lo, hi)) for case, lo in cases]
     passed = sum(count for _, _, count, _ in swept)
     total = sum(hi + 1 - lo for _, lo in cases)

@@ -59,9 +59,13 @@ def hom_ext_series(rank: int, c2: int) -> HomExtProfile:
     """Composition series of Hom(G, E) and Ext^1(G, E) for a nef bundle E
     with determinant (2, 2), no ruling-degree sub-line-bundle and
     vanishing h1.  Requires 6 <= c2 <= 8, the upper end the nef bound
-    c2 <= c1^2.
+    c2 <= c1^2.  A rank or c2 that is not an int raises TypeError.
 
     >>> hom_ext_series(3, 7)
     HomExtProfile(hom=(4, 0, 0, 0), ext1=(0, 1, 1, 3))
     """
+    if type(rank) is not int:
+        raise TypeError(f"rank must be an integer, got {rank!r}")
+    if type(c2) is not int:
+        raise TypeError(f"c2 must be an integer, got {c2!r}")
     return ext1_module_profile(BundleNumerics(rank, _C1_22, c2))

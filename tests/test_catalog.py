@@ -177,6 +177,35 @@ def test_parameter_free_tables_are_built_once():
     assert list_cases("quadric21") is list_cases("quadric21")
 
 
+@pytest.mark.parametrize(
+    ("theorem", "params"),
+    [("halfmax", dict(c1=BiDegree(3, 2), b=1)), ("nearmax", dict(c1=BiDegree(3, 2)))],
+    ids=["halfmax", "nearmax"],
+)
+def test_parametric_tables_are_built_once_per_parameter(theorem, params):
+    cases = list_cases(theorem, **params)
+    certs = [certify(case) for case in cases]
+    again = list_cases(theorem, **params)
+    assert again is cases
+    assert all(certify(case) is cert for case, cert in zip(again, certs))
+
+
+@pytest.mark.parametrize(
+    ("theorem", "params"),
+    [
+        ("halfmax", dict(c1=BiDegree(3, 2), b=3)),
+        ("halfmax", dict(c1=BiDegree(-1, 2), b=0)),
+        ("nearmax", dict(c1=BiDegree(0, 3))),
+    ],
+    ids=["halfmax_b_too_big", "halfmax_not_effective", "nearmax_degree_zero"],
+)
+def test_bad_parameters_raise_on_every_call(theorem, params):
+    # an error is not kept: the second call raises as the first did
+    for _ in range(2):
+        with pytest.raises(HypothesisError):
+            list_cases(theorem, **params)
+
+
 def test_parametric_theorems_require_their_parameters():
     with pytest.raises(HypothesisError):
         list_cases("halfmax")
@@ -441,14 +470,17 @@ def test_table_claims_hold_for_every_rank():
 
 
 def test_affine_class_is_computed_on_first_use():
-    case = list_cases("halfmax", c1=BiDegree(3, 2), b=1)[0]
+    # a fresh copy: the table's own case may be certified by an earlier test
+    case = replace(list_cases("halfmax", c1=BiDegree(3, 2), b=1)[0])
     assert "_certificate" not in vars(case)
     case_kclass(case, 4)
     assert "_certificate" in vars(case)
-    # one certificate per case, kept on it
+    # one certificate per case, kept on it, with its fixed checks kept on it
     cert = certify(case)
     assert certify(case) is cert and cert.case is case
+    assert "_fixed" not in vars(cert)
     assert verify_case(case, 4).passed and certify(case) is cert
+    assert vars(cert)["_fixed"] is not None
     # the twin and a replaced case are new instances with their own certificate
     twin = catalog._swapped(case)
     assert "_certificate" not in vars(twin)
@@ -595,10 +627,29 @@ def test_ranks_must_be_integers():
             certify(case).row(r)
     with pytest.raises(ValueError, match="^main22-1 needs rank >= 1, got 0$"):
         certify(case).row(0)
+    with pytest.raises(TypeError, match="^rank must be an integer, got True$"):
+        case_kclass(case, True)
     # verify_all sweeps through catalog.sweep, which checks the bounds
     for rank_min, rank_max in ((None, True), (None, 10.0), (True, 10), (1.0, 10)):
         with pytest.raises(TypeError):
             verify_all("main22", rank_min, rank_max)
+
+
+@pytest.mark.parametrize(
+    ("lo", "hi", "message"),
+    [
+        (1, True, "hi must be an integer, got True"),
+        (1, 3.0, "hi must be an integer, got 3.0"),
+        (True, 3, "lo must be an integer, got True"),
+        (1.0, 3, "lo must be an integer, got 1.0"),
+    ],
+    ids=["bool_hi", "float_hi", "bool_lo", "float_lo"],
+)
+def test_rank_bounds_of_rows_must_be_integers(lo, hi, message):
+    # rows(1, True) would otherwise be the one row at rank 1
+    for case in (list_cases("main22")[0], replace(list_cases("main22")[0], expected_c2=1)):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            certify(case).rows(lo, hi)
 
 
 def test_verify_all():

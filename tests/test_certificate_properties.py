@@ -5,6 +5,9 @@ odd, ``Certificate.row(r)`` must equal verify_case's check formulas applied
 to the class computed directly at r, errors included, and a case the
 certificate proves from lo must pass at every rank of lo..lo+50, where
 ``Certificate.rows`` must give the same rows and count those that pass.
+Flat displays, whose rows reuse the checks their certificate keeps, are
+checked the same way at min_rank, min_rank + 1 and 10**6, with failing
+kept checks among them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from nefq2 import MalformedClassError, NefQ2Error, list_cases
+from nefq2 import MalformedClassError, NefQ2Error, ReconstructionError, catalog, list_cases
 from nefq2._value import replace
 from nefq2.bondal import reconstruct
 from nefq2.catalog import (
@@ -197,6 +200,91 @@ def test_displays_fail_the_multiplicities_check_through_negative_terms(negative)
 
     case = find(displays(), fails, settings=settings(max_examples=2000, database=None))
     assert not certify(case).proved_from(case.min_rank)
+
+
+@st.composite
+def flat_displays(draw) -> CaseSpec:
+    """A random flat display: fixed multiplicities of either sign, and
+    O^(r+k) in the middle, k chosen so that the rank is r + shift, shift
+    mostly 0.  Its c1 and c2 are now and then its own at min_rank."""
+    signed_terms = st.lists(st.tuples(degrees, st.builds(RankExpr, st.integers(-2, 3))), max_size=3)
+    sub, mid = (tuple(draw(signed_terms)) for _ in range(2))
+    coker = draw(cokers)
+    k = sum(m.const for _, m in sub) - sum(m.const for _, m in mid) + draw(st.sampled_from((0, 0, 0, 1, -1, 3)))
+    k -= coker is not None and coker.kind is TorsionKind.STRUCTURE_SHEAF
+    case = CaseSpec(
+        id="flat",
+        theorem="main22",
+        c1=draw(degrees),
+        sub_terms=sub,
+        mid_terms=mid + ((ZERO, RankExpr(k, 1)),),
+        coker=coker,
+        expected_c2=draw(st.integers(-2, 12)),
+        globally_generated=None,
+        bondal_reconstructible=draw(st.booleans()),
+    )
+    if draw(st.booleans()):
+        try:
+            e = to_chern(_display_class(case, case.min_rank))
+        except NefQ2Error:
+            return case
+        case = replace(case, c1=e.c1, expected_c2=e.c2)
+    return case
+
+
+def far_ranks(case: CaseSpec) -> tuple[int, ...]:
+    return (case.min_rank, case.min_rank + 1, 10**6)
+
+
+@SETTINGS
+@given(flat_displays())
+def test_a_flat_row_equals_the_direct_evaluation(case):
+    cert = certify(case)
+    assert cert.slope == KClass(1, ZERO, 0)
+    for r in far_ranks(case):
+        assert evaluated(cert, r) == direct(case, r, _display_class(case, r)), r
+    # the kept checks exist exactly when the row at min_rank does not raise
+    assert (vars(cert)["_fixed"] is None) == (len(evaluated(cert, case.min_rank)) == 2)
+
+
+@pytest.mark.parametrize(
+    "failing",
+    (
+        lambda cert, row: not row.checks[4].passed,
+        lambda cert, row: cert.base.rank != 0,
+        lambda cert, row: any(m.coef == 0 and m.const < 0 for _, m in cert.case.mid_terms + cert.case.sub_terms),
+    ),
+    ids=("negative_chi_at_lo", "base_rank_not_zero", "constant_negative_multiplicity"),
+)
+def test_flat_rows_whose_kept_checks_fail_equal_the_direct_evaluation(failing):
+    def kept_and_failing(case: CaseSpec) -> bool:
+        cert = certify(case)
+        row = evaluated(cert, case.min_rank)
+        return len(row) == 8 and vars(cert)["_fixed"] is not None and failing(cert, row)
+
+    case = find(flat_displays(), kept_and_failing, settings=settings(max_examples=2000, database=None))
+    cert = certify(case)
+    assert not cert.proved_from(case.min_rank)
+    for r in far_ranks(case):
+        assert evaluated(cert, r) == direct(case, r, _display_class(case, r)), r
+
+
+def test_a_replaced_reconstruct_is_seen_by_a_kept_certificate(monkeypatch):
+    case = {c.id: c for c in list_cases("main22")}["main22-9"]
+    cert = certify(case)
+    before = cert.row(3)
+    assert before.passed and vars(cert)["_fixed"] is not None
+
+    def broken(e):
+        raise ReconstructionError(f"no module profile for {e}")
+
+    monkeypatch.setattr(catalog, "reconstruct", broken)
+    after = certify(case).row(3)
+    assert after.checks[:-1] == before.checks[:-1] and not after.passed
+    name, passed, detail = after.checks[-1]
+    assert (name, passed) == ("reconstruction", False) and detail.startswith("no module profile")
+    monkeypatch.undo()
+    assert cert.row(3) == before
 
 
 kclasses = st.builds(KClass, st.integers(-4, 6), degrees, st.integers(-9, 9))

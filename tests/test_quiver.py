@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from nefq2 import BiDegree, HypothesisError
@@ -101,3 +103,19 @@ def test_hom_ext_series_general_shape():
 def test_hom_ext_series_hypothesis_check():
     with pytest.raises(HypothesisError):
         hom_ext_series(3, 5)
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        ((True, 7), "rank must be an integer, got True"),
+        ((3.0, 7), "rank must be an integer, got 3.0"),
+        ((3, True), "c2 must be an integer, got True"),
+        ((3, 7.0), "c2 must be an integer, got 7.0"),
+    ],
+    ids=["bool_rank", "float_rank", "bool_c2", "float_c2"],
+)
+def test_hom_ext_series_type_rule(args, message):
+    # the argument is named, not a field of the Chern data built from it
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        hom_ext_series(*args)

@@ -15,7 +15,7 @@ import nefq2
 from nefq2 import BiDegree, BundleNumerics, HypothesisError, list_cases
 from nefq2._value import _repr, frozen, replace
 from nefq2.bondal import E2Entry, E2Page, ShiftedLineClass, e2_page
-from nefq2.catalog import CaseSpec, RankExpr
+from nefq2.catalog import CaseSpec, Certificate, RankExpr
 from nefq2.cohomology import CohomologyVector
 from nefq2.ktheory import KClass, TorsionDescriptor, TorsionKind
 
@@ -80,6 +80,16 @@ VALUES = [
         "mid_terms=((BiDegree(a=1, b=1), RankExpr(const=-1, coef=1)),), coker=None, "
         "expected_c2=2, globally_generated=None, bondal_reconstructible=False, twin_of=None)",
         {"mid_terms": ((C22, -1),)},
+        TypeError,
+    ),
+    (
+        Certificate(CASE, KClass(-1, C22, 0), KClass(1, BiDegree(0, 0), 0)),
+        "Certificate(case=CaseSpec(id='t-1', theorem='t', c1=BiDegree(a=2, b=2), "
+        "sub_terms=((BiDegree(a=0, b=0), RankExpr(const=1, coef=0)),), "
+        "mid_terms=((BiDegree(a=1, b=1), RankExpr(const=-1, coef=1)),), coker=None, "
+        "expected_c2=2, globally_generated=None, bondal_reconstructible=False, twin_of=None), "
+        "base=KClass(rank=-1, c1=BiDegree(a=2, b=2), ch2x2=0), slope=KClass(rank=1, c1=BiDegree(a=0, b=0), ch2x2=0))",
+        {"slope": (1, (0, 0), 0)},
         TypeError,
     ),
 ]
