@@ -459,18 +459,14 @@ class Certificate:
     base: KClass
     slope: KClass
 
-    @property
-    def _flat(self) -> bool:
-        return self.slope == _SLOPE_O and all([m.coef >= 0 for _, m in self.case.sub_terms + self.case.mid_terms])
-
     @functools.cached_property
     def _fixed(self) -> tuple[BiDegree, int, bool, int, tuple[CheckResult, ...]] | None:
         """For a flat display whose row at min_rank does not raise: c1, c2,
         weak_fano, k = chi at rank 0 and the checks of ``row(r)`` that do not
         move with r (c1, c2, c2_bound, multiplicities).  None otherwise."""
-        if not self._flat:
+        base, lo, terms = self.base, self.case.min_rank, self.case.sub_terms + self.case.mid_terms
+        if self.slope != _SLOPE_O or any([m.coef < 0 for _, m in terms]):
             return None
-        base, lo = self.base, self.case.min_rank
         try:
             c2 = _chern_c2(base.rank + lo, base.c1, base.ch2x2)
         except NefQ2Error:
@@ -518,12 +514,14 @@ class Certificate:
         grows with r.  A multiplicity c + k*r >= 0 at lo stays so when
         k >= 0.  Conversely, the rank, c1 and c2 checks pass at every rank
         only if the slope is [O], and a falling multiplicity turns negative.
+        A flat row that passes at lo has rank lo, so base.rank is 0 and the
+        row at min_rank does not raise: the certificate keeps its checks.
         """
         try:
             passed = self.row(lo).passed
         except NefQ2Error:
             return False
-        return passed and self._flat
+        return passed and self._fixed is not None
 
     def rows(self, lo: int, hi: int) -> tuple[int, Iterable[VerificationReport]]:
         """How many ranks of lo..hi pass every check, with ``row(r)`` for
