@@ -5,19 +5,26 @@ The verify document is written from the case certificates' rows, each
 row's text by ``_row_text`` in sorted key order, byte for byte what
 json.dumps prints for the report's ``to_json()`` dict.  A case that
 ``Certificate.proved_from(lo)`` proves is written from one template per
-case: its row at a sentinel rank far above any sweep, cut at the decimals
-of that rank and of its chi, so that row r is the pieces joined with the
-decimals of r and of chi = k + r.  The document is ASCII, and it is
-written in blocks of ``_BLOCK`` characters, whatever the length of its
-rows, so the run holds at most one block and a row.  Only ``--format
-json`` loads this module.
+case: its row at a sentinel rank far above any sweep, cut once into the
+constant pieces between the decimals of that rank and of its chi.  Its
+rows are then filled in batches of about one block, each batch joined in
+C from the pieces and the decimals of r and of chi = k + r, with no
+Python code run per row.  The document is ASCII, and it is written in
+blocks of ``_BLOCK`` characters, whatever the length of its rows, so the
+run holds at most one block and one batch.  Only ``--format json`` loads
+this module, and the verify document loads no ``json`` package: its
+strings are escaped by the C encoder of ``_json``.
 """
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii as string
+from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator
+
+try:
+    from _json import encode_basestring_ascii as string
+except ImportError:  # an interpreter built without the C accelerator
+    from json.encoder import encode_basestring_ascii as string
 
 from . import __version__
 from .catalog import CaseSpec, VerificationReport, case_to_json, certify
@@ -35,6 +42,8 @@ _SENTINEL = 10**30
 
 def write_catalog_json(cases: Iterable[CaseSpec], write: Callable[[str], Any]) -> None:
     """Write the document {"cases": [case_to_json(case), ...]}."""
+    import json
+
     write(json.dumps({"cases": [case_to_json(case) for case in cases]}, sort_keys=True, indent=2) + "\n")
 
 
@@ -73,24 +82,38 @@ def _row_text(case_text: tuple[str, str], row: VerificationReport) -> str:
     )
 
 
-def _template(case: CaseSpec, case_text: tuple[str, str]) -> Callable[[int], str] | None:
-    """The row text of a proved case at any rank r it is proved at, as a
-    fill of its row at the sentinel rank R: the decimal of R stands for r
-    in 4 places (rank_tested, the computed rank and twice in the rank
-    detail) and that of k + R for chi = k + r in one, with k = chi at rank
-    0.  None when those decimals occur otherwise in the text (k = 0 puts
-    one decimal in all 5 places)."""
+def _template(case: CaseSpec, case_text: tuple[str, str]) -> Callable[[int, int], Iterator[str]] | None:
+    """The row texts of a proved case at the ranks lo..hi-1 it is proved
+    at, joined by ",\n" in batches of about one block, as a fill of its row
+    at the sentinel rank R: the decimal of R stands for r in 4 places
+    (rank_tested, the computed rank and twice in the rank detail) and that
+    of k + R for chi = k + r in one, with k = chi at rank 0.  None when
+    those decimals occur otherwise in the text (k = 0 puts one decimal in
+    all 5 places)."""
     row = certify(case).row(_SENTINEL)
     text = _row_text(case_text, row)
     k = _chi(0, row.c1, row.c2)
     rank, chi = str(_SENTINEL), str(k + _SENTINEL)
     if (text.count(rank), text.count(chi)) != ((5, 5) if k == 0 else (4, 1)):
         return None
-    pieces = [part.split(rank) for part in text.split(chi)]
+    # the columns of a row: a constant piece, then the gap of r (0) or of
+    # k + r (1) before each further piece
+    columns: list[Any] = []
+    for i, part in enumerate(text.split(chi)):
+        if i:
+            columns.append(1)
+        for j, piece in enumerate(part.split(rank)):
+            if j:
+                columns.append(0)
+            columns.append(repeat(piece))
+    batch = max(1, _BLOCK // len(text))
 
-    def fill(r: int) -> str:
-        decimal = str(r)
-        return str(k + r).join([decimal.join(part) for part in pieces])
+    def fill(lo: int, hi: int) -> Iterator[str]:
+        for start in range(lo, hi, batch):
+            stop = min(start + batch, hi)
+            decimals = (list(map(str, range(start, stop))), list(map(str, range(k + start, k + stop))))
+            rows = zip(*[decimals[c] if type(c) is int else c for c in columns])
+            yield ",\n".join(map("".join, rows))
 
     return fill
 
@@ -118,14 +141,15 @@ def _verify_pieces(
     passed: int,
     total: int,
 ) -> Iterator[str]:
-    """The verify document's text, in pieces of at most one row."""
+    """The verify document's text, in pieces of at most one row or one
+    batch of a template's rows."""
     yield f'{{\n  "invocation": {string(invocation)},\n  "results": '
     lead = "[\n"
     for case, lo, count, rows in swept:
         case_text = _case_text(case)
         fill = _template(case, case_text) if certify(case).proved_from(lo) else None
         if fill is not None:  # proved: every row passes, and count is the number of ranks
-            texts: Iterable[str] = map(fill, range(lo, lo + count))
+            texts: Iterable[str] = fill(lo, lo + count)
         else:
             texts = (_row_text(case_text, row) for row in rows)
         for text in texts:

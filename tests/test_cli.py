@@ -300,7 +300,7 @@ _LOADED = (
     (["cohomology", "1", "1"], "[]"),
     (["verify", "main22"], "[]"),
     (["catalog", "list"], "[]"),
-    (["verify", "main22", "--format", "json"], "['json', 'nefq2.report_json']"),
+    (["verify", "main22", "--format", "json"], "['nefq2.report_json']"),
     (["catalog", "list", "--format", "json"], "['json', 'nefq2.report_json']"),
 )
 

@@ -9,18 +9,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_catalog import _grid_cases
+from test_cli import _child_env
 from test_certificate_properties import cases as random_cases
 
 from nefq2 import BiDegree, NefQ2Error, __version__, list_cases, verify_all
 from nefq2._value import replace
 from nefq2.catalog import certify, verify_case
+from nefq2.cohomology import _chi
 from nefq2.cli import main
-from nefq2.report_json import _BLOCK, _blocks, _case_text, _row_text, _template, write_verify_json
+from nefq2.report_json import _BLOCK, _blocks, _case_text, _row_text, _template, string, write_verify_json
 
 #: (argv, tables, verify_all keyword arguments)
 RUNS = (
@@ -72,6 +77,43 @@ def test_rank_300_sweep_bytes_are_pinned(capsys):
     out = capsys.readouterr().out.encode()
     assert len(out) == 8_467_160
     assert hashlib.sha256(out).hexdigest() == "e813117018b808befda56e541da709738be509c169b9bdbdb62f998282ba6346"
+
+
+#: Quotes, backslashes, control characters, non-ASCII, astral characters
+#: and lone surrogates.
+_AWKWARD = ('"', "\\", 'a"b\\c', "\x00\x08\t\n\x0c\r\x1f\x7f", "é∞３", "\U0001f600", "\ud800", "x\udfffy", "\udfff\ud800")
+
+
+@pytest.mark.parametrize("text", _AWKWARD, ids=ascii)
+def test_escaper_equals_the_json_encoder(text):
+    assert string(text) == encode_basestring_ascii(text)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.text(st.characters(exclude_categories=())))
+def test_escaper_equals_the_json_encoder_on_any_text(text):
+    assert string(text) == encode_basestring_ascii(text)
+
+
+_WITHOUT_C_ENCODER = """
+import sys
+sys.modules["_json"] = None
+from nefq2 import report_json
+from nefq2.cli import main
+code = main(sys.argv[1:])
+print(report_json.string.__module__, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_rank_300_sweep_bytes_without_the_c_encoder():
+    # an interpreter without _json escapes with json.encoder's Python code
+    argv = ["verify", "main22", "--rank-max", "300", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_C_ENCODER, *argv], env=_child_env(), capture_output=True, timeout=120
+    )
+    assert (proc.returncode, proc.stderr, len(proc.stdout)) == (0, b"json.encoder\n", 8_467_160)
+    assert hashlib.sha256(proc.stdout).hexdigest() == "e813117018b808befda56e541da709738be509c169b9bdbdb62f998282ba6346"
 
 
 def _written(argv, cases, hi) -> str:
@@ -128,16 +170,48 @@ def test_random_displays_are_written_as_json_dumps(drawn, rank_min, span):
     assert "".join(chunks) == _dumps(argv, reports)
 
 
+#: Where a row's text starts: the case ids of these tables hold no newline.
+_ROW_START = '{\n      "case_id": '
+
+
+def _filled_rows(case, fill, lo, hi) -> list[int]:
+    """Assert that fill(lo, hi) gives the row texts of ranks lo..hi-1,
+    joined by ",\n" in whole batches, and return the batch lengths."""
+    text = _case_text(case)
+    rows = [_row_text(text, certify(case).row(r)) for r in range(lo, hi)]
+    lengths, start = [], 0
+    for batch in fill(lo, hi):
+        lengths.append(batch.count(_ROW_START))
+        assert batch == ",\n".join(rows[start : start + lengths[-1]]), (case.id, lo + start)
+        start += lengths[-1]
+    assert start == len(rows) and all(lengths), (case.id, lo, hi)
+    return lengths
+
+
 def test_template_gives_the_row_text_of_every_rank():
+    # the decimals of r and of chi = k + r change width at 10, 100, 1000
+    # and 10**6; each window crosses both, inside a batch that starts
+    # elsewhere, and the k = 0 cases put chi's decimal in all 5 places
     shipped = list(list_cases("all"))
     parametric = [case for case in _grid_cases() if case.theorem in ("halfmax", "nearmax")]
     assert len(parametric) > 50
+    flat = set()
     for case in shipped + parametric:
         text = _case_text(case)
         fill = _template(case, text)
         assert fill is not None and certify(case).proved_from(case.min_rank), case.id
-        for r in (case.min_rank, case.min_rank + 1, case.min_rank + 997):
-            assert fill(r) == _row_text(text, certify(case).row(r)), (case.id, r)
+        row = certify(case).row(case.min_rank)
+        k = _chi(0, row.c1, row.c2)
+        if k == 0:
+            flat.add(case.id if case.theorem == "main22" else (case.id, row.c1))
+        assert _filled_rows(case, fill, case.min_rank, case.min_rank + 1) == [1]
+        batch = next(fill(case.min_rank, 10**4)).count(_ROW_START)
+        assert batch > 1
+        for edge in (10, 100, 1000, 10**6):
+            lo = max(case.min_rank, min(edge, edge - k) - batch - batch // 2 - 1)
+            lengths = _filled_rows(case, fill, lo, max(edge, edge - k) + batch)
+            assert lengths[0] == batch and len(lengths) >= 2
+    assert flat == {"main22-10", "main22-12", "main22-13", ("halfmax-split", BiDegree(0, 0))}
 
 
 def test_writes_are_fixed_blocks():
