@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from ._value import frozen
 from .cohomology import BundleNumerics
 from .errors import HypothesisError, MalformedClassError, ReconstructionError, VirtualClassError
 from .picard import ZERO, BiDegree, intersect, is_effective
+
+if TYPE_CHECKING:
+    from .catalog import RankExpr
 
 
 @frozen
@@ -223,7 +226,7 @@ class TorsionDescriptor:
         return f"O_C({self.twist_degree}) on a {self.support} curve"
 
 
-def line_label(deg: BiDegree, mult: object = 1) -> str:
+def line_label(deg: BiDegree, mult: int | RankExpr = 1) -> str:
     """Text of the direct sum O(deg)^mult, for an int or ``RankExpr``
     multiplicity; one of the form r+k or r-k is put in parentheses.
 
@@ -231,6 +234,13 @@ def line_label(deg: BiDegree, mult: object = 1) -> str:
     >>> line_label(ZERO, 6), line_label(BiDegree(-1, -1)), line_label(BiDegree(2, 0), RankExpr(-3, 1))
     ('O^6', 'O(-1,-1)', 'O(2,0)^(r-3)')
     """
+    if type(deg) is not BiDegree:
+        raise TypeError(f"degree must be a BiDegree, got {deg!r}")
+    if type(mult) is not int:
+        from .catalog import RankExpr  # catalog imports this module
+
+        if type(mult) is not RankExpr:
+            raise TypeError(f"multiplicity must be an int or a RankExpr, got {mult!r}")
     base = "O" if deg == ZERO else f"O{deg}"
     text = str(mult)
     if text == "1":
@@ -264,6 +274,8 @@ def torsion_class(t: TorsionDescriptor) -> KClass:
 
 def four_term_quotient(sub: KClass, mid: KClass, coker: KClass) -> KClass:
     """[E] for an exact sequence 0 -> sub -> mid -> E -> coker -> 0."""
+    if type(sub) is not KClass or type(mid) is not KClass or type(coker) is not KClass:
+        raise TypeError(f"classes must be KClasses, got {sub!r}, {mid!r} and {coker!r}")
     return mid - sub + coker
 
 

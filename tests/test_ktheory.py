@@ -14,6 +14,7 @@ from nefq2 import (
     VirtualClassError,
     euler_char,
 )
+from nefq2.catalog import RankExpr
 from nefq2.ktheory import (
     POINT_CLASS,
     IdealResolution,
@@ -24,13 +25,14 @@ from nefq2.ktheory import (
     from_chern,
     ideal_sheaf_class,
     line_class,
+    line_label,
     ses_quotient_chern,
     sum_of_lines,
     to_chern,
     torsion_class,
     twist_chern,
 )
-from nefq2.picard import intersect
+from nefq2.picard import ZERO, intersect
 
 from whitney_oracle import quotient_chern
 
@@ -249,6 +251,25 @@ def test_four_term_quotient_matches_oracle():
     assert to_chern(k) == BundleNumerics(3, BiDegree(2, 2), 7)
     rank, c1, c2 = quotient_chern([((-2, -2), 1)], [((0, 0), 4)], ("point",))
     assert (rank, c1, c2) == (3, (2, 2), 7)
+
+
+def test_four_term_quotient_type_rule():
+    # ints and bidegrees support the arithmetic, but they are not classes
+    k = line_class(BiDegree(1, 0))
+    for args in ((1, 2, 3), (BiDegree(1, 0), BiDegree(0, 1), BiDegree(1, 1)), (k, k, None), (k, (1, (1, 0), 0), k)):
+        with pytest.raises(TypeError, match=r"^classes must be KClasses, got "):
+            four_term_quotient(*args)
+
+
+def test_line_label_type_rule():
+    assert line_label(ZERO, RankExpr(2, 1)) == "O^(r+2)"
+    assert line_label(BiDegree(1, 1), -2) == "O(1,1)^(-2)"
+    for deg in ((1, 1), [1, 1], None):
+        with pytest.raises(TypeError, match=r"^degree must be a BiDegree, got "):
+            line_label(deg)
+    for mult in (True, 2.5, "r", None, (RankExpr(1),)):
+        with pytest.raises(TypeError, match=r"^multiplicity must be an int or a RankExpr, got "):
+            line_label(ZERO, mult)
 
 
 def test_ideal_sheaf_classes():
