@@ -96,23 +96,24 @@ def _template(case: CaseSpec, case_text: tuple[str, str]) -> Callable[[int, int]
     rank, chi = str(_SENTINEL), str(k + _SENTINEL)
     if (text.count(rank), text.count(chi)) != ((5, 5) if k == 0 else (4, 1)):
         return None
-    # the columns of a row: a constant piece, then the gap of r (0) or of
-    # k + r (1) before each further piece
+    # a row's columns: its constant pieces, and between them the offset of
+    # r or of k + r in a batch's decimals, which start at the lesser of them
+    at_r, at_chi = max(0, -k), max(0, k)
     columns: list[Any] = []
     for i, part in enumerate(text.split(chi)):
         if i:
-            columns.append(1)
+            columns.append(at_chi)
         for j, piece in enumerate(part.split(rank)):
             if j:
-                columns.append(0)
+                columns.append(at_r)
             columns.append(repeat(piece))
     batch = max(1, _BLOCK // len(text))
 
     def fill(lo: int, hi: int) -> Iterator[str]:
         for start in range(lo, hi, batch):
-            stop = min(start + batch, hi)
-            decimals = (list(map(str, range(start, stop))), list(map(str, range(k + start, k + stop))))
-            rows = zip(*[decimals[c] if type(c) is int else c for c in columns])
+            n = min(batch, hi - start)
+            decimals = list(map(str, range(start - at_r, start + n + at_chi)))
+            rows = zip(*[decimals[c : c + n] if type(c) is int else c for c in columns])
             yield ",\n".join(map("".join, rows))
 
     return fill

@@ -11,7 +11,7 @@ import hashlib
 import json
 import subprocess
 import sys
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii, py_encode_basestring_ascii
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +22,9 @@ from test_certificate_properties import cases as random_cases
 
 from nefq2 import BiDegree, NefQ2Error, __version__, list_cases, verify_all
 from nefq2._value import replace
-from nefq2.catalog import certify, verify_case
+from nefq2.catalog import CaseSpec, RankExpr, certify, verify_case
 from nefq2.cohomology import _chi
+from nefq2.picard import ZERO
 from nefq2.cli import main
 from nefq2.report_json import _BLOCK, _blocks, _case_text, _row_text, _template, string, write_verify_json
 
@@ -86,13 +87,14 @@ _AWKWARD = ('"', "\\", 'a"b\\c', "\x00\x08\t\n\x0c\r\x1f\x7f", "é∞３", "\U00
 
 @pytest.mark.parametrize("text", _AWKWARD, ids=ascii)
 def test_escaper_equals_the_json_encoder(text):
-    assert string(text) == encode_basestring_ascii(text)
+    # the C escaper of _json, and the Python one a build without it uses
+    assert string(text) == encode_basestring_ascii(text) == py_encode_basestring_ascii(text)
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(st.text(st.characters(exclude_categories=())))
+@given(st.lists(st.integers(0, sys.maxunicode).map(chr)).map("".join))  # lone surrogates too
 def test_escaper_equals_the_json_encoder_on_any_text(text):
-    assert string(text) == encode_basestring_ascii(text)
+    assert string(text) == encode_basestring_ascii(text) == py_encode_basestring_ascii(text)
 
 
 _WITHOUT_C_ENCODER = """
@@ -195,15 +197,27 @@ def test_template_gives_the_row_text_of_every_rank():
     shipped = list(list_cases("all"))
     parametric = [case for case in _grid_cases() if case.theorem in ("halfmax", "nearmax")]
     assert len(parametric) > 50
-    flat = set()
-    for case in shipped + parametric:
+    # O(0,1) -> O^(r+1) -> E: chi = r - 1, so chi's decimals start below r's
+    negative = CaseSpec(
+        id="k = -1",
+        theorem="main22",
+        c1=BiDegree(0, -1),
+        sub_terms=((BiDegree(0, 1), RankExpr(1)),),
+        mid_terms=((ZERO, RankExpr(1, 1)),),
+        coker=None,
+        expected_c2=0,
+        globally_generated=True,
+        bondal_reconstructible=False,
+    )
+    k_zero = set()
+    for case in shipped + parametric + [negative]:
         text = _case_text(case)
         fill = _template(case, text)
         assert fill is not None and certify(case).proved_from(case.min_rank), case.id
         row = certify(case).row(case.min_rank)
         k = _chi(0, row.c1, row.c2)
         if k == 0:
-            flat.add(case.id if case.theorem == "main22" else (case.id, row.c1))
+            k_zero.add(case.id if case.theorem == "main22" else (case.id, row.c1))
         assert _filled_rows(case, fill, case.min_rank, case.min_rank + 1) == [1]
         batch = next(fill(case.min_rank, 10**4)).count(_ROW_START)
         assert batch > 1
@@ -211,7 +225,8 @@ def test_template_gives_the_row_text_of_every_rank():
             lo = max(case.min_rank, min(edge, edge - k) - batch - batch // 2 - 1)
             lengths = _filled_rows(case, fill, lo, max(edge, edge - k) + batch)
             assert lengths[0] == batch and len(lengths) >= 2
-    assert flat == {"main22-10", "main22-12", "main22-13", ("halfmax-split", BiDegree(0, 0))}
+    assert k_zero == {"main22-10", "main22-12", "main22-13", ("halfmax-split", BiDegree(0, 0))}
+    assert k == -1  # the last case
 
 
 def test_writes_are_fixed_blocks():
