@@ -9,7 +9,9 @@ case: its row at a sentinel rank far above any sweep, cut once into the
 constant pieces between the decimals of that rank and of its chi.  Its
 rows are then filled in batches of about one block, each batch joined in
 C from the pieces and the decimals of r and of chi = k + r, with no
-Python code run per row.  The document is ASCII, and it is written in
+Python code run per row.  When |k| is less than the batch, both columns
+are slices of one run of decimals; a larger k (a large --c1) gets a run
+for each, so a batch never makes more than two decimals a row.  The document is ASCII, and it is written in
 blocks of ``_BLOCK`` characters, whatever the length of its rows, so the
 run holds at most one block and one batch.  Only ``--format json`` loads
 this module, and the verify document loads no ``json`` package: its
@@ -96,25 +98,31 @@ def _template(case: CaseSpec, case_text: tuple[str, str]) -> Callable[[int, int]
     rank, chi = str(_SENTINEL), str(k + _SENTINEL)
     if (text.count(rank), text.count(chi)) != ((5, 5) if k == 0 else (4, 1)):
         return None
-    # a row's columns: its constant pieces, and between them the offset of
-    # r or of k + r in a batch's decimals, which start at the lesser of them
-    at_r, at_chi = max(0, -k), max(0, k)
-    columns: list[Any] = []
+    # a row's constant pieces, and whether each gap between two of them
+    # holds k + r (else r)
+    pieces: list[str] = []
+    at_chi: list[bool] = []
     for i, part in enumerate(text.split(chi)):
-        if i:
-            columns.append(at_chi)
         for j, piece in enumerate(part.split(rank)):
-            if j:
-                columns.append(at_r)
-            columns.append(repeat(piece))
+            if i or j:
+                at_chi.append(j == 0)
+            pieces.append(piece)
     batch = max(1, _BLOCK // len(text))
+    lead = max(0, -k)
 
     def fill(lo: int, hi: int) -> Iterator[str]:
         for start in range(lo, hi, batch):
             n = min(batch, hi - start)
-            decimals = list(map(str, range(start - at_r, start + n + at_chi)))
-            rows = zip(*[decimals[c : c + n] if type(c) is int else c for c in columns])
-            yield ",\n".join(map("".join, rows))
+            if abs(k) < n:  # r's and k + r's decimals are slices of one run
+                decimals = list(map(str, range(start - lead, start + n + max(0, k))))
+                r_col, chi_col = decimals[lead : lead + n], decimals[lead + k : lead + k + n]
+            else:
+                r_col = list(map(str, range(start, start + n)))
+                chi_col = list(map(str, range(start + k, start + k + n)))
+            columns: list[Iterable[str]] = [repeat(pieces[0])]
+            for is_chi, piece in zip(at_chi, pieces[1:]):
+                columns += chi_col if is_chi else r_col, repeat(piece)
+            yield ",\n".join(map("".join, zip(*columns)))
 
     return fill
 

@@ -11,6 +11,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from json.encoder import encode_basestring_ascii, py_encode_basestring_ascii
 
 import pytest
@@ -228,6 +229,43 @@ def test_template_gives_the_row_text_of_every_rank():
             assert lengths[0] == batch and len(lengths) >= 2
     assert k_zero == {"main22-10", "main22-12", "main22-13", ("halfmax-split", BiDegree(0, 0))}
     assert min(ks) == -1
+
+
+
+def test_template_of_a_large_k_makes_two_decimals_a_row():
+    # --c1 has no upper bound, and neither has k: halfmax at c1 (1000, 1000)
+    # has k = 1002000, and O(0,1000) -> O^(r+1) -> E has k = -1000.  Each
+    # batch takes its own run of decimals for r and for k + r, never the
+    # n + |k| decimals of one shared run.
+    (split,) = list_cases("halfmax", c1=BiDegree(1000, 1000), b=1000)
+    below = CaseSpec(
+        id="k = -1000",
+        theorem="main22",
+        c1=BiDegree(0, -1000),
+        sub_terms=((BiDegree(0, 1000), RankExpr(1)),),
+        mid_terms=((ZERO, RankExpr(1, 1)),),
+        coker=None,
+        expected_c2=0,
+        globally_generated=True,
+        bondal_reconstructible=False,
+    )
+    for case, lo, k in ((split, split.min_rank, 1002000), (below, 1000, -1000)):
+        row = certify(case).row(lo)
+        assert _chi(0, row.c1, row.c2) == k and certify(case).proved_from(lo), case.id
+        fill = _template(case, _case_text(case))
+        batch = next(fill(lo, 10**4)).count(_ROW_START)
+        assert 1 < batch < abs(k)
+        for edge in (lo, 10**4, 10**7 - k):
+            start = max(lo, edge - batch - batch // 2 - 1)
+            assert len(_filled_rows(case, fill, start, edge + batch + 1)) >= 2, (case.id, edge)
+        tracemalloc.start()
+        try:
+            for _ in fill(10**6, 10**6 + 3 * batch):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _BLOCK, (case.id, peak)
 
 
 def test_writes_are_fixed_blocks():
