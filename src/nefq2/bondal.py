@@ -19,9 +19,10 @@ The convergence data of the equivalence's spectral sequence is exposed as
 a small second-page table with possible entries only at (p, q) in
 {(-2,1), (-1,1), (0,0)}.  For c2 in {6, 7, 8} the nonzero entries are
 identified sheaves; c2 = 8 has two variants and this module asserts no
-preference between them.  The q = 1 entries depend on (c2, variant) alone
-and are built once, at import; a page builds only its (0, 0) entry, and
-checks both of its identities on every call.
+preference between them.  What does not move with the rank is built once
+per (c2, variant), at import: the q = 1 entries, the twisted terms of their
+four-term presentation and D = [E2(-1,1)] - [E2(-2,1)].  Each call builds
+the (0, 0) entry and recomputes and compares both identities.
 """
 
 from __future__ import annotations
@@ -70,13 +71,13 @@ def series_tensor_class(series: tuple[int, int, int, int]) -> KClass:
     return _line_sum(_signed_terms(series))
 
 
-def _signed_terms(series: tuple[int, int, int, int], shift: int = 0) -> list[tuple[BiDegree, int]]:
-    """The nonzero (degree, multiplicity) terms of a composition series
-    placed ``shift`` further degrees along: each multiplicity takes the
-    sign of its total shift's parity."""
-    return [
-        (entry.degree, -mult if (entry.shift + shift) % 2 else mult) for mult, entry in zip(series, DICTIONARY) if mult
-    ]
+#: Each vertex simple's line degree, with the sign of its shift's parity.
+_SIGNED_DEGREES = tuple((entry.degree, -1 if entry.shift % 2 else 1) for entry in DICTIONARY)
+
+
+def _signed_terms(series: tuple[int, int, int, int]) -> list[tuple[BiDegree, int]]:
+    """The nonzero (degree, signed multiplicity) terms of a composition series."""
+    return [(deg, sign * mult) for (deg, sign), mult in zip(_SIGNED_DEGREES, series) if mult]
 
 
 def reconstruct(e: BundleNumerics) -> KClass:
@@ -92,7 +93,8 @@ def reconstruct(e: BundleNumerics) -> KClass:
     if (e.c1.a, e.c1.b) != (2, 2):
         raise HypothesisError(f"reconstruction is defined for determinant (2,2) only, got {e.c1}")
     hom, ext1 = hom_ext_series(e.rank, e.c2)
-    rebuilt = _line_sum(_signed_terms(hom) + _signed_terms(ext1, 1))
+    # Ext^1 sits one shift further, so its multiplicities take the other sign
+    rebuilt = _line_sum([(deg, sign * (h - x)) for (deg, sign), h, x in zip(_SIGNED_DEGREES, hom, ext1)])
     direct = from_chern(e)
     if rebuilt != direct:
         raise ReconstructionError(
@@ -137,22 +139,27 @@ class E2Page:
     def four_term_residual(self) -> KClass:
         """The alternating K-sum of the four-term presentation of the two
         q = 1 entries; exactness forces zero."""
-        drop, target = 4 - self.c2, self.c2 - 6
-        twisted = _line_sum([(_M11, drop), (_M10, target), (_M01, target)])
-        return twisted + self.entry(-2, 1) - self.entry(-1, 1)
+        return _line_sum(_twisted_terms(self.c2)) + self.entry(-2, 1) - self.entry(-1, 1)
 
     def convergence_class(self) -> KClass:
         """Alternating sum over the whole page; equals the abutment class."""
-        rank = a = b = ch2x2 = 0
-        for (p, q), e in self.entries.items():
-            k, sign = e.kclass, -1 if (p + q) % 2 else 1
-            rank, a, b, ch2x2 = rank + sign * k.rank, a + sign * k.c1.a, b + sign * k.c1.b, ch2x2 + sign * k.ch2x2
-        return KClass(rank, BiDegree(a, b), ch2x2)
+        return _alternating_sum(self.entries)
 
     def third_page_corner(self) -> KClass:
         """Class of the (0, 0) entry on the next page: the abutment minus
         its torsion quotient, [E] - [E2(-1,1)]."""
         return self.convergence_class() - self.entry(-1, 1)
+
+
+def _alternating_sum(entries: Mapping[tuple[int, int], E2Entry]) -> KClass:
+    """The sum of (-1)^(p+q) [E2(p,q)] over the given entries."""
+    return sum((-e.kclass if (p + q) % 2 else e.kclass for (p, q), e in entries.items()), _NO_CLASS)
+
+
+def _twisted_terms(c2: int) -> tuple[tuple[BiDegree, int], ...]:
+    """The twisted (degree, multiplicity) terms of the q = 1 entries' four-term presentation."""
+    drop, target = 4 - c2, c2 - 6
+    return ((_M11, drop), (_M10, target), (_M01, target))
 
 
 def _line_entry(deg: BiDegree, mult: int = 1) -> E2Entry:
@@ -164,13 +171,17 @@ def _sheaf_entry(kind: TorsionKind, *support: BiDegree) -> E2Entry:
     return E2Entry(torsion_class(t), t.label(), t)
 
 
-#: The q = 1 entries of each page, keyed by (c2, variant): they do not
-#: depend on the rank, so they are built once.
-_Q1_ENTRIES: dict[tuple[int, str | None], dict[tuple[int, int], E2Entry]] = {
-    (6, None): {(-2, 1): _line_entry(_M11, 2)},
-    (7, None): {(-2, 1): _line_entry(_M22), (-1, 1): _sheaf_entry(TorsionKind.POINT_SHEAF)},
-    (8, VARIANT_CURVE): {(-1, 1): _sheaf_entry(TorsionKind.CURVE_TORSION, BiDegree(2, 2))},
-    (8, VARIANT_STRUCTURE): {(-2, 1): _line_entry(_M22), (-1, 1): _sheaf_entry(TorsionKind.STRUCTURE_SHEAF)},
+#: What a page has that does not move with the rank, keyed by (c2, variant)
+#: and built once: its q = 1 entries, the twisted terms of their four-term
+#: presentation, and D = [E2(-1,1)] - [E2(-2,1)].
+_PAGES = {
+    (c2, variant): (q1, _twisted_terms(c2), _alternating_sum(q1))
+    for (c2, variant), q1 in (
+        ((6, None), {(-2, 1): _line_entry(_M11, 2)}),
+        ((7, None), {(-2, 1): _line_entry(_M22), (-1, 1): _sheaf_entry(TorsionKind.POINT_SHEAF)}),
+        ((8, VARIANT_CURVE), {(-1, 1): _sheaf_entry(TorsionKind.CURVE_TORSION, BiDegree(2, 2))}),
+        ((8, VARIANT_STRUCTURE), {(-2, 1): _line_entry(_M22), (-1, 1): _sheaf_entry(TorsionKind.STRUCTURE_SHEAF)}),
+    )
 }
 
 
@@ -179,10 +190,11 @@ def e2_page(c2: int, rank: int, variant: str | None = None) -> E2Page:
 
     For c2 = 8 a variant is required: ``curve_torsion`` (torsion quotient
     on a (2,2) curve) or ``structure_sheaf`` (structure-sheaf quotient).
-    The q = 1 entries come from a table built at import; the (0, 0) entry
-    O^(rank + 8 - c2) is built here.  The four-term exactness identity and
-    the convergence identity (against ``from_chern``) are recomputed on
-    every call.  A c2 or rank that is not an int raises TypeError.
+    The q = 1 entries, their twisted terms and D = [E2(-1,1)] - [E2(-2,1)]
+    come from a table built at import; the (0, 0) entry O^(rank + 8 - c2)
+    is built here.  Every call checks the twisted terms' line sum against D
+    (four-term exactness) and (rank + 8 - c2)[O] + D against ``from_chern``
+    (convergence).  A c2 or rank that is not an int raises TypeError.
     """
     if type(c2) is not int:
         raise TypeError(f"c2 must be an integer, got {c2!r}")
@@ -203,15 +215,14 @@ def e2_page(c2: int, rank: int, variant: str | None = None) -> E2Page:
     elif variant is not None:
         raise HypothesisError(f"c2={c2} admits no variant, got {variant!r}")
 
+    q1, twisted_terms, d = _PAGES[c2, variant]
+    twisted = _line_sum(twisted_terms)
+    if twisted != d:
+        raise ReconstructionError(f"four-term identity violated on page c2={c2}: residual {twisted - d}")
+    # the (0, 0) corner O^n0 adds n0 to the rank of the q = 1 entries' sum D
     n0 = rank + 8 - c2
+    converged, abutment = KClass(n0 + d.rank, d.c1, d.ch2x2), from_chern(BundleNumerics(rank, _C1_22, c2))
+    if converged != abutment:
+        raise ReconstructionError(f"page c2={c2} converges to {converged}, expected {abutment}")
     corner = E2Entry(KClass(n0, ZERO, 0), line_label(ZERO, n0))
-    page = E2Page(c2, rank, variant, MappingProxyType({(0, 0): corner, **_Q1_ENTRIES[c2, variant]}))
-    residual = page.four_term_residual()
-    if residual != _NO_CLASS:
-        raise ReconstructionError(f"four-term identity violated on page c2={c2}: residual {residual}")
-    abutment = from_chern(BundleNumerics(rank, _C1_22, c2))
-    if page.convergence_class() != abutment:
-        raise ReconstructionError(
-            f"page c2={c2} converges to {page.convergence_class()}, expected {abutment}"
-        )
-    return page
+    return E2Page(c2, rank, variant, MappingProxyType({(0, 0): corner, **q1}))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -238,14 +239,50 @@ def test_pages_and_reconstruction_match_the_formulas(rank, key):
 
 
 def test_every_call_checks_its_identities(monkeypatch):
-    # a from_chern one point off must fail each call: no verdict is cached
     pages = [(6, None), (7, None), (8, VARIANT_CURVE), (8, VARIANT_STRUCTURE)]
+    # each call computes each identity's two sides once: one line sum and one
+    # from_chern a page, and one profile, line sum and from_chern a rebuild
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(bondal, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    with monkeypatch.context() as patch:
+        for name in ("_line_sum", "from_chern", "hom_ext_series"):
+            patch.setattr(bondal, name, counted(name))
+        for c2, variant in pages:
+            e2_page(c2, 4, variant)
+            assert calls == {"_line_sum": 1, "from_chern": 1}, (c2, variant)
+            calls.clear()
+            reconstruct(BundleNumerics(4, BiDegree(2, 2), c2))
+            assert calls == {"hom_ext_series": 1, "_line_sum": 1, "from_chern": 1}, c2
+            calls.clear()
+    # a page's entries cannot be reassigned, and the rank-free entries it
+    # shares with every other page cannot be changed through it
+    page = e2_page(7, 4)
+    with pytest.raises(AttributeError):
+        page.entries = {}
+    with pytest.raises(TypeError):
+        page.entries[(-1, 1)] = page.entries[(0, 0)]
+    with pytest.raises(AttributeError):
+        page.entries[(-2, 1)].kclass = KClass.zero()
+    assert {pos: (e.kclass, e.label) for pos, e in e2_page(7, 5).entries.items()} == {
+        (0, 0): (_line(0, 0, 6), "O^6"), **Q1_PAGE[7, None]
+    }
+    # a from_chern one point off must fail each call: no verdict is cached
     monkeypatch.setattr(bondal, "from_chern", lambda e: from_chern(e) + POINT_CLASS)
     for c2, variant in pages:
         e = BundleNumerics(4, BiDegree(2, 2), c2)
         for _ in range(2):
-            with pytest.raises(ReconstructionError, match=rf"^page c2={c2} converges to "):
+            with pytest.raises(ReconstructionError, match=rf"^page c2={c2} converges to ") as exc:
                 e2_page(c2, 4, variant)
+            assert str(exc.value).endswith(f" converges to {from_chern(e)}, expected {from_chern(e) + POINT_CLASS}")
             with pytest.raises(ReconstructionError, match="^module profile rebuilt "):
                 reconstruct(e)
     # and a line sum one point off breaks the four-term identity of every page
@@ -253,5 +290,6 @@ def test_every_call_checks_its_identities(monkeypatch):
     monkeypatch.setattr(bondal, "_line_sum", lambda terms: line_sum(terms) + POINT_CLASS)
     for c2, variant in pages:
         for _ in range(2):
-            with pytest.raises(ReconstructionError, match=rf"^four-term identity violated on page c2={c2}: "):
+            with pytest.raises(ReconstructionError, match=rf"^four-term identity violated on page c2={c2}: ") as exc:
                 e2_page(c2, 4, variant)
+            assert str(exc.value).endswith(": residual (rank 0, c1 (0,0), 2ch2 2)")
