@@ -77,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parsers["ses"].add_argument(
             flag, action="append", default=[], type=_line_term, metavar="A,B[:MULT]", help=text
         )
+    parsers["ses"].set_defaults(usage_error=parsers["ses"].error)
     parsers["bondal"].add_argument(
         "--variant",
         choices=[VARIANT_CURVE, VARIANT_STRUCTURE],
@@ -152,7 +153,7 @@ def _run_twist(args: argparse.Namespace) -> int:
 
 def _run_ses(args: argparse.Namespace) -> int:
     if not args.sub or not args.mid:
-        _build_parser().error("ses needs at least one --sub and one --mid term")
+        args.usage_error("ses needs at least one --sub and one --mid term")
     print(ses_quotient_chern(to_chern(sum_of_lines(args.sub)), to_chern(sum_of_lines(args.mid))))
     return 0
 

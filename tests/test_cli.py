@@ -58,6 +58,10 @@ def test_ses_requires_both_sides(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ses", "--mid", "1,0"])
     assert exc.value.code == 2
+    # reported by the ses subparser, as its other usage errors are
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nefq2 ses [-h] [--sub A,B[:MULT]] [--mid A,B[:MULT]]\n")
+    assert err.endswith("\nnefq2 ses: error: ses needs at least one --sub and one --mid term\n")
 
 
 def test_ses_malformed_degree(capsys):
