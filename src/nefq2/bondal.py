@@ -132,6 +132,19 @@ class E2Page:
     variant: str | None
     entries: Mapping[tuple[int, int], E2Entry]
 
+    def __post_init__(self) -> None:
+        # a plain loop: e2_page builds a page per call, and a generator
+        # or an ABC isinstance would double the cost of this check
+        if hasattr(self.entries, "items"):
+            for pos, e in self.entries.items():
+                if type(pos) is not tuple or len(pos) != 2 or type(pos[0]) is not int or type(pos[1]) is not int:
+                    break
+                if type(e) is not E2Entry:
+                    break
+            else:
+                return
+        raise TypeError(f"E2Page.entries must map (int, int) positions to E2Entry values, got {self.entries!r}")
+
     def entry(self, p: int, q: int) -> KClass:
         e = self.entries.get((p, q))
         return e.kclass if e is not None else _NO_CLASS

@@ -9,6 +9,7 @@ violated input hypotheses).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -231,6 +232,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # A cold process: what the imports built moves to the collector's
+    # permanent generation, so neither the command's collections nor
+    # interpreter exit walk it; main() and imports leave the collector alone.
+    gc.freeze()
     try:
         code = main()
         sys.stdout.flush()

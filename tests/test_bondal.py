@@ -15,6 +15,7 @@ from nefq2.bondal import (
     DICTIONARY,
     VARIANT_CURVE,
     VARIANT_STRUCTURE,
+    E2Page,
     ShiftedLineClass,
     e2_page,
     reconstruct,
@@ -140,6 +141,24 @@ def test_e2_entries_c2_8_structure():
     assert page.entry(-2, 1) == line_class(BiDegree(-2, -2))
     assert page.entry(-1, 1) == line_class(BiDegree(0, 0))
     assert page.entries[(-1, 1)].torsion.kind is TorsionKind.STRUCTURE_SHEAF
+
+
+def test_page_entries_are_typed():
+    page = e2_page(6, 3)
+    assert E2Page(6, 3, None, page.entries) == page
+    corner = page.entries[(0, 0)]
+    for entries in (
+        {(0, 0): 5},
+        {(0, 0): corner.kclass},
+        {(0, True): corner},
+        {(0, 0.0): corner},
+        {(0,): corner},
+        {"00": corner},
+        None,
+        [((0, 0), corner)],
+    ):
+        with pytest.raises(TypeError, match=r"^E2Page\.entries must map \(int, int\) positions to E2Entry values"):
+            E2Page(6, 3, None, entries)
 
 
 def _all_pages(rank: int):

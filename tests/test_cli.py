@@ -260,6 +260,55 @@ def test_reader_gone_in_a_block_write_exits_1_quietly():
     assert (proc.wait(timeout=60), err) == (1, b"")
 
 
+#: Runs nefq2.cli as __main__, as `python -m nefq2.cli` does, with an atexit
+#: hook registered before entry() that reports the collector's state at exit.
+_FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr))
+runpy.run_module("nefq2.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_a_cold_process_freezes_its_import_time_heap():
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE, "chi", "2", "2", "2", "5", "0", "0"],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    # frozen, and the collector still runs for what the command creates
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5\n", "True True\n")
+
+
+#: Imports nefq2.cli and calls main() in a fresh interpreter, then prints the
+#: collector's state before the import, after it and after main().
+_COLLECTOR_PROBE = """
+import gc, io, sys
+states = [(gc.get_freeze_count(), gc.isenabled())]
+import nefq2.cli
+states.append((gc.get_freeze_count(), gc.isenabled()))
+sys.stdout = io.StringIO()
+nefq2.cli.main(sys.argv[1:])
+states.append((gc.get_freeze_count(), gc.isenabled()))
+print(states, file=sys.__stdout__)
+"""
+
+
+def test_import_and_main_leave_the_collector_alone(capsys):
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLLECTOR_PROBE, "chi", "2", "2", "2", "5", "0", "0"],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[(0, True), (0, True), (0, True)]\n")
+    state = (gc.get_freeze_count(), gc.isenabled())
+    assert run(capsys, "verify", "all")[0] == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == state
+
+
 def _limit_address_space() -> None:
     # runs in the child only, between fork and exec
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

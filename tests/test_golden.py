@@ -12,13 +12,19 @@ stdout and stderr, rendered as
 
 Usage errors reported by argparse keep only the exit code and stdout,
 because the usage text on stderr changes between Python versions.
+
+A subset of the same table also runs as cold ``python -m nefq2.cli``
+children, through the process entry point and interpreter exit.
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from test_cli import _child_env
 
 from nefq2.cli import main
 
@@ -110,6 +116,21 @@ def test_cli_matches_golden(capsys, name, argv, own_stderr):
         code = exc.code
     captured = capsys.readouterr()
     got = _render(code, captured.out, captured.err, own_stderr)
+    assert got == (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
+
+
+#: the README commands, one error and one usage error, as cold processes
+COLD = tuple(
+    inv for inv in INVOCATIONS if inv[0].startswith("readme_") or inv[0] in ("error_bondal_c2", "usage_verify_bogus")
+)
+
+
+@pytest.mark.parametrize("name,argv,own_stderr", COLD, ids=[name for name, _, _ in COLD])
+def test_cold_process_matches_golden(name, argv, own_stderr):
+    proc = subprocess.run(
+        [sys.executable, "-m", "nefq2.cli", *argv], env=_child_env(), capture_output=True, timeout=60
+    )
+    got = _render(proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8"), own_stderr)
     assert got == (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
 
 

@@ -5,13 +5,20 @@ per failing check and rank, exit 1) and the errors raised partway through
 a sweep are pinned here on hand-built cases: ``list_cases`` is replaced by
 a table holding one passing case and one broken case.  The snapshots in
 ``tests/golden/failing_<name>.txt`` use the rendering of test_golden.py.
+One run is repeated in a cold child, through ``cli.entry`` and interpreter
+exit.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from test_cli import _child_env
+from test_golden import _render
 
 from nefq2 import catalog, cli
 from nefq2._value import replace
@@ -89,8 +96,8 @@ RUNS = tuple(
 )
 
 
-@pytest.mark.parametrize("snapshot,name,argv", RUNS, ids=[snapshot for snapshot, _, _ in RUNS])
-def test_broken_table_matches_golden(monkeypatch, capsys, snapshot, name, argv):
+def break_table(name: str, setattr=setattr) -> None:
+    """Make ``list_cases("main22")`` return main22-1 and the broken case."""
     table = (_MAIN22["main22-1"], BROKEN[name])
 
     def broken_list_cases(theorem, *, c1=None, b=None):
@@ -98,10 +105,37 @@ def test_broken_table_matches_golden(monkeypatch, capsys, snapshot, name, argv):
         return table
 
     for module in (catalog, cli):
-        monkeypatch.setattr(module, "list_cases", broken_list_cases)
+        setattr(module, "list_cases", broken_list_cases)
+
+
+@pytest.mark.parametrize("snapshot,name,argv", RUNS, ids=[snapshot for snapshot, _, _ in RUNS])
+def test_broken_table_matches_golden(monkeypatch, capsys, snapshot, name, argv):
+    break_table(name, monkeypatch.setattr)
     code = cli.main(["verify", "main22", *argv])
     captured = capsys.readouterr()
-    got = f"exit {code}\n--- stdout\n{captured.out}--- stderr\n{captured.err}"
+    assert _render(code, captured.out, captured.err, True) == (GOLDEN / f"{snapshot}.txt").read_bytes().decode("utf-8")
+
+
+#: Breaks the table, then runs ``nefq2 verify main22 <argv>`` through the
+#: process entry point.
+_COLD_PROBE = """
+import sys
+from test_verify_failures import break_table
+from nefq2 import cli
+break_table(sys.argv[1])
+sys.argv[1:2] = ["verify", "main22"]
+cli.entry()
+"""
+
+
+def test_cold_process_matches_golden():
+    snapshot, name, argv = next(run for run in RUNS if run[0] == "failing_wrong_c2_json")
+    env = _child_env()
+    env["PYTHONPATH"] += f"{os.pathsep}{Path(__file__).parent}"
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_PROBE, name, *argv], env=env, capture_output=True, timeout=60
+    )
+    got = _render(proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8"), True)
     assert got == (GOLDEN / f"{snapshot}.txt").read_bytes().decode("utf-8")
 
 
