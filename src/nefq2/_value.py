@@ -6,9 +6,12 @@ that calls ``__post_init__`` if the class has one; ``__eq__`` and
 ``__hash__`` over the field tuple, equal only to the same class; a
 ``Name(field=value, ...)`` repr; ``__match_args__``; and no assignment or
 deletion of attributes.  The three methods over the fields are compiled
-once per class by one ``exec``, as ``collections.namedtuple`` does, so each
-call runs the same code a frozen data class runs.  There are no
-``__slots__``, so ``functools.cached_property`` works on these classes.
+once per class by one ``exec``, as ``collections.namedtuple`` does.  A
+class with no ``functools.cached_property`` is rebuilt with ``__slots__``
+over its fields, as ``dataclass(slots=True)`` does, and its ``__init__``
+stores each field through its slot; a method closing over ``__class__``
+(zero-argument ``super()``) would keep the old class, so it is refused.
+A class with a cached property keeps its ``__dict__`` for the cache.
 
 The ``__init__`` also owns the type rule of every value type: a field
 annotated ``Name`` or ``Name | None`` holds exactly that class (or None),
@@ -21,6 +24,7 @@ checked; any other annotation is refused when the class is decorated.
 from __future__ import annotations
 
 import builtins
+import functools
 import sys
 from typing import Any, TypeVar
 
@@ -51,7 +55,11 @@ def frozen(cls: type[T]) -> type[T]:
     names = tuple(notes)
     scope: dict[str, Any] = {"_own": own, "_set": object.__setattr__}
     params = "".join(f", {n}=_own[{n!r}]" if n in own else f", {n}" for n in names)
-    stores = "".join(f"{_check(cls, n, notes[n], scope)}\n    _set(self, {n!r}, {n})" for n in names)
+    store = "\n    _set(self, {0!r}, {0})"
+    if functools.cached_property not in map(type, own.values()):
+        cls = _slotted(cls, names, scope)
+        store = "\n    _set_{0}(self, {0})"
+    stores = "".join(_check(cls, n, notes[n], scope) + store.format(n) for n in names)
     post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
     mine = "".join(f"self.{n}, " for n in names)
     theirs = "".join(f"other.{n}, " for n in names)
@@ -70,6 +78,23 @@ def frozen(cls: type[T]) -> type[T]:
     cls.__setattr__ = _refuse_set
     cls.__delattr__ = _refuse_delete
     return cls
+
+
+def _slotted(cls: type, names: tuple[str, ...], scope: dict[str, Any]) -> type:
+    """``cls`` rebuilt with ``__slots__`` over its fields, and each slot's setter bound in
+    ``scope`` as ``_set_<field>``.  Copy and pickle rebuild a value through ``__init__``."""
+    body = dict(vars(cls), __slots__=names, __reduce__=_reduce)
+    for name in (*names, "__dict__", "__weakref__"):
+        body.pop(name, None)
+    for value in body.values():
+        for f in (getattr(value, "__func__", value), getattr(value, "fget", None)):
+            if "__class__" in getattr(getattr(f, "__code__", None), "co_freevars", ()):
+                raise TypeError(f"{cls.__qualname__}: a method closes over __class__, left behind by a slotted rebuild")
+    rebuilt = type(cls)(cls.__name__, cls.__bases__, body)
+    rebuilt.__qualname__ = cls.__qualname__
+    for name in names:
+        scope[f"_set_{name}"] = vars(rebuilt)[name].__set__
+    return rebuilt
 
 
 def _check(cls: type, name: str, note: str, scope: dict[str, Any]) -> str:
@@ -93,6 +118,10 @@ def _check(cls: type, name: str, note: str, scope: dict[str, Any]) -> str:
 def _repr(self: Any) -> str:
     fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
     return f"{self.__class__.__qualname__}({fields})"
+
+
+def _reduce(self: Any) -> tuple[type, tuple[Any, ...]]:
+    return self.__class__, tuple(map(self.__getattribute__, self.__match_args__))
 
 
 def _refuse_set(self: Any, name: str, value: Any) -> None:

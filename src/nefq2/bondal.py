@@ -234,8 +234,8 @@ def e2_page(c2: int, rank: int, variant: str | None = None) -> E2Page:
         raise ReconstructionError(f"four-term identity violated on page c2={c2}: residual {twisted - d}")
     # the (0, 0) corner O^n0 adds n0 to the rank of the q = 1 entries' sum D
     n0 = rank + 8 - c2
-    converged, abutment = KClass(n0 + d.rank, d.c1, d.ch2x2), from_chern(BundleNumerics(rank, _C1_22, c2))
-    if converged != abutment:
-        raise ReconstructionError(f"page c2={c2} converges to {converged}, expected {abutment}")
+    k = from_chern(BundleNumerics(rank, _C1_22, c2))
+    if (n0 + d.rank, d.c1.a, d.c1.b, d.ch2x2) != (k.rank, k.c1.a, k.c1.b, k.ch2x2):
+        raise ReconstructionError(f"page c2={c2} converges to {KClass(n0 + d.rank, d.c1, d.ch2x2)}, expected {k}")
     corner = E2Entry(KClass(n0, ZERO, 0), line_label(ZERO, n0))
     return E2Page(c2, rank, variant, MappingProxyType({(0, 0): corner, **q1}))

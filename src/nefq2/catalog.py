@@ -170,6 +170,8 @@ def _coker_json(coker: TorsionDescriptor | None) -> dict[str, Any] | None:
 
 def case_to_json(case: CaseSpec) -> dict[str, Any]:
     """Serialize one case to the documented schema."""
+    if type(case) is not CaseSpec:
+        raise TypeError(f"case must be a CaseSpec, got {case!r}")
     return {
         "id": case.id,
         "theorem": case.theorem,
@@ -540,7 +542,9 @@ class Certificate:
 
 
 def certify(case: CaseSpec) -> Certificate:
-    """The case's certificate, built on first use and kept on the case."""
+    """The case's certificate, built on first use and kept on the case; a non-CaseSpec raises TypeError."""
+    if type(case) is not CaseSpec:
+        raise TypeError(f"case must be a CaseSpec, got {case!r}")
     return case._certificate
 
 

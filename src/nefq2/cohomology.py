@@ -95,9 +95,13 @@ def cohomology_q2(x: BiDegree) -> CohomologyVector:
     """
     if type(x) is not BiDegree:
         raise TypeError(f"degree must be a BiDegree, got {x!r}")
-    f0, f1 = line_cohomology_p1(x.a)
-    g0, g1 = line_cohomology_p1(x.b)
-    return CohomologyVector(f0 * g0, f0 * g1 + f1 * g0, f1 * g1)
+    # on a line h0(d) = d + 1 if positive, else h1(d) = -d - 1: one product is nonzero
+    a, b = x.a + 1, x.b + 1
+    if a > 0 and b > 0:
+        return CohomologyVector(a * b, 0, 0)
+    if a > 0 or b > 0:
+        return CohomologyVector(0, -a * b, 0)
+    return CohomologyVector(0, 0, a * b)
 
 
 def euler_char(e: BundleNumerics, p: int = 0, q: int = 0) -> int:

@@ -18,7 +18,6 @@ and Whitney's formula at Chern-class level for the three-term case.
 from __future__ import annotations
 
 import enum
-import math
 from typing import TYPE_CHECKING, Iterable
 
 from ._value import frozen
@@ -100,8 +99,8 @@ def _line_sum(terms: Iterable[tuple[BiDegree, int]]) -> KClass:
         rank += mult
         a += mult * deg.a
         b += mult * deg.b
-        ch2x2 += mult * intersect(deg, deg)
-    return KClass(rank, BiDegree(a, b), ch2x2)
+        ch2x2 += mult * deg.a * deg.b
+    return KClass(rank, BiDegree(a, b), 2 * ch2x2)
 
 
 def sum_of_lines(terms: Iterable[tuple[BiDegree, int]]) -> KClass:
@@ -118,7 +117,7 @@ def _chern_c2(rank: int, c1: BiDegree, ch2x2: int) -> int:
     """c2 of an honest class (rank, c1, ch2x2): the rank is positive and
     2*c2 = c1^2 - ch2x2 is even (it always is for integral combinations of
     sheaf classes).  The class is built only to name it in an error."""
-    twice_c2 = intersect(c1, c1) - ch2x2
+    twice_c2 = 2 * c1.a * c1.b - ch2x2
     if rank < 1:
         raise VirtualClassError(f"cannot take Chern data of a virtual class {KClass(rank, c1, ch2x2)}")
     if twice_c2 % 2 != 0:
@@ -141,7 +140,7 @@ def from_chern(e: BundleNumerics) -> KClass:
     """Inverse of :func:`to_chern`."""
     if type(e) is not BundleNumerics:
         raise TypeError(f"Chern data must be a BundleNumerics, got {e!r}")
-    return KClass(e.rank, e.c1, intersect(e.c1, e.c1) - 2 * e.c2)
+    return KClass(e.rank, e.c1, 2 * (e.c1.a * e.c1.b - e.c2))
 
 
 def twist_chern(e: BundleNumerics, line: BiDegree) -> BundleNumerics:
@@ -150,17 +149,21 @@ def twist_chern(e: BundleNumerics, line: BiDegree) -> BundleNumerics:
     c1 gains rank copies of the twist; c2 follows the standard rank-r
     twisting formula
 
-        c2(E(L)) = c2 + (r-1)*(c1 . L) + C(r, 2)*(L . L).
+        c2(E(L)) = c2 + (r-1)*(c1 . L) + C(r, 2)*(L . L),
+
+    where C(r, 2)*(L . L) = r*(r-1)*la*lb.  A twist that is not a BiDegree
+    raises TypeError before anything is built.
 
     >>> twist_chern(BundleNumerics(2, BiDegree(1, 1), 1), BiDegree(1, 0))
     BundleNumerics(rank=2, c1=BiDegree(a=3, b=1), c2=2)
     """
     if type(e) is not BundleNumerics:
         raise TypeError(f"Chern data must be a BundleNumerics, got {e!r}")
-    r = e.rank
-    c1 = e.c1 + r * line
-    c2 = e.c2 + (r - 1) * intersect(e.c1, line) + math.comb(r, 2) * intersect(line, line)
-    return BundleNumerics(r, c1, c2)
+    if type(line) is not BiDegree:
+        raise TypeError(f"twist must be a BiDegree, got {line!r}")
+    r, c1, la, lb = e.rank, e.c1, line.a, line.b
+    c2 = e.c2 + (r - 1) * (c1.a * lb + c1.b * la + r * la * lb)
+    return BundleNumerics(r, c1 + BiDegree(r * la, r * lb), c2)
 
 
 def ses_quotient_chern(sub: BundleNumerics, mid: BundleNumerics) -> BundleNumerics:
@@ -179,9 +182,9 @@ def ses_quotient_chern(sub: BundleNumerics, mid: BundleNumerics) -> BundleNumeri
         raise VirtualClassError(
             f"quotient rank {rank} is not positive (sub rank {sub.rank}, mid rank {mid.rank})"
         )
-    c1 = mid.c1 - sub.c1
-    c2 = mid.c2 - sub.c2 - intersect(sub.c1, c1)
-    return BundleNumerics(rank, c1, c2)
+    s, m = sub.c1, mid.c1
+    a, b = m.a - s.a, m.b - s.b
+    return BundleNumerics(rank, BiDegree(a, b), mid.c2 - sub.c2 - s.a * b - s.b * a)
 
 
 class TorsionKind(enum.Enum):

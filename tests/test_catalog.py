@@ -635,6 +635,18 @@ def test_ranks_must_be_integers():
             verify_all("main22", rank_min, rank_max)
 
 
+def test_functions_that_take_a_case_require_a_case_spec():
+    # a case id, or None, is a TypeError naming it, not an AttributeError
+    for call, shown in (
+        (lambda: verify_case("main22-1", 3), "'main22-1'"),
+        (lambda: case_kclass("main22-1", 3), "'main22-1'"),
+        (lambda: certify(None), "None"),
+        (lambda: case_to_json("main22-1"), "'main22-1'"),
+    ):
+        with pytest.raises(TypeError, match=f"^case must be a CaseSpec, got {shown}$"):
+            call()
+
+
 @pytest.mark.parametrize(
     ("lo", "hi", "message"),
     [

@@ -132,6 +132,14 @@ def test_twist_examples():
             assert t == BundleNumerics(1, BiDegree(a, b), 0)
 
 
+def test_twist_chern_checks_its_twist_before_building_anything():
+    # at rank 10**6, r * (1, 0) would be a 2,000,000-element tuple before the + failed
+    e = BundleNumerics(10**6, BiDegree(1, 1), 0)
+    for line in ((1, 0), 1, True, None):
+        with pytest.raises(TypeError, match=r"^twist must be a BiDegree, got "):
+            twist_chern(e, line)
+
+
 def test_twist_round_trip_and_k_theory_consistency():
     rng = random.Random(41)
     for _ in range(200):

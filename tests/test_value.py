@@ -5,7 +5,9 @@ rule that ``frozen`` compiles into every ``__init__``."""
 
 from __future__ import annotations
 
+import copy
 import importlib
+import pickle
 import pkgutil
 from types import MappingProxyType
 
@@ -15,7 +17,7 @@ import nefq2
 from nefq2 import BiDegree, BundleNumerics, HypothesisError, list_cases
 from nefq2._value import _repr, frozen, replace
 from nefq2.bondal import E2Entry, E2Page, ShiftedLineClass, e2_page
-from nefq2.catalog import CaseSpec, Certificate, RankExpr
+from nefq2.catalog import CaseSpec, Certificate, RankExpr, certify
 from nefq2.cohomology import CohomologyVector
 from nefq2.ktheory import KClass, TorsionDescriptor, TorsionKind
 
@@ -217,3 +219,52 @@ def test_defaults_and_derived_values():
     assert replace(page) == page and replace(page).entries is page.entries
     case = list_cases("main22")[0]
     assert replace(case) == case and replace(case, id="x") != case
+
+
+SLOTTED = [v for v, *_ in VALUES if type(v) not in (CaseSpec, Certificate)]
+
+
+@pytest.mark.parametrize("value", SLOTTED, ids=[type(v).__name__ for v in SLOTTED])
+def test_value_types_without_a_cached_property_are_slotted(value):
+    cls = type(value)
+    assert cls.__slots__ == cls.__match_args__ == tuple(vars(cls)["__annotations__"])
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    with pytest.raises(AttributeError):
+        object.__setattr__(value, "extra", 1)
+    # copy and pickle rebuild a value through __init__; a mappingproxy neither
+    # deep-copies nor pickles, so a page is only copied
+    assert copy.copy(value) == value
+    if cls is not E2Page:
+        assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
+
+
+def test_cached_properties_keep_their_values_in_the_instance_dict():
+    case = list_cases("main22")[0]
+    cert = certify(case)
+    assert cert._fixed is not None and case.min_rank == 1
+    assert {"min_rank", "_certificate"} <= set(vars(case)) and "_fixed" in vars(cert)
+    assert not hasattr(CaseSpec, "__slots__") and not hasattr(Certificate, "__slots__")
+
+
+def test_frozen_refuses_a_method_that_closes_over_its_class():
+    # the slotted rebuild would leave super()'s __class__ cell on the old class
+    with pytest.raises(TypeError, match=r"Child: a method closes over __class__"):
+
+        @frozen
+        class Child:
+            x: int
+
+            def __str__(self) -> str:
+                return super().__str__()
+
+    with pytest.raises(TypeError, match=r"Named: a method closes over __class__"):
+
+        @frozen
+        class Named:
+            x: int
+
+            @property
+            def kind(self) -> str:
+                return __class__.__name__
