@@ -40,8 +40,8 @@ class _Digest:
         pass
 
 
-def test_the_table_pins_five_documents():
-    assert len(PINS) == 5 and all(len(sha) == 64 for sha, _, _ in PINS)
+def test_the_table_pins_six_documents():
+    assert len(PINS) == 6 and all(len(sha) == 64 for sha, _, _ in PINS)
 
 
 @pytest.mark.parametrize("sha,length,argv", PINS, ids=[" ".join(argv) for _, _, argv in PINS])

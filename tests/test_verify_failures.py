@@ -77,6 +77,19 @@ BROKEN = {
         globally_generated=False,
         bondal_reconstructible=True,
     ),
+    # 0 -> O^(2-r) -> O(2,2) + O -> E -> 0: slope [O], but O^(2-r) falls with r,
+    # so the sweep passes to r = 2 and the multiplicities check fails from r = 3
+    "falling": CaseSpec(
+        id="main22-falling",
+        theorem="main22",
+        c1=BiDegree(2, 2),
+        sub_terms=((ZERO, RankExpr(2, -1)),),
+        mid_terms=((BiDegree(2, 2), RankExpr(1)), (ZERO, RankExpr(1))),
+        coker=None,
+        expected_c2=0,
+        globally_generated=True,
+        bondal_reconstructible=False,
+    ),
     # marked reconstructible below the window: c2 = 2 has no module profile
     "flag_below_6": replace(_MAIN22["main22-3"], bondal_reconstructible=True),
     # marked reconstructible off determinant (2,2): quadric21-5 has c1 (2,1)
@@ -93,6 +106,8 @@ RUNS = tuple(
     ("failing_chi_negative_from_3", "chi_negative", ("--rank-min", "3", "--rank-max", "6")),
     # the reconstruction verdict is one for every rank: from r = 2 on it fails as at r = 1
     ("failing_c2_above_8_from_2", "c2_above_8", ("--rank-min", "2", "--rank-max", "4")),
+    # not proved, since a multiplicity falls, yet every rank to 2 passes
+    ("failing_falling_to_2", "falling", ("--rank-max", "2")),
 )
 
 
