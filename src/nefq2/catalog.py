@@ -398,14 +398,6 @@ _C1_22 = BiDegree(2, 2)
 _SLOPE_O = KClass(1, ZERO, 0)
 
 
-def _rank_check(rank: int, r: int) -> CheckResult:
-    return CheckResult("rank", rank == r, f"display rank {rank}, requested {r}")
-
-
-def _chi_nonnegative(chi: int) -> CheckResult:
-    return CheckResult("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family")
-
-
 def _reconstruction_check(c1: BiDegree, c2: int) -> CheckResult:
     """The reconstruction check of a flagged case: the cached proof at c1
     (2,2) with c2 in 6..8, through the ``reconstruct`` of this module as it
@@ -416,27 +408,24 @@ def _reconstruction_check(c1: BiDegree, c2: int) -> CheckResult:
     return CheckResult("reconstruction", False, f"{needs}, got c1 ({c1.a},{c1.b}) and c2 {c2}")
 
 
-def _report(case: CaseSpec, r: int, rank: int, c1: BiDegree, c2: int) -> VerificationReport:
-    """The report of every check at rank r of a display whose class there
-    has this rank, c1 and c2."""
+def _steady(case: CaseSpec, r: int, c1: BiDegree, c2: int) -> tuple[BiDegree, int, bool, int, tuple[CheckResult, ...]]:
+    """The part of the row at rank r of a display with this c1 and c2 that
+    does not move with r on a flat display: c1, c2, weak_fano, k = chi at
+    rank 0, and the c1, c2, c2_bound and multiplicities checks."""
     a, b, table = c1.a, c1.b, case.c1
     c1sq = intersect(c1, c1)
     checks = (
-        _rank_check(rank, r),
         # the text of f"display c1 {c1}, table c1 {table}", without two str() calls
         CheckResult("c1", a == table.a and b == table.b, f"display c1 ({a},{b}), table c1 ({table.a},{table.b})"),
         CheckResult("c2", c2 == case.expected_c2, f"computed c2 {c2}, expected {case.expected_c2}"),
         CheckResult("c2_bound", 0 <= c2 <= c1sq, f"c2 {c2} against nef bound 0..{c1sq}"),
-        _chi_nonnegative(_chi(rank, c1, c2)),
         CheckResult(
             "multiplicities",
             all([m.const + m.coef * r >= 0 for _, m in case.sub_terms + case.mid_terms]),
             "every display multiplicity evaluates >= 0",
         ),
     )
-    if case.bondal_reconstructible:
-        checks += (_reconstruction_check(c1, c2),)
-    return VerificationReport(case, r, rank, c1, c2, c2 < c1sq, checks, all([check.passed for check in checks]))
+    return c1, c2, c2 < c1sq, _chi(0, c1, c2), checks
 
 
 @frozen
@@ -447,14 +436,18 @@ class Certificate:
     r, so at rank r it is exactly base + r * slope.  ``row(r)`` evaluates
     every check of a case from it in plain ints, ``proved_from(lo)``
     decides whether all of them pass at every r >= lo, and ``rows(lo, hi)``
-    counts the ranks of a sweep that pass, with their rows.
+    counts the ranks of a sweep that pass, with their rows and, for a
+    proved sweep, chi at rank 0.
 
     A display is flat when its slope is [O] and no multiplicity falls with
-    r.  Then c1 and c2 do not move with r, and neither do the c1, c2,
-    c2_bound and multiplicities checks at r >= min_rank: the certificate
-    keeps them, with chi at rank 0, from its first row at min_rank, unless
-    that row raises.  It keeps nothing that depends on anything but its
-    fields.
+    r.  Then c1 and c2 do not move with r, and neither does the steady part
+    of a row at r >= min_rank (c1, c2, weak_fano, k = chi at rank 0 and the
+    c1, c2, c2_bound and multiplicities checks): the certificate keeps it,
+    from min_rank, unless the class there has no Chern data.  Any other
+    display's row makes its steady part at r.  Every row then adds the rank
+    check, chi = k + rank (Riemann-Roch has slope 1 in the rank) and the
+    reconstruction check.  It keeps nothing that depends on anything but
+    its fields.
     """
 
     case: CaseSpec
@@ -463,9 +456,8 @@ class Certificate:
 
     @functools.cached_property
     def _fixed(self) -> tuple[BiDegree, int, bool, int, tuple[CheckResult, ...]] | None:
-        """For a flat display whose row at min_rank does not raise: c1, c2,
-        weak_fano, k = chi at rank 0 and the checks of ``row(r)`` that do not
-        move with r (c1, c2, c2_bound, multiplicities).  None otherwise."""
+        """The steady part of every row of a flat display, made at min_rank;
+        None for any other display, or one with no Chern data there."""
         base, lo, terms = self.base, self.case.min_rank, self.case.sub_terms + self.case.mid_terms
         if self.slope != _SLOPE_O or any([m.coef < 0 for _, m in terms]):
             return None
@@ -473,8 +465,7 @@ class Certificate:
             c2 = _chern_c2(base.rank + lo, base.c1, base.ch2x2)
         except NefQ2Error:
             return None
-        _, _, _, c1, _, weak_fano, checks, _ = _report(self.case, lo, base.rank + lo, base.c1, c2)
-        return c1, c2, weak_fano, _chi(0, c1, c2), checks[1:4] + checks[5:6]
+        return _steady(self.case, lo, base.c1, c2)
 
     def row(self, r: int) -> VerificationReport:
         """The report of every check at rank r, each a ``CheckResult``, the
@@ -482,24 +473,28 @@ class Certificate:
         TypeError, one below min_rank ValueError, and a class with no Chern
         data the error of ``ktheory.to_chern``.
 
-        For a flat display only the rank, chi (k + rank) and reconstruction
-        checks are made here; the others are the certificate's own.  The
-        reconstruction check goes through ``reconstruct`` at every call, so
-        a replaced function is seen."""
+        The reconstruction check goes through ``reconstruct`` at every call,
+        so a replaced function is seen."""
         case = self.case
         if type(r) is not int:
             raise TypeError(f"rank must be an integer, got {r!r}")
         if r < case.min_rank:
             raise ValueError(f"{case.id} needs rank >= {case.min_rank}, got {r}")
-        fixed = self._fixed
+        base, slope, fixed = self.base, self.slope, self._fixed
+        rank = base.rank + r * slope.rank
         if fixed is None:
-            base, slope = self.base, self.slope
-            rank = base.rank + r * slope.rank
             c1 = base.c1 + r * slope.c1 if slope.c1.a or slope.c1.b else base.c1
-            return _report(case, r, rank, c1, _chern_c2(rank, c1, base.ch2x2 + r * slope.ch2x2))
+            fixed = _steady(case, r, c1, _chern_c2(rank, c1, base.ch2x2 + r * slope.ch2x2))
         c1, c2, weak_fano, k, (c1_check, c2_check, bound, multiplicities) = fixed
-        rank = self.base.rank + r
-        checks = (_rank_check(rank, r), c1_check, c2_check, bound, _chi_nonnegative(k + rank), multiplicities)
+        chi = k + rank
+        checks = (
+            CheckResult("rank", rank == r, f"display rank {rank}, requested {r}"),
+            c1_check,
+            c2_check,
+            bound,
+            CheckResult("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family"),
+            multiplicities,
+        )
         if case.bondal_reconstructible:
             checks += (_reconstruction_check(c1, c2),)
         return VerificationReport(case, r, rank, c1, c2, weak_fano, checks, all([check.passed for check in checks]))
@@ -525,20 +520,24 @@ class Certificate:
             return False
         return passed and self._fixed is not None
 
-    def rows(self, lo: int, hi: int) -> tuple[int, Iterable[VerificationReport]]:
-        """How many ranks of lo..hi pass every check, with ``row(r)`` for
-        each.  A bound that is not an int raises TypeError.  Unless
-        ``proved_from(lo)``, the rows are a list made here, so a rank that
-        raises does so at this call.  Proved, every rank passes and the rows
-        are ``map(self.row, lo..hi)``, made as they are read."""
+    def rows(self, lo: int, hi: int) -> tuple[int, Iterable[VerificationReport], int | None]:
+        """How many ranks of lo..hi pass every check, ``row(r)`` for each,
+        and k = chi at rank 0 when ``proved_from(lo)``, else None.  A bound
+        that is not an int raises TypeError, and an empty range
+        HypothesisError.  Unless proved, the rows are a list made here, so a
+        rank that raises does so at this call.  Proved, every rank passes
+        and the rows are ``map(self.row, lo..hi)``, made as they are read."""
         for name, bound in (("lo", lo), ("hi", hi)):
             if type(bound) is not int:
                 raise TypeError(f"{name} must be an integer, got {bound!r}")
         ranks = range(lo, hi + 1)
-        if self.proved_from(lo):
-            return len(ranks), map(self.row, ranks)
+        if not ranks:
+            raise HypothesisError(f"empty sweep: no rank in {lo}..{hi}")
+        fixed = self._fixed
+        if fixed is not None and self.proved_from(lo):
+            return len(ranks), map(self.row, ranks), fixed[3]
         rows = [self.row(r) for r in ranks]
-        return sum(row.passed for row in rows), rows
+        return sum(row.passed for row in rows), rows, None
 
 
 def certify(case: CaseSpec) -> Certificate:

@@ -175,22 +175,22 @@ def _run_bondal(args: argparse.Namespace) -> int:
 def _run_verify(args: argparse.Namespace) -> int:
     hi = args.rank_max
     cases = sweep(args.theorem, args.rank_min, hi, c1=args.c1, b=args.b_param)
-    # (case, lo, passed, rows) as Certificate.rows gives them: a proved
+    # (case, lo, passed, rows, k) as Certificate.rows gives them: a proved
     # case's rows are made by row as they are read, an unproved case's are
     # made here, so a rank that raises does so before output
     swept = [(case, lo, *certify(case).rows(lo, hi)) for case, lo in cases]
-    passed = sum(count for _, _, count, _ in swept)
+    passed = sum(count for _, _, count, _, _ in swept)
     total = sum(hi + 1 - lo for _, lo in cases)
     if args.format == "json":
         from .report_json import write_verify_json  # compiled only for this output
 
         write_verify_json("nefq2 " + " ".join(args.raw_argv), swept, passed, total, sys.stdout.write)
     else:
-        # a case whose every rank passes takes one line whatever the range;
-        # the rows of any other case are a list, so they can be read again
-        for case, lo, count, rows in swept:
+        # a proved case takes one line whatever the range; the rows of any
+        # other case are a list, so they can be read again for its failures
+        for case, lo, _, rows, k in swept:
             first, failures = next(iter(rows)), []
-            for row in rows if count < hi + 1 - lo else ():
+            for row in rows if k is None else ():
                 r, checks = row.rank_tested, row.checks
                 failures += [f"    r={r} {name}: {detail}" for name, ok, detail in checks if not ok]
             print(

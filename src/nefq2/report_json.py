@@ -3,17 +3,16 @@
 
 The verify document is written from the case certificates' rows, each
 row's text by ``_row_text`` in sorted key order, byte for byte what
-json.dumps prints for the report's ``to_json()`` dict.  A case that
-``Certificate.proved_from(lo)`` proves is written from one template per
-case: its row at a sentinel rank far above any sweep, cut once into the
-constant pieces between the decimals of that rank and of its chi.  Its
-rows are then filled in batches of about one block, each batch joined in
-C from the pieces and the decimals of r and of chi = k + r, with no
-Python code run per row.  When |k| is less than the batch, both columns
-are slices of one run of decimals; a larger k (a large --c1) gets a run
-for each, so a batch never makes more than two decimals a row.  The document is ASCII, and it is written in
-blocks of ``_BLOCK`` characters, whatever the length of its rows, so the
-run holds at most one block and one batch.  Only ``--format json`` loads
+json.dumps prints for the report's ``to_json()`` dict.  A case whose
+``Certificate.rows`` hands over k = chi at rank 0, the mark of a proved
+case, is written from one template per case: its row at a sentinel rank
+far above any sweep, cut once into the constant pieces between the
+decimals of that rank and of its chi.  Its rows are then filled in
+batches of about one block, each batch joined in C from the pieces and
+two runs of decimals, of r and of chi = k + r, with no Python code run
+per row.  The document is ASCII, and it is written in blocks of
+``_BLOCK`` characters, whatever the length of its rows, so the run holds
+at most one block and one batch.  Only ``--format json`` loads
 this module, and the verify document loads no ``json`` package: its
 strings are escaped by the C encoder of ``_json``.
 """
@@ -30,7 +29,6 @@ except ImportError:  # an interpreter built without the C accelerator
 
 from . import __version__
 from .catalog import CaseSpec, VerificationReport, case_to_json, certify
-from .cohomology import _chi
 
 #: How json.dumps prints the schema's literals.
 _LITERAL = {True: "true", False: "false", None: "null"}
@@ -84,7 +82,7 @@ def _row_text(case_text: tuple[str, str], row: VerificationReport) -> str:
     )
 
 
-def _template(case: CaseSpec, case_text: tuple[str, str]) -> Callable[[int, int], Iterator[str]] | None:
+def _template(case: CaseSpec, case_text: tuple[str, str], k: int) -> Callable[[int, int], Iterator[str]] | None:
     """The row texts of a proved case at the ranks lo..hi-1 it is proved
     at, joined by ",\n" in batches of about one block, as a fill of its row
     at the sentinel rank R: the decimal of R stands for r in 4 places
@@ -92,36 +90,29 @@ def _template(case: CaseSpec, case_text: tuple[str, str]) -> Callable[[int, int]
     of k + R for chi = k + r in one, with k = chi at rank 0.  None when
     those decimals occur otherwise in the text (k = 0 puts one decimal in
     all 5 places)."""
-    row = certify(case).row(_SENTINEL)
-    text = _row_text(case_text, row)
-    k = _chi(0, row.c1, row.c2)
+    text = _row_text(case_text, certify(case).row(_SENTINEL))
     rank, chi = str(_SENTINEL), str(k + _SENTINEL)
     if (text.count(rank), text.count(chi)) != ((5, 5) if k == 0 else (4, 1)):
         return None
     # a row's constant pieces, and whether each gap between two of them
     # holds k + r (else r)
     pieces: list[str] = []
-    at_chi: list[bool] = []
+    chi_at: list[bool] = []
     for i, part in enumerate(text.split(chi)):
         for j, piece in enumerate(part.split(rank)):
             if i or j:
-                at_chi.append(j == 0)
+                chi_at.append(j == 0)
             pieces.append(piece)
     batch = max(1, _BLOCK // len(text))
-    lead = max(0, -k)
 
     def fill(lo: int, hi: int) -> Iterator[str]:
         for start in range(lo, hi, batch):
-            n = min(batch, hi - start)
-            if abs(k) < n:  # r's and k + r's decimals are slices of one run
-                decimals = list(map(str, range(start - lead, start + n + max(0, k))))
-                r_col, chi_col = decimals[lead : lead + n], decimals[lead + k : lead + k + n]
-            else:
-                r_col = list(map(str, range(start, start + n)))
-                chi_col = list(map(str, range(start + k, start + k + n)))
+            stop = min(start + batch, hi)
+            r_col = list(map(str, range(start, stop)))
+            chi_col = list(map(str, range(start + k, stop + k)))
             columns: list[Iterable[str]] = [repeat(pieces[0])]
-            for is_chi, piece in zip(at_chi, pieces[1:]):
-                columns += chi_col if is_chi else r_col, repeat(piece)
+            for chi_here, piece in zip(chi_at, pieces[1:]):
+                columns += chi_col if chi_here else r_col, repeat(piece)
             yield ",\n".join(map("".join, zip(*columns)))
 
     return fill
@@ -146,25 +137,25 @@ def _blocks(pieces: Iterable[str]) -> Iterator[str]:
 
 def _verify_pieces(
     invocation: str,
-    swept: Iterable[tuple[CaseSpec, int, int, Iterable[VerificationReport]]],
+    swept: Iterable[tuple[CaseSpec, int, int, Iterable[VerificationReport], int | None]],
     passed: int,
     total: int,
 ) -> Iterator[str]:
     """The verify document's text, in pieces of at most one row or one
     batch of a template's rows."""
     yield f'{{\n  "invocation": {string(invocation)},\n  "results": '
-    lead = "[\n"
-    for case, lo, count, rows in swept:
+    sep = "[\n"
+    for case, lo, count, rows, k in swept:
         case_text = _case_text(case)
-        fill = _template(case, case_text) if certify(case).proved_from(lo) else None
+        fill = None if k is None else _template(case, case_text, k)
         if fill is not None:  # proved: every row passes, and count is the number of ranks
             texts: Iterable[str] = fill(lo, lo + count)
         else:
             texts = (_row_text(case_text, row) for row in rows)
         for text in texts:
-            yield lead + text
-            lead = ",\n"
-    yield "[]" if lead == "[\n" else "\n  ]"
+            yield sep + text
+            sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
     yield (
         f',\n  "summary": {{\n    "failed": {total - passed},\n    "passed": {passed},\n'
         f'    "total": {total}\n  }},\n  "tool_version": {string(__version__)}\n}}\n'
@@ -173,14 +164,14 @@ def _verify_pieces(
 
 def write_verify_json(
     invocation: str,
-    swept: Iterable[tuple[CaseSpec, int, int, Iterable[VerificationReport]]],
+    swept: Iterable[tuple[CaseSpec, int, int, Iterable[VerificationReport], int | None]],
     passed: int,
     total: int,
     write: Callable[[str], Any],
 ) -> None:
     """Write the document {"invocation", "results", "summary",
     "tool_version"}, whose results are the rows' ``to_json()`` over the
-    (case, lo, passed, rows) of ``Certificate.rows``, and whose summary holds
-    the given counts."""
+    (case, lo, passed, rows, k) of ``Certificate.rows``, and whose summary
+    holds the given counts."""
     for block in _blocks(_verify_pieces(invocation, swept, passed, total)):
         write(block)

@@ -664,6 +664,16 @@ def test_rank_bounds_of_rows_must_be_integers(lo, hi, message):
             certify(case).rows(lo, hi)
 
 
+def test_an_empty_range_of_rows_is_an_error():
+    # rows(5, 3) was a count of 0 and no rows, where sweep and verify_all
+    # refuse the same range; a proved and a failing case are refused alike
+    proved = list_cases("main22")[0]
+    for case, passed in ((proved, 1), (replace(proved, expected_c2=1), 0)):
+        with pytest.raises(HypothesisError, match=r"^empty sweep: no rank in 5\.\.3$"):
+            certify(case).rows(5, 3)
+        assert certify(case).rows(3, 3)[0] == passed
+
+
 def test_verify_all():
     reports = verify_all("main22", rank_max=4)
     assert all(r.passed for r in reports)

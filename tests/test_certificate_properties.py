@@ -29,7 +29,7 @@ from nefq2.catalog import (
     case_kclass,
     certify,
 )
-from nefq2.cohomology import euler_char, is_weak_fano
+from nefq2.cohomology import _chi, euler_char, is_weak_fano
 from nefq2.ktheory import KClass, TorsionDescriptor, TorsionKind, to_chern
 from nefq2.picard import ZERO, BiDegree, intersect
 
@@ -149,16 +149,18 @@ def passes(outcome) -> bool:
 
 def check_proof(cert: Certificate, lo: int) -> None:
     """A proof from lo holds on lo..lo+50, where rows() equals row(), counts
-    the rows that pass and raises the first error row() raises."""
+    the rows that pass, hands over k = chi at rank 0 exactly when proved,
+    and raises the first error row() raises."""
     rows = [evaluated(cert, r) for r in range(lo, lo + 51)]
     try:
-        passed, made = cert.rows(lo, lo + 50)
+        passed, made, k = cert.rows(lo, lo + 50)
     except (NefQ2Error, ValueError) as exc:
         assert (type(exc), str(exc)) == next(row for row in rows if len(row) == 2)
         return
     assert list(made) == rows
     assert passed == sum(passes(row) for row in rows)
     assert passed == 51 or not cert.proved_from(lo)
+    assert k == (_chi(0, rows[0].c1, rows[0].c2) if cert.proved_from(lo) else None)
 
 
 @SETTINGS

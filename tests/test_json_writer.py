@@ -119,12 +119,14 @@ def test_rank_300_sweep_bytes_without_the_c_encoder():
     assert hashlib.sha256(proc.stdout).hexdigest() == "e813117018b808befda56e541da709738be509c169b9bdbdb62f998282ba6346"
 
 
-def _written(argv, cases, hi) -> str:
+def _written(argv, firsts, hi, write=None) -> str:
+    """The verify document of the (case, lo) pairs swept to hi, written as
+    the command line writes it: to write when given, else returned."""
     chunks: list[str] = []
-    swept = [(case, case.min_rank, *certify(case).rows(case.min_rank, hi)) for case in cases]
-    passed = sum(count for _, _, count, _ in swept)
-    total = sum(hi + 1 - case.min_rank for case in cases)
-    write_verify_json("nefq2 " + " ".join(argv), swept, passed, total, chunks.append)
+    swept = [(case, lo, *certify(case).rows(lo, hi)) for case, lo in firsts]
+    passed = sum(count for _, _, count, _, _ in swept)
+    total = sum(hi + 1 - lo for _, lo in firsts)
+    write_verify_json("nefq2 " + " ".join(argv), swept, passed, total, write or chunks.append)
     return "".join(chunks)
 
 
@@ -140,7 +142,7 @@ def test_failing_reports_equal_json_dumps():
     assert [r.passed for r in reports].count(True) == 5  # main22-9 at ranks 1..5
     assert {r.flags["globally_generated"] for r in reports} == {None, False, True}
     argv = ("verify", "main22", "--rank-max", "5", "--format", "json")
-    assert _written(argv, cases, 5) == _dumps(argv, reports)
+    assert _written(argv, [(case, case.min_rank) for case in cases], 5) == _dumps(argv, reports)
     assert _written(argv, [], 5) == _dumps(argv, [])
 
 
@@ -156,21 +158,19 @@ def test_random_displays_are_written_as_json_dumps(drawn, rank_min, span):
     # a case starts at max(rank_min, min_rank), and one with no rank, or one
     # whose rows raise, is left out
     hi = rank_min + span
-    swept, reports = [], []
+    firsts, reports = [], []
     for case, case_id in drawn:
         case, lo = replace(case, id=case_id), max(rank_min, case.min_rank)
         if lo > hi:
             continue
         try:
-            swept.append((case, lo, *certify(case).rows(lo, hi)))
+            rows = [certify(case).row(r) for r in range(lo, hi + 1)]
         except (NefQ2Error, ValueError):
             continue
-        reports += [certify(case).row(r) for r in range(lo, hi + 1)]
-    passed = sum(count for _, _, count, _ in swept)
-    chunks: list[str] = []
+        firsts.append((case, lo))
+        reports += rows
     argv = ("verify", "main22", "--rank-min", str(rank_min), "--rank-max", str(hi), "--format", "json")
-    write_verify_json("nefq2 " + " ".join(argv), swept, passed, len(reports), chunks.append)
-    assert "".join(chunks) == _dumps(argv, reports)
+    assert _written(argv, firsts, hi) == _dumps(argv, reports)
 
 
 #: Where a row's text starts: the case ids of these tables hold no newline.
@@ -212,11 +212,11 @@ def test_template_gives_the_row_text_of_every_rank():
     )
     ks, k_zero = set(), set()
     for case in shipped + parametric + [negative]:
-        text = _case_text(case)
-        fill = _template(case, text)
-        assert fill is not None and certify(case).proved_from(case.min_rank), case.id
+        _, _, k = certify(case).rows(case.min_rank, case.min_rank)
         row = certify(case).row(case.min_rank)
-        k = _chi(0, row.c1, row.c2)
+        assert k == _chi(0, row.c1, row.c2), case.id
+        fill = _template(case, _case_text(case), k)
+        assert fill is not None and certify(case).proved_from(case.min_rank), case.id
         ks.add(k)
         if k == 0:
             k_zero.add(case.id if case.theorem == "main22" else (case.id, row.c1))
@@ -251,8 +251,9 @@ def test_template_of_a_large_k_makes_two_decimals_a_row():
     )
     for case, lo, k in ((split, split.min_rank, 1002000), (below, 1000, -1000)):
         row = certify(case).row(lo)
-        assert _chi(0, row.c1, row.c2) == k and certify(case).proved_from(lo), case.id
-        fill = _template(case, _case_text(case))
+        _, _, handed = certify(case).rows(lo, lo)
+        assert _chi(0, row.c1, row.c2) == handed == k and certify(case).proved_from(lo), case.id
+        fill = _template(case, _case_text(case), handed)
         batch = next(fill(lo, 10**4)).count(_ROW_START)
         assert 1 < batch < abs(k)
         for edge in (lo, 10**4, 10**7 - k):
@@ -273,9 +274,8 @@ def test_writes_are_fixed_blocks():
     # the last is one 64 KiB block, whatever the rows' lengths, so the
     # memory does not grow with the range
     sizes: list[int] = []
-    swept = [(case, case.min_rank, *certify(case).rows(case.min_rank, 5000)) for case in list_cases("main22")]
-    total = sum(count for _, _, count, _ in swept)
-    write_verify_json("nefq2 verify main22", swept, total, total, lambda text: sizes.append(len(text)))
+    firsts = [(case, case.min_rank) for case in list_cases("main22")]
+    _written(("verify", "main22"), firsts, 5000, lambda text: sizes.append(len(text)))
     assert sum(sizes) > 100_000_000
     assert max(sizes) < 100_000
     assert set(sizes[:-1]) == {1 << 16} and 0 < sizes[-1] <= 1 << 16
