@@ -665,8 +665,8 @@ def test_rank_bounds_of_rows_must_be_integers(lo, hi, message):
 
 
 def test_an_empty_range_of_rows_is_an_error():
-    # rows(5, 3) was a count of 0 and no rows, where sweep and verify_all
-    # refuse the same range; a proved and a failing case are refused alike
+    # as sweep and verify_all do, rows refuses a range with no rank, for a
+    # proved and a failing case alike
     proved = list_cases("main22")[0]
     for case, passed in ((proved, 1), (replace(proved, expected_c2=1), 0)):
         with pytest.raises(HypothesisError, match=r"^empty sweep: no rank in 5\.\.3$"):
