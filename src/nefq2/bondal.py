@@ -84,6 +84,7 @@ def reconstruct(e: BundleNumerics) -> KClass:
     """Recover the K-class of a nef bundle with determinant (2, 2) and
     6 <= c2 <= 8 from its Hom/Ext module profile alone, and check it
     against the direct conversion.  Returns the reconstructed class.
+    The two classes are compared as int 4-tuples (rank, c1a, c1b, ch2x2).
 
     >>> reconstruct(BundleNumerics(4, BiDegree(2, 2), 6))
     KClass(rank=4, c1=BiDegree(a=2, b=2), ch2x2=-4)
@@ -96,7 +97,8 @@ def reconstruct(e: BundleNumerics) -> KClass:
     # Ext^1 sits one shift further, so its multiplicities take the other sign
     rebuilt = _line_sum([(deg, sign * (h - x)) for (deg, sign), h, x in zip(_SIGNED_DEGREES, hom, ext1)])
     direct = from_chern(e)
-    if rebuilt != direct:
+    got, want = rebuilt.c1, direct.c1
+    if (rebuilt.rank, got.a, got.b, rebuilt.ch2x2) != (direct.rank, want.a, want.b, direct.ch2x2):
         raise ReconstructionError(
             f"module profile rebuilt {rebuilt} but Chern data gives {direct} for {e}"
         )
@@ -146,6 +148,10 @@ class E2Page:
         raise TypeError(f"E2Page.entries must map (int, int) positions to E2Entry values, got {self.entries!r}")
 
     def entry(self, p: int, q: int) -> KClass:
+        """The class at (p, q), zero where the page has no entry.  A
+        position that is not a pair of ints raises TypeError."""
+        if type(p) is not int or type(q) is not int:
+            raise TypeError(f"page positions must be integers, got {p!r} and {q!r}")
         e = self.entries.get((p, q))
         return e.kclass if e is not None else _NO_CLASS
 
@@ -207,7 +213,8 @@ def e2_page(c2: int, rank: int, variant: str | None = None) -> E2Page:
     come from a table built at import; the (0, 0) entry O^(rank + 8 - c2)
     is built here.  Every call checks the twisted terms' line sum against D
     (four-term exactness) and (rank + 8 - c2)[O] + D against ``from_chern``
-    (convergence).  A c2 or rank that is not an int raises TypeError.
+    (convergence), each as a comparison of int 4-tuples (rank, c1a, c1b,
+    ch2x2).  A c2 or rank that is not an int raises TypeError.
     """
     if type(c2) is not int:
         raise TypeError(f"c2 must be an integer, got {c2!r}")
@@ -229,13 +236,14 @@ def e2_page(c2: int, rank: int, variant: str | None = None) -> E2Page:
         raise HypothesisError(f"c2={c2} admits no variant, got {variant!r}")
 
     q1, twisted_terms, d = _PAGES[c2, variant]
+    d_rank, d_a, d_b, d_ch2x2 = d.rank, d.c1.a, d.c1.b, d.ch2x2
     twisted = _line_sum(twisted_terms)
-    if twisted != d:
+    if (twisted.rank, twisted.c1.a, twisted.c1.b, twisted.ch2x2) != (d_rank, d_a, d_b, d_ch2x2):
         raise ReconstructionError(f"four-term identity violated on page c2={c2}: residual {twisted - d}")
     # the (0, 0) corner O^n0 adds n0 to the rank of the q = 1 entries' sum D
     n0 = rank + 8 - c2
     k = from_chern(BundleNumerics(rank, _C1_22, c2))
-    if (n0 + d.rank, d.c1.a, d.c1.b, d.ch2x2) != (k.rank, k.c1.a, k.c1.b, k.ch2x2):
+    if (n0 + d_rank, d_a, d_b, d_ch2x2) != (k.rank, k.c1.a, k.c1.b, k.ch2x2):
         raise ReconstructionError(f"page c2={c2} converges to {KClass(n0 + d.rank, d.c1, d.ch2x2)}, expected {k}")
     corner = E2Entry(KClass(n0, ZERO, 0), line_label(ZERO, n0))
     return E2Page(c2, rank, variant, MappingProxyType({(0, 0): corner, **q1}))

@@ -79,6 +79,9 @@ class RankExpr:
     coef: int = 0
 
     def evaluate(self, r: int) -> int:
+        """const + coef*r; a rank that is not an int raises TypeError."""
+        if type(r) is not int:
+            raise TypeError(f"rank must be an integer, got {r!r}")
         return self.const + self.coef * r
 
     @staticmethod
@@ -402,30 +405,34 @@ def _reconstruction_check(c1: BiDegree, c2: int) -> CheckResult:
     """The reconstruction check of a flagged case: the cached proof at c1
     (2,2) with c2 in 6..8, through the ``reconstruct`` of this module as it
     is at the call, and a failing check anywhere else."""
-    if c1 == _C1_22 and 6 <= c2 <= 8:
+    if c1.a == 2 and c1.b == 2 and 6 <= c2 <= 8:
         return _reconstruction_proof(c2, reconstruct)
     needs = "the module profile needs c1 (2,2) and 6 <= c2 <= 8"
     return CheckResult("reconstruction", False, f"{needs}, got c1 ({c1.a},{c1.b}) and c2 {c2}")
 
 
-def _steady(case: CaseSpec, r: int, c1: BiDegree, c2: int) -> tuple[BiDegree, int, bool, int, tuple[CheckResult, ...]]:
+#: What ``_steady`` makes: c1, c2, weak_fano, k = chi at rank 0, the c1, c2,
+#: c2_bound and multiplicities checks, and whether all four pass.
+_Steady = tuple[BiDegree, int, bool, int, tuple[CheckResult, ...], bool]
+
+
+def _steady(case: CaseSpec, r: int, c1: BiDegree, c2: int) -> _Steady:
     """The part of the row at rank r of a display with this c1 and c2 that
     does not move with r on a flat display: c1, c2, weak_fano, k = chi at
-    rank 0, and the c1, c2, c2_bound and multiplicities checks."""
+    rank 0, the c1, c2, c2_bound and multiplicities checks, and their
+    verdict, decided here in plain ints."""
     a, b, table = c1.a, c1.b, case.c1
     c1sq = intersect(c1, c1)
+    c1_ok, c2_ok, bound_ok = a == table.a and b == table.b, c2 == case.expected_c2, 0 <= c2 <= c1sq
+    multiplicities_ok = all([m.const + m.coef * r >= 0 for _, m in case.sub_terms + case.mid_terms])
     checks = (
         # the text of f"display c1 {c1}, table c1 {table}", without two str() calls
-        CheckResult("c1", a == table.a and b == table.b, f"display c1 ({a},{b}), table c1 ({table.a},{table.b})"),
-        CheckResult("c2", c2 == case.expected_c2, f"computed c2 {c2}, expected {case.expected_c2}"),
-        CheckResult("c2_bound", 0 <= c2 <= c1sq, f"c2 {c2} against nef bound 0..{c1sq}"),
-        CheckResult(
-            "multiplicities",
-            all([m.const + m.coef * r >= 0 for _, m in case.sub_terms + case.mid_terms]),
-            "every display multiplicity evaluates >= 0",
-        ),
+        CheckResult("c1", c1_ok, f"display c1 ({a},{b}), table c1 ({table.a},{table.b})"),
+        CheckResult("c2", c2_ok, f"computed c2 {c2}, expected {case.expected_c2}"),
+        CheckResult("c2_bound", bound_ok, f"c2 {c2} against nef bound 0..{c1sq}"),
+        CheckResult("multiplicities", multiplicities_ok, "every display multiplicity evaluates >= 0"),
     )
-    return c1, c2, c2 < c1sq, _chi(0, c1, c2), checks
+    return c1, c2, c2 < c1sq, _chi(0, c1, c2), checks, c1_ok and c2_ok and bound_ok and multiplicities_ok
 
 
 @frozen
@@ -446,8 +453,9 @@ class Certificate:
     from min_rank, unless the class there has no Chern data.  Any other
     display's row makes its steady part at r.  Every row then adds the rank
     check, chi = k + rank (Riemann-Roch has slope 1 in the rank) and the
-    reconstruction check.  It keeps nothing that depends on anything but
-    its fields.
+    reconstruction check, and its verdict is the steady part's verdict and
+    theirs, decided in plain ints.  It keeps nothing that depends on
+    anything but its fields.
     """
 
     case: CaseSpec
@@ -455,7 +463,7 @@ class Certificate:
     slope: KClass
 
     @functools.cached_property
-    def _fixed(self) -> tuple[BiDegree, int, bool, int, tuple[CheckResult, ...]] | None:
+    def _fixed(self) -> _Steady | None:
         """The steady part of every row of a flat display, made at min_rank;
         None for any other display, or one with no Chern data there."""
         base, lo, terms = self.base, self.case.min_rank, self.case.sub_terms + self.case.mid_terms
@@ -474,7 +482,9 @@ class Certificate:
         data the error of ``ktheory.to_chern``.
 
         The reconstruction check goes through ``reconstruct`` at every call,
-        so a replaced function is seen."""
+        so a replaced function is seen.  The verdict is decided in plain
+        ints: the steady part's verdict, kept with it on a flat display,
+        and the rank, chi and reconstruction verdicts of this rank."""
         case = self.case
         if type(r) is not int:
             raise TypeError(f"rank must be an integer, got {r!r}")
@@ -485,19 +495,23 @@ class Certificate:
         if fixed is None:
             c1 = base.c1 + r * slope.c1 if slope.c1.a or slope.c1.b else base.c1
             fixed = _steady(case, r, c1, _chern_c2(rank, c1, base.ch2x2 + r * slope.ch2x2))
-        c1, c2, weak_fano, k, (c1_check, c2_check, bound, multiplicities) = fixed
+        c1, c2, weak_fano, k, (c1_check, c2_check, bound, multiplicities), steady_ok = fixed
         chi = k + rank
+        rank_ok, chi_ok = rank == r, chi >= 0
         checks = (
-            CheckResult("rank", rank == r, f"display rank {rank}, requested {r}"),
+            CheckResult("rank", rank_ok, f"display rank {rank}, requested {r}"),
             c1_check,
             c2_check,
             bound,
-            CheckResult("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family"),
+            CheckResult("chi_nonnegative", chi_ok, f"chi = {chi} must be >= 0 for a nef family"),
             multiplicities,
         )
+        passed = steady_ok and rank_ok and chi_ok
         if case.bondal_reconstructible:
-            checks += (_reconstruction_check(c1, c2),)
-        return VerificationReport(case, r, rank, c1, c2, weak_fano, checks, all([check.passed for check in checks]))
+            reconstruction = _reconstruction_check(c1, c2)
+            checks += (reconstruction,)
+            passed = passed and reconstruction.passed
+        return VerificationReport(case, r, rank, c1, c2, weak_fano, checks, passed)
 
     def proved_from(self, lo: int) -> bool:
         """Whether every check of ``row(r)`` passes at every r >= lo, for

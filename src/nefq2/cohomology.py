@@ -34,7 +34,7 @@ class CohomologyVector:
     h2: int
 
     def __post_init__(self) -> None:
-        if min(self.h0, self.h1, self.h2) < 0:
+        if self.h0 < 0 or self.h1 < 0 or self.h2 < 0:
             raise ValueError("cohomology dimensions must be non-negative")
 
     @property
@@ -178,9 +178,9 @@ def ext1_module_profile(e: BundleNumerics) -> HomExtProfile:
         )
     # Each entry is +-chi of a twist: h0 for the untwisted bundle, h1 for
     # the three negative twists, all other groups vanishing by hypothesis.
-    r, c1, c2 = e.rank, e.c1, e.c2
-    n0 = _chi(r, c1, c2)
-    n1 = -_chi(r, c1, c2, -1, 0)
-    n2 = -_chi(r, c1, c2, 0, -1)
-    n3 = -_chi(r, c1, c2, -1, -1)
-    return HomExtProfile((n0, 0, 0, 0), (0, n1, n2, n3))
+    # Riemann-Roch is evaluated once, at (0, 0); the twists differ from it
+    # exactly: chi(-1,0) = chi - b - r, chi(0,-1) = chi - a - r and
+    # chi(-1,-1) = chi - a - b - r.
+    r, a, b = e.rank, e.c1.a, e.c1.b
+    n0 = _chi(r, e.c1, e.c2)
+    return HomExtProfile((n0, 0, 0, 0), (0, b + r - n0, a + r - n0, a + b + r - n0))

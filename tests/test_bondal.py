@@ -161,6 +161,16 @@ def test_page_entries_are_typed():
             E2Page(6, 3, None, entries)
 
 
+def test_page_positions_must_be_integers():
+    # entry(0.0, 0) would otherwise be the (0, 0) corner and entry("a", 1) the zero class
+    page = e2_page(7, 5)
+    for bad in (0.0, True, "a", None):
+        for p, q in ((bad, 0), (-1, bad)):
+            with pytest.raises(TypeError, match=f"^page positions must be integers, got {re.escape(repr(p))} and "):
+                page.entry(p, q)
+    assert page.entry(0, 0) == 6 * line_class(BiDegree(0, 0)) and page.entry(-2, 0) == KClass.zero()
+
+
 def _all_pages(rank: int):
     yield e2_page(6, rank)
     yield e2_page(7, rank)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
+import re
 from collections import Counter
 
 import pytest
@@ -140,6 +142,14 @@ def test_rank_expr_parse_and_render():
         RankExpr(1) + 1
     with pytest.raises(TypeError):
         RankExpr(1) - 1
+
+
+def test_rank_expr_evaluates_only_integer_ranks():
+    # evaluate(2.5) would otherwise be 3.5, and evaluate(True) 2
+    assert RankExpr(1, 1).evaluate(2) == 3
+    for r in (2.5, True, "2", None):
+        with pytest.raises(TypeError, match=f"^rank must be an integer, got {re.escape(repr(r))}$"):
+            RankExpr(1, 1).evaluate(r)
 
 
 def test_case_counts_and_order():
@@ -541,6 +551,26 @@ def test_sweep_proves_reconstruction_twice_per_c2(monkeypatch):
     assert {rank for _, rank in calls} == {1, 2}
 
 
+def _verdict_ranks(case: CaseSpec, rng: random.Random) -> tuple[int, ...]:
+    """min_rank and three random ranks up to 10**6."""
+    return (case.min_rank, *(rng.randint(case.min_rank, 10**6) for _ in range(3)))
+
+
+def _row_with_its_verdict(case: CaseSpec, r: int) -> VerificationReport:
+    """``row(r)``, after checking that it passes exactly when every check passes."""
+    row = certify(case).row(r)
+    assert row.passed is all(check.passed for check in row.checks), (case.id, r)
+    return row
+
+
+def test_a_row_passes_exactly_when_every_check_passes():
+    # _grid_cases holds every shipped case and the parametric grid
+    rng = random.Random(23)
+    for case in _grid_cases():
+        for r in _verdict_ranks(case, rng):
+            assert _row_with_its_verdict(case, r).passed, (case.id, r)
+
+
 def test_a_failing_reconstruction_is_not_proved(monkeypatch):
     def broken(e):
         raise ReconstructionError(f"no module profile for {e}")
@@ -551,6 +581,14 @@ def test_a_failing_reconstruction_is_not_proved(monkeypatch):
     assert not cert.proved_from(case.min_rank)
     name, passed, detail = cert.row(3).checks[-1]
     assert (name, passed) == ("reconstruction", False) and detail.startswith("no module profile")
+    # every flagged case then fails the reconstruction check alone, at each rank tried
+    rng = random.Random(23)
+    flagged = [case for case in _grid_cases() if case.bondal_reconstructible]
+    assert [case.id for case in flagged] == ["main22-9", "main22-11", "main22-12", "main22-13"]
+    for case in flagged:
+        for r in _verdict_ranks(case, rng):
+            row = _row_with_its_verdict(case, r)
+            assert [check.name for check in row.checks if not check.passed] == ["reconstruction"], (case.id, r)
 
 
 def test_case_kclass_consistency():

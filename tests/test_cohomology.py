@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nefq2 import BiDegree, BundleNumerics, HypothesisError, euler_char
 from nefq2.cohomology import (
@@ -173,6 +175,16 @@ def test_ext1_profile_totals_track_euler_characteristics():
             assert ext1[2] == -euler_char(e, 0, -1)
             assert ext1[3] == -euler_char(e, -1, -1)
             assert all(n >= 0 for n in hom + ext1)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 10**12), st.integers(6, 8))
+def test_ext1_profile_is_the_euler_characteristics_of_four_twists(r, c2):
+    # the profile evaluates Riemann-Roch once and takes the twists as differences
+    e = BundleNumerics(r, BiDegree(2, 2), c2)
+    chi = euler_char(e)
+    ext1 = (0, -euler_char(e, -1, 0), -euler_char(e, 0, -1), -euler_char(e, -1, -1))
+    assert ext1_module_profile(e) == ((chi, 0, 0, 0), ext1)
 
 
 def test_ext1_profile_hypothesis_checks():

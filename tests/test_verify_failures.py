@@ -12,15 +12,17 @@ exit.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from test_catalog import _row_with_its_verdict, _verdict_ranks
 from test_cli import _child_env
 from test_golden import _render
 
-from nefq2 import catalog, cli
+from nefq2 import NefQ2Error, catalog, cli
 from nefq2._value import replace
 from nefq2.catalog import CaseSpec, RankExpr
 from nefq2.picard import ZERO, BiDegree
@@ -95,6 +97,30 @@ BROKEN = {
     # marked reconstructible off determinant (2,2): quadric21-5 has c1 (2,1)
     "flag_off_22": replace(_QUADRIC21["quadric21-5"], bondal_reconstructible=True),
 }
+
+
+def test_a_broken_row_passes_exactly_when_every_check_passes():
+    # every broken table: main22-1 and the broken case, at the first ranks and
+    # random ones; a rank whose class has no Chern data raises instead
+    rng = random.Random(23)
+    failing = set()
+    for name, broken in BROKEN.items():
+        for case in (_MAIN22["main22-1"], broken):
+            for r in (*range(case.min_rank, case.min_rank + 4), *_verdict_ranks(case, rng)):
+                try:
+                    row = _row_with_its_verdict(case, r)
+                except NefQ2Error:
+                    continue
+                if not row.passed:
+                    failing.add(name)
+    # the virtual case passes at r = 1 and has no Chern data from r = 2 on
+    assert failing == set(BROKEN) - {"virtual"}
+    # one more O in the middle of main22-1 fails the rank check alone
+    extra = replace(_MAIN22["main22-1"], mid_terms=_MAIN22["main22-1"].mid_terms + ((ZERO, RankExpr(1)),))
+    for r in _verdict_ranks(extra, rng):
+        row = _row_with_its_verdict(extra, r)
+        assert [check.name for check in row.checks if not check.passed] == ["rank"], r
+
 
 #: (snapshot name, broken case, argv after "verify main22")
 RUNS = tuple(
