@@ -50,6 +50,7 @@ INVOCATIONS: tuple[tuple[str, tuple[str, ...], bool], ...] = (
     ("version", ("--version",), True),
     # further successful runs
     ("bondal_8_5_both_variants", ("bondal", "8", "5"), True),
+    ("bondal_8_1_both_variants", ("bondal", "8", "1"), True),
     ("bondal_7_3", ("bondal", "7", "3"), True),
     ("verify_all_json", ("verify", "all", "--format", "json"), True),
     ("verify_all_rank_max_300", ("verify", "all", "--rank-max", "300"), True),
