@@ -19,10 +19,11 @@ The convergence data of the equivalence's spectral sequence is exposed as
 a small second-page table with possible entries only at (p, q) in
 {(-2,1), (-1,1), (0,0)}.  For c2 in {6, 7, 8} the nonzero entries are
 identified sheaves; c2 = 8 has two variants and this module asserts no
-preference between them.  What does not move with the rank is built once
-per (c2, variant), at import: the q = 1 entries, the twisted terms of their
-four-term presentation and D = [E2(-1,1)] - [E2(-2,1)].  Each call builds
-the (0, 0) entry and recomputes and compares both identities.
+preference between them.  A page is its (c2, rank, variant), and its
+entries are derived from them when read.  What does not move with the rank
+is built once per (c2, variant), at import: the q = 1 entries, the twisted
+terms of their four-term presentation and D = [E2(-1,1)] - [E2(-2,1)].
+Each ``e2_page`` call recomputes and compares both identities.
 """
 
 from __future__ import annotations
@@ -126,26 +127,39 @@ class E2Entry:
 @frozen
 class E2Page:
     """Second page of the convergence spectral sequence for a nef bundle
-    with determinant (2, 2).  Entries vanish outside p in {-2, -1, 0},
-    q in {0, 1}; absent positions are zero."""
+    with determinant (2, 2): c2 in 6..8, rank >= 1 and a variant exactly at
+    c2 = 8, checked however the page is built (``e2_page``, the constructor,
+    ``replace``, ``copy`` or ``pickle``).  Its entries are derived from these
+    three fields when read; they vanish outside p in {-2, -1, 0}, q in
+    {0, 1}, and absent positions are zero."""
 
     c2: int
     rank: int
     variant: str | None
-    entries: Mapping[tuple[int, int], E2Entry]
 
     def __post_init__(self) -> None:
-        # a plain loop: e2_page builds a page per call, and a generator
-        # or an ABC isinstance would double the cost of this check
-        if hasattr(self.entries, "items"):
-            for pos, e in self.entries.items():
-                if type(pos) is not tuple or len(pos) != 2 or type(pos[0]) is not int or type(pos[1]) is not int:
-                    break
-                if type(e) is not E2Entry:
-                    break
-            else:
-                return
-        raise TypeError(f"E2Page.entries must map (int, int) positions to E2Entry values, got {self.entries!r}")
+        if self.c2 not in (6, 7, 8):
+            raise HypothesisError(
+                "the Hom/Ext profile is defined only for c2 >= 6, and the page is "
+                f"identified only for c2 in 6..8; got c2={self.c2}"
+            )
+        if self.rank < 1:
+            raise HypothesisError(f"rank must be positive, got {self.rank}")
+        if self.c2 == 8:
+            if self.variant not in (VARIANT_CURVE, VARIANT_STRUCTURE):
+                raise HypothesisError(
+                    f"c2=8 needs a variant ({VARIANT_CURVE} or {VARIANT_STRUCTURE}), got {self.variant!r}"
+                )
+        elif self.variant is not None:
+            raise HypothesisError(f"c2={self.c2} admits no variant, got {self.variant!r}")
+
+    @property
+    def entries(self) -> Mapping[tuple[int, int], E2Entry]:
+        """The nonzero entries by position, read-only: the (0, 0) corner
+        O^(rank + 8 - c2) and the q = 1 entries of this c2 and variant."""
+        n0 = self.rank + 8 - self.c2
+        corner = E2Entry(KClass(n0, ZERO, 0), line_label(ZERO, n0))
+        return MappingProxyType({(0, 0): corner, **_PAGES[self.c2, self.variant][0]})
 
     def entry(self, p: int, q: int) -> KClass:
         """The class at (p, q), zero where the page has no entry.  A
@@ -209,33 +223,19 @@ def e2_page(c2: int, rank: int, variant: str | None = None) -> E2Page:
 
     For c2 = 8 a variant is required: ``curve_torsion`` (torsion quotient
     on a (2,2) curve) or ``structure_sheaf`` (structure-sheaf quotient).
-    The q = 1 entries, their twisted terms and D = [E2(-1,1)] - [E2(-2,1)]
-    come from a table built at import; the (0, 0) entry O^(rank + 8 - c2)
-    is built here.  Every call checks the twisted terms' line sum against D
-    (four-term exactness) and (rank + 8 - c2)[O] + D against ``from_chern``
-    (convergence), each as a comparison of int 4-tuples (rank, c1a, c1b,
-    ch2x2).  A c2 or rank that is not an int raises TypeError.
+    ``E2Page`` checks these hypotheses.  The twisted terms and
+    D = [E2(-1,1)] - [E2(-2,1)] come from a table built at import.  Every
+    call checks the twisted terms' line sum against D (four-term exactness)
+    and (rank + 8 - c2)[O] + D against ``from_chern`` (convergence), each
+    as a comparison of int 4-tuples (rank, c1a, c1b, ch2x2).  A c2 or rank
+    that is not an int raises TypeError.
     """
     if type(c2) is not int:
         raise TypeError(f"c2 must be an integer, got {c2!r}")
     if type(rank) is not int:
         raise TypeError(f"rank must be an integer, got {rank!r}")
-    if c2 not in (6, 7, 8):
-        raise HypothesisError(
-            "the Hom/Ext profile is defined only for c2 >= 6, and the page is "
-            f"identified only for c2 in 6..8; got c2={c2}"
-        )
-    if rank < 1:
-        raise HypothesisError(f"rank must be positive, got {rank}")
-    if c2 == 8:
-        if variant not in (VARIANT_CURVE, VARIANT_STRUCTURE):
-            raise HypothesisError(
-                f"c2=8 needs a variant ({VARIANT_CURVE} or {VARIANT_STRUCTURE}), got {variant!r}"
-            )
-    elif variant is not None:
-        raise HypothesisError(f"c2={c2} admits no variant, got {variant!r}")
-
-    q1, twisted_terms, d = _PAGES[c2, variant]
+    page = E2Page(c2, rank, variant)
+    _, twisted_terms, d = _PAGES[c2, variant]
     d_rank, d_a, d_b, d_ch2x2 = d.rank, d.c1.a, d.c1.b, d.ch2x2
     twisted = _line_sum(twisted_terms)
     if (twisted.rank, twisted.c1.a, twisted.c1.b, twisted.ch2x2) != (d_rank, d_a, d_b, d_ch2x2):
@@ -245,5 +245,4 @@ def e2_page(c2: int, rank: int, variant: str | None = None) -> E2Page:
     k = from_chern(BundleNumerics(rank, _C1_22, c2))
     if (n0 + d_rank, d_a, d_b, d_ch2x2) != (k.rank, k.c1.a, k.c1.b, k.ch2x2):
         raise ReconstructionError(f"page c2={c2} converges to {KClass(n0 + d.rank, d.c1, d.ch2x2)}, expected {k}")
-    corner = E2Entry(KClass(n0, ZERO, 0), line_label(ZERO, n0))
-    return E2Page(c2, rank, variant, MappingProxyType({(0, 0): corner, **q1}))
+    return page

@@ -202,8 +202,8 @@ class TorsionDescriptor:
     POINT_SHEAF is a length-one skyscraper; STRUCTURE_SHEAF is the full
     structure sheaf (rank one!); CURVE_TORSION is a rank-one sheaf on a
     curve of the given bidegree, twisted so that its degree gains
-    ``twist_degree`` points.  Only curve torsion takes a support or a
-    twist.  Only twist degree 0 occurs in the shipped catalog; other values
+    ``twist_degree`` points.  Only curve torsion takes a support, which
+    must be effective, or a twist.  Only twist degree 0 occurs in the shipped catalog; other values
     follow the one-twist-unit-per-point convention but are otherwise
     unexercised.
     """
@@ -216,6 +216,8 @@ class TorsionDescriptor:
         if self.kind is TorsionKind.CURVE_TORSION:
             if self.support is None:
                 raise HypothesisError("curve torsion needs a support bidegree")
+            if not is_effective(self.support):
+                raise HypothesisError(f"curve support {self.support} is not effective")
         elif self.support is not None:
             raise HypothesisError(f"{self.kind.value} cokernel takes no support class")
         elif self.twist_degree:
@@ -269,8 +271,6 @@ def torsion_class(t: TorsionDescriptor) -> KClass:
     if t.kind is TorsionKind.STRUCTURE_SHEAF:
         return line_class(ZERO)
     assert t.support is not None
-    if not is_effective(t.support):
-        raise HypothesisError(f"curve support {t.support} is not effective")
     base = line_class(ZERO) - line_class(-t.support)
     return base + t.twist_degree * POINT_CLASS
 

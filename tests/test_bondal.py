@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 from collections import Counter
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from nefq2 import BiDegree, BundleNumerics, HypothesisError, ReconstructionError, list_cases
 from nefq2 import bondal
+from nefq2._value import replace
 from nefq2.bondal import (
     DICTIONARY,
     VARIANT_CURVE,
@@ -143,22 +146,18 @@ def test_e2_entries_c2_8_structure():
     assert page.entries[(-1, 1)].torsion.kind is TorsionKind.STRUCTURE_SHEAF
 
 
-def test_page_entries_are_typed():
-    page = e2_page(6, 3)
-    assert E2Page(6, 3, None, page.entries) == page
-    corner = page.entries[(0, 0)]
-    for entries in (
-        {(0, 0): 5},
-        {(0, 0): corner.kclass},
-        {(0, True): corner},
-        {(0, 0.0): corner},
-        {(0,): corner},
-        {"00": corner},
-        None,
-        [((0, 0), corner)],
+def test_page_fields_follow_the_type_rule():
+    assert E2Page(6, 3, None) == e2_page(6, 3)
+    # each field that is not exactly its type is named, before any hypothesis
+    for args, message in (
+        ((6.0, 3, None), "E2Page.c2 must be int, got 6.0"),
+        ((6, True, None), "E2Page.rank must be int, got True"),
+        ((8, 3, 5), "E2Page.variant must be str or None, got 5"),
     ):
-        with pytest.raises(TypeError, match=r"^E2Page\.entries must map \(int, int\) positions to E2Entry values"):
-            E2Page(6, 3, None, entries)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            E2Page(*args)
+    with pytest.raises(TypeError, match=r"^E2Page\.variant must be str or None, got 5$"):
+        e2_page(8, 3, 5)
 
 
 def test_page_positions_must_be_integers():
@@ -198,18 +197,31 @@ def test_reconstruct_rejects_other_determinants():
 
 
 def test_e2_page_hypothesis_errors():
-    with pytest.raises(HypothesisError):
-        e2_page(5, 3)
-    with pytest.raises(HypothesisError):
-        e2_page(9, 3)
-    with pytest.raises(HypothesisError):
-        e2_page(8, 3)
-    with pytest.raises(HypothesisError):
-        e2_page(8, 3, variant="bogus")
-    with pytest.raises(HypothesisError):
-        e2_page(6, 3, variant=VARIANT_CURVE)
-    with pytest.raises(HypothesisError):
-        e2_page(7, 0)
+    # the page type owns the hypotheses: e2_page, the constructor and
+    # replace refuse each input with the same message
+    base = e2_page(6, 3)
+    bad = ((5, 3, None), (9, 3, None), (8, 3, None), (8, 3, "bogus"), (6, 3, VARIANT_CURVE), (7, 0, None))
+    for c2, rank, variant in bad:
+        with pytest.raises(HypothesisError) as exc:
+            e2_page(c2, rank, variant)
+        same = f"^{re.escape(str(exc.value))}$"
+        with pytest.raises(HypothesisError, match=same):
+            E2Page(c2, rank, variant)
+        with pytest.raises(HypothesisError, match=same):
+            replace(base, c2=c2, rank=rank, variant=variant)
+
+
+def test_a_page_cannot_contradict_its_fields():
+    # the entries follow a replaced rank, no mapping can be passed in, and
+    # a replaced c2 is checked against the hypotheses
+    page = replace(e2_page(6, 3), rank=50)
+    assert page.entry(0, 0) == 52 * line_class(BiDegree(0, 0))
+    assert page.convergence_class() == from_chern(BundleNumerics(50, BiDegree(2, 2), 6))
+    assert page.entries == e2_page(6, 50).entries
+    with pytest.raises(TypeError):
+        E2Page(6, 3, None, e2_page(7, 3).entries)
+    with pytest.raises(HypothesisError, match=r"got c2=9$"):
+        replace(e2_page(6, 3), c2=9)
 
 
 @pytest.mark.parametrize(
@@ -265,6 +277,22 @@ def test_pages_and_reconstruction_match_the_formulas(rank, key):
     assert page.convergence_class() == from_chern(e) == KClass(rank, BiDegree(2, 2), 8 - 2 * c2)
     hom, ext1 = hom_ext_series(rank, c2)
     assert reconstruct(e) == series_tensor_class(hom) - series_tensor_class(ext1) == from_chern(e)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from(sorted(Q1_PAGE, key=str)), st.integers(1, 10**12), st.integers(1, 10**12))
+def test_a_page_is_a_value(key, rank, other):
+    # a page is its (c2, rank, variant): however it is built or copied, it
+    # equals and hashes as the page e2_page builds, and so do its entries
+    c2, variant = key
+    for r, s in ((1, other), (rank, 1), (rank, other)):
+        page = e2_page(c2, r, variant)
+        built = E2Page(c2, r, variant)
+        assert page == built and hash(page) == hash(built)
+        for twin in (copy.copy(page), copy.deepcopy(page), pickle.loads(pickle.dumps(page))):
+            assert twin == page and hash(twin) == hash(page) and twin.entries == page.entries
+        assert replace(page, rank=s) == e2_page(c2, s, variant)
+        assert replace(page, rank=s).entries == e2_page(c2, s, variant).entries
 
 
 def test_every_call_checks_its_identities(monkeypatch):

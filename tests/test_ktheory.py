@@ -212,9 +212,13 @@ def test_torsion_classes():
 
 
 def test_torsion_support_must_be_effective():
-    bad = TorsionDescriptor(TorsionKind.CURVE_TORSION, support=BiDegree(-1, 2))
-    with pytest.raises(HypothesisError):
-        torsion_class(bad)
+    # refused when the descriptor is built, before its label or a case's
+    # JSON can show it
+    for support in (BiDegree(-1, 0), BiDegree(-1, 2)):
+        with pytest.raises(HypothesisError, match=rf"^curve support \({support.a},{support.b}\) is not effective$"):
+            TorsionDescriptor(TorsionKind.CURVE_TORSION, support)
+    curve = TorsionDescriptor(TorsionKind.CURVE_TORSION, BiDegree(2, 2))
+    assert curve.label() == "O_C(0) on a (2,2) curve"
 
 
 def test_torsion_descriptor_shape_validation():

@@ -9,7 +9,6 @@ import copy
 import importlib
 import pickle
 import pkgutil
-from types import MappingProxyType
 
 import pytest
 
@@ -66,14 +65,7 @@ VALUES = [
         {"torsion": TorsionKind.POINT_SHEAF},
         TypeError,
     ),
-    (
-        E2Page(6, 3, None, MappingProxyType({(0, 0): ENTRY})),
-        "E2Page(c2=6, rank=3, variant=None, entries=mappingproxy({(0, 0): E2Entry(kclass=KClass(rank=0, "
-        "c1=BiDegree(a=0, b=0), ch2x2=2), label='k(p)', torsion=TorsionDescriptor(kind=<TorsionKind.POINT_SHEAF: "
-        "'point'>, support=None, twist_degree=0))}))",
-        {"variant": b"curve"},
-        TypeError,
-    ),
+    (E2Page(6, 3, None), "E2Page(c2=6, rank=3, variant=None)", {"variant": b"curve"}, TypeError),
     (RankExpr(-3, 1), "RankExpr(const=-3, coef=1)", {"coef": True}, TypeError),
     (
         CASE,
@@ -216,7 +208,7 @@ def test_defaults_and_derived_values():
     assert RankExpr(4) == RankExpr(4, 0)
     assert replace(BiDegree(1, 2), b=5) == BiDegree(1, 5)
     page = e2_page(7, 3)
-    assert replace(page) == page and replace(page).entries is page.entries
+    assert replace(page) == page and replace(page).entries == page.entries
     case = list_cases("main22")[0]
     assert replace(case) == case and replace(case, id="x") != case
 
@@ -233,11 +225,9 @@ def test_value_types_without_a_cached_property_are_slotted(value):
         value.extra = 1
     with pytest.raises(AttributeError):
         object.__setattr__(value, "extra", 1)
-    # copy and pickle rebuild a value through __init__; a mappingproxy neither
-    # deep-copies nor pickles, so a page is only copied
+    # copy and pickle rebuild a value through __init__
     assert copy.copy(value) == value
-    if cls is not E2Page:
-        assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
 
 
 def test_cached_properties_keep_their_values_in_the_instance_dict():
