@@ -166,7 +166,9 @@ class E2Page:
         position that is not a pair of ints raises TypeError."""
         if type(p) is not int or type(q) is not int:
             raise TypeError(f"page positions must be integers, got {p!r} and {q!r}")
-        e = self.entries.get((p, q))
+        if (p, q) == (0, 0):
+            return KClass(self.rank + 8 - self.c2, ZERO, 0)
+        e = _PAGES[self.c2, self.variant][0].get((p, q))
         return e.kclass if e is not None else _NO_CLASS
 
     def four_term_residual(self) -> KClass:
@@ -175,8 +177,10 @@ class E2Page:
         return _line_sum(_twisted_terms(self.c2)) + self.entry(-2, 1) - self.entry(-1, 1)
 
     def convergence_class(self) -> KClass:
-        """Alternating sum over the whole page; equals the abutment class."""
-        return _alternating_sum(self.entries)
+        """Alternating sum over the whole page; equals the abutment class:
+        (rank + 8 - c2)[O] + D, with D = [E2(-1,1)] - [E2(-2,1)]."""
+        d = _PAGES[self.c2, self.variant][2]
+        return KClass(self.rank + 8 - self.c2 + d.rank, d.c1, d.ch2x2)
 
     def third_page_corner(self) -> KClass:
         """Class of the (0, 0) entry on the next page: the abutment minus
