@@ -7,9 +7,11 @@ else is imported from its module, e.g. ``from nefq2.ktheory import KClass``.
 
 from __future__ import annotations
 
+from typing import Any
+
 __version__ = "0.1.0"
 
-from .catalog import list_cases, verify_all
+from .catalog import list_cases
 from .cohomology import BundleNumerics, euler_char
 from .errors import (
     HypothesisError,
@@ -33,3 +35,12 @@ __all__ = [
     "HypothesisError",
     "ReconstructionError",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """``verify_all``, read from ``verify``, which only then is loaded."""
+    if name == "verify_all":
+        from .verify import verify_all
+
+        return verify_all
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .bondal import VARIANT_CURVE, VARIANT_STRUCTURE, E2Page, e2_page, reconstruct
-from .catalog import THEOREMS, CaseSpec, certify, list_cases, sweep
+from .catalog import THEOREMS, CaseSpec, list_cases, sweep
 from .cohomology import BundleNumerics, cohomology_q2, euler_char
 from .errors import NefQ2Error, ReconstructionError
 from .ktheory import line_label, ses_quotient_chern, sum_of_lines, to_chern, twist_chern
@@ -123,8 +123,9 @@ def _case_line(case: CaseSpec) -> str:
 
 def _print_page(page: E2Page) -> None:
     print(f"second page for c2={page.c2}, rank r={page.rank}" + (f", variant {page.variant}" if page.variant else ""))
+    entries = page.entries
     for pos in ((0, 0), (-1, 1), (-2, 1)):
-        entry = page.entries.get(pos)
+        entry = entries.get(pos)
         label = entry.label if entry is not None else "0"
         print(f"  (p,q)=({pos[0]},{pos[1]}): {label}")
     print("  four-term identity: PASS")
@@ -173,6 +174,8 @@ def _run_bondal(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from .verify import certify  # compiled only for this command
+
     hi = args.rank_max
     cases = sweep(args.theorem, args.rank_min, hi, c1=args.c1, b=args.b_param)
     # (case, lo, passed, rows, k) as Certificate.rows gives them: a proved

@@ -20,7 +20,7 @@ strings are escaped by the C encoder of ``_json``.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 try:
     from _json import encode_basestring_ascii as string
@@ -28,7 +28,10 @@ except ImportError:  # an interpreter built without the C accelerator
     from json.encoder import encode_basestring_ascii as string
 
 from . import __version__
-from .catalog import CaseSpec, VerificationReport, case_to_json, certify
+from .catalog import CaseSpec, case_to_json
+
+if TYPE_CHECKING:
+    from .verify import VerificationReport
 
 #: How json.dumps prints the schema's literals.
 _LITERAL = {True: "true", False: "false", None: "null"}
@@ -90,6 +93,8 @@ def _template(case: CaseSpec, case_text: tuple[str, str], k: int) -> Callable[[i
     of k + R for chi = k + r in one, with k = chi at rank 0.  None when
     those decimals occur otherwise in the text (k = 0 puts one decimal in
     all 5 places)."""
+    from .verify import certify  # loaded by verify, not by the catalog document
+
     text = _row_text(case_text, certify(case).row(_SENTINEL))
     rank, chi = str(_SENTINEL), str(k + _SENTINEL)
     if (text.count(rank), text.count(chi)) != ((5, 5) if k == 0 else (4, 1)):

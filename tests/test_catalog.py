@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 from nefq2 import BiDegree, HypothesisError, ReconstructionError, list_cases, verify_all
-from nefq2 import catalog
+from nefq2 import catalog, verify
 from nefq2._value import replace
 from nefq2.catalog import (
     CaseSpec,
@@ -536,13 +536,13 @@ def test_case_spec_terms_are_bidegree_rank_expr_pairs():
 
 def test_sweep_proves_reconstruction_twice_per_c2(monkeypatch):
     calls = []
-    reconstruct = catalog.reconstruct
+    reconstruct = verify.reconstruct
 
     def counting(e):
         calls.append((e.c2, e.rank))
         return reconstruct(e)
 
-    monkeypatch.setattr(catalog, "reconstruct", counting)
+    monkeypatch.setattr(verify, "reconstruct", counting)
     reports = verify_all("main22", rank_max=300)
     assert all(r.passed for r in reports)
     assert sum(1 for r in reports for c in r.checks if c.name == "reconstruction") == 4 * 300
@@ -575,7 +575,7 @@ def test_a_failing_reconstruction_is_not_proved(monkeypatch):
     def broken(e):
         raise ReconstructionError(f"no module profile for {e}")
 
-    monkeypatch.setattr(catalog, "reconstruct", broken)
+    monkeypatch.setattr(verify, "reconstruct", broken)
     case = {c.id: c for c in list_cases("main22")}["main22-9"]
     cert = certify(case)
     assert not cert.proved_from(case.min_rank)

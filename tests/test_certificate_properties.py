@@ -18,7 +18,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from nefq2 import MalformedClassError, NefQ2Error, ReconstructionError, catalog, list_cases
+from nefq2 import MalformedClassError, NefQ2Error, ReconstructionError, list_cases, verify
 from nefq2._value import replace
 from nefq2.bondal import reconstruct
 from nefq2.catalog import (
@@ -280,7 +280,7 @@ def test_a_replaced_reconstruct_is_seen_by_a_kept_certificate(monkeypatch):
     def broken(e):
         raise ReconstructionError(f"no module profile for {e}")
 
-    monkeypatch.setattr(catalog, "reconstruct", broken)
+    monkeypatch.setattr(verify, "reconstruct", broken)
     after = certify(case).row(3)
     assert after.checks[:-1] == before.checks[:-1] and not after.passed
     name, passed, detail = after.checks[-1]

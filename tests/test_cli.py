@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import nefq2
-from nefq2 import list_cases
+from nefq2 import catalog, list_cases, verify
 from nefq2.cli import main
 
 
@@ -339,22 +339,23 @@ def test_huge_rank_max_prints_one_line_per_case():
 
 
 #: Runs main(argv) in a fresh interpreter, then prints which of the JSON
-#: modules it loaded.
+#: modules and the certificate engine it loaded.
 _LOADED_PROBE = """
 import io, sys
 from nefq2.cli import main
 sys.stdout = io.StringIO()
 main(sys.argv[1:])
-print(sorted({"json", "nefq2.report_json"} & set(sys.modules)), file=sys.__stdout__)
+print(sorted({"json", "nefq2.report_json", "nefq2.verify"} & set(sys.modules)), file=sys.__stdout__)
 """
 
 
 _LOADED = (
     (["cohomology", "1", "1"], "[]"),
-    (["verify", "main22"], "[]"),
+    (["verify", "main22"], "['nefq2.verify']"),
     (["catalog", "list"], "[]"),
-    (["verify", "main22", "--format", "json"], "['nefq2.report_json']"),
+    (["verify", "main22", "--format", "json"], "['nefq2.report_json', 'nefq2.verify']"),
     (["catalog", "list", "--format", "json"], "['json', 'nefq2.report_json']"),
+    (["bondal", "6", "4"], "[]"),
 )
 
 
@@ -370,6 +371,27 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     probe = 'import sys, nefq2.cli; print(sorted({"dataclasses", "inspect"} & set(sys.modules)))'
     proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+#: The modules whose import times the benchmark reads from ``import nefq2.cli``.
+_CLI_IMPORTS = ("picard", "cohomology", "ktheory", "quiver", "bondal", "catalog", "errors", "cli")
+
+
+def test_cli_import_and_the_forwarded_engine_names():
+    """``import nefq2.cli`` loads the eight modules whose ``-X importtime``
+    rows the benchmark's import layer indexes, and not the certificate
+    engine; ``catalog`` and the package forward the engine's names to
+    ``nefq2.verify``, and a star import still binds ``__all__``."""
+    probed = [f"nefq2.{m}" for m in (*_CLI_IMPORTS, "verify")]
+    probe = f"import sys, nefq2.cli; print(sorted(set({probed!r}) & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"{sorted(f'nefq2.{m}' for m in _CLI_IMPORTS)}\n")
+
+    forwarded = ("certify", "Certificate", "CheckResult", "VerificationReport", "case_kclass", "verify_case", "verify_all")
+    assert all(getattr(catalog, n) is getattr(verify, n) for n in forwarded) and nefq2.verify_all is verify.verify_all
+    namespace: dict[str, object] = {}
+    exec("from nefq2 import *", namespace)
+    assert {n: namespace[n] for n in nefq2.__all__} == {n: getattr(nefq2, n) for n in nefq2.__all__}
 
 
 class _ByteCount:
