@@ -10,10 +10,11 @@ vertex simples to shifted line bundles:
 
 So a module with composition series (d0, d1, d2, d3) contributes the
 K-class  d0*[O] - d1*[O(-1,0)] - d2*[O(0,-1)] + d3*[O(-1,-1)]  (signs are
-parities of the shifts, and Ext^1 sits one shift further).  Feeding in the
-Hom/Ext profile of a suitable nef bundle must reproduce the bundle's own
-K-class exactly; that identity is checked on every call, as one signed
-line sum against ``from_chern``, and a failure is an implementation bug.
+parities of the shifts, and Ext^1 sits one shift further).  ``reconstruct``
+applies this sum to the Hom/Ext profile of a suitable nef bundle, which
+must reproduce the bundle's own K-class exactly; that identity is checked
+on every call, as one signed line sum against ``from_chern``, and a
+failure is an implementation bug.
 
 The convergence data of the equivalence's spectral sequence is exposed as
 a small second-page table with possible entries only at (p, q) in
@@ -58,27 +59,8 @@ DICTIONARY: tuple[ShiftedLineClass, ...] = (
 )
 
 
-def series_tensor_class(series: tuple[int, int, int, int]) -> KClass:
-    """K-class of the complex a module maps to, by additivity over its
-    composition series, the 4-tuple of vertex-simple multiplicities.
-
-    >>> series_tensor_class((0, 1, 1, 0))
-    KClass(rank=-2, c1=BiDegree(a=1, b=1), ch2x2=0)
-    """
-    if any(type(x) is not int for x in series):
-        raise TypeError(f"composition series entries must be integers, got {series!r}")
-    if len(series) != 4 or min(series) < 0:
-        raise ValueError(f"composition series must be 4 non-negative integers, got {series!r}")
-    return _line_sum(_signed_terms(series))
-
-
 #: Each vertex simple's line degree, with the sign of its shift's parity.
 _SIGNED_DEGREES = tuple((entry.degree, -1 if entry.shift % 2 else 1) for entry in DICTIONARY)
-
-
-def _signed_terms(series: tuple[int, int, int, int]) -> list[tuple[BiDegree, int]]:
-    """The nonzero (degree, signed multiplicity) terms of a composition series."""
-    return [(deg, sign * mult) for (deg, sign), mult in zip(_SIGNED_DEGREES, series) if mult]
 
 
 def reconstruct(e: BundleNumerics) -> KClass:
@@ -173,8 +155,9 @@ class E2Page:
 
     def four_term_residual(self) -> KClass:
         """The alternating K-sum of the four-term presentation of the two
-        q = 1 entries; exactness forces zero."""
-        return _line_sum(_twisted_terms(self.c2)) + self.entry(-2, 1) - self.entry(-1, 1)
+        q = 1 entries, the twisted terms' sum minus D; exactness forces zero."""
+        _, twisted_terms, d = _PAGES[self.c2, self.variant]
+        return _line_sum(twisted_terms) - d
 
     def convergence_class(self) -> KClass:
         """Alternating sum over the whole page; equals the abutment class:

@@ -42,7 +42,9 @@ Multiplicities follow the grammar  int | "r" | "r+int" | "r-int".
 The flags object has keys nef ("asserted"), globally_generated
 (true/false/null), weak_fano (derived: c2 < c1^2) and
 bondal_reconstructible (whether the family satisfies the vanishing
-hypotheses of the module-profile reconstruction).
+hypotheses of the module-profile reconstruction).  A case's weak_fano
+reads c2 from the table's expected_c2, a verify row's from the c2
+computed from the display at its rank.
 
 The checks of a case are made by the certificate engine, ``nefq2.verify``,
 loaded at first use; this module forwards the engine's public names.
@@ -55,9 +57,10 @@ import re
 from typing import TYPE_CHECKING, Any, Iterable
 
 from ._value import frozen, replace
+from .cohomology import _weak_fano
 from .errors import HypothesisError
 from .ktheory import KClass, TorsionDescriptor, TorsionKind, _line_sum, four_term_quotient, torsion_class
-from .picard import BiDegree, intersect, is_effective
+from .picard import BiDegree, is_effective
 
 if TYPE_CHECKING:
     from .verify import Certificate
@@ -159,7 +162,7 @@ class CaseSpec:
         return {
             "nef": "asserted",
             "globally_generated": self.globally_generated,
-            "weak_fano": self.expected_c2 < intersect(self.c1, self.c1),
+            "weak_fano": _weak_fano(self.c1, self.expected_c2),
             "bondal_reconstructible": self.bondal_reconstructible,
         }
 

@@ -50,8 +50,8 @@ class BundleNumerics:
     """Chern data (rank, c1, c2) of an honest sheaf of positive rank.
 
     c2 may be any integer here; the nef bound 0 <= c2 <= c1^2 is a
-    property of nef bundles and is checked by the catalog verifier, not
-    by this container.
+    property of nef bundles and is checked by the certificate engine,
+    ``nefq2.verify``, not by this container.
     """
 
     rank: int
@@ -135,7 +135,14 @@ def projective_bundle_degree(e: BundleNumerics) -> int:
 def is_weak_fano(e: BundleNumerics) -> bool:
     """Whether the projectivization of a nef bundle with these numerics is
     weak Fano: positive anticanonical top degree, i.e. c2 < c1^2."""
-    return projective_bundle_degree(e) > 0
+    if type(e) is not BundleNumerics:
+        raise TypeError(f"Chern data must be a BundleNumerics, got {e!r}")
+    return _weak_fano(e.c1, e.c2)
+
+
+def _weak_fano(c1: BiDegree, c2: int) -> bool:
+    """c2 < c1^2, the weak Fano condition, for Chern data given as plain values."""
+    return c2 < intersect(c1, c1)
 
 
 class HomExtProfile(NamedTuple):

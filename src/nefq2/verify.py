@@ -19,10 +19,11 @@ from typing import Any, Callable, Iterable, NamedTuple
 from ._value import frozen
 from .bondal import reconstruct
 from .catalog import CaseSpec, sweep
-from .cohomology import BundleNumerics, _chi
+from .cohomology import BundleNumerics, _chi, _weak_fano
 from .errors import HypothesisError, NefQ2Error, ReconstructionError
 from .ktheory import KClass, _chern_c2
 from .picard import ZERO, BiDegree, intersect
+from .quiver import _C1_22
 
 
 class CheckResult(NamedTuple):
@@ -69,7 +70,6 @@ class VerificationReport(NamedTuple):
         }
 
 
-_C1_22 = BiDegree(2, 2)
 #: The class [O] of the trivial line bundle: the slope of every shipped display.
 _SLOPE_O = KClass(1, ZERO, 0)
 
@@ -105,7 +105,7 @@ def _steady(case: CaseSpec, r: int, c1: BiDegree, c2: int) -> _Steady:
         CheckResult("c2_bound", bound_ok, f"c2 {c2} against nef bound 0..{c1sq}"),
         CheckResult("multiplicities", multiplicities_ok, "every display multiplicity evaluates >= 0"),
     )
-    return c1, c2, c2 < c1sq, _chi(0, c1, c2), checks, c1_ok and c2_ok and bound_ok and multiplicities_ok
+    return c1, c2, _weak_fano(c1, c2), _chi(0, c1, c2), checks, c1_ok and c2_ok and bound_ok and multiplicities_ok
 
 
 @frozen

@@ -22,12 +22,11 @@ from nefq2.bondal import (
     ShiftedLineClass,
     e2_page,
     reconstruct,
-    series_tensor_class,
 )
 from nefq2.catalog import RankExpr, certify
 from nefq2.cohomology import ext1_module_profile
 from nefq2.ktheory import POINT_CLASS, KClass, TorsionKind, from_chern, line_class
-from nefq2.quiver import hom_ext_series, simple_module
+from nefq2.quiver import hom_ext_series
 
 from whitney_oracle import case_chern
 
@@ -39,32 +38,6 @@ def test_dictionary_entries():
         ShiftedLineClass(BiDegree(0, -1), 1),
         ShiftedLineClass(BiDegree(-1, -1), 2),
     )
-
-
-def test_series_tensor_class_on_simples():
-    # each simple contributes its line class with the sign of its shift
-    for i, entry in enumerate(DICTIONARY):
-        sign = -1 if entry.shift % 2 else 1
-        assert series_tensor_class(simple_module(i)) == sign * line_class(entry.degree)
-
-
-def test_series_tensor_class_examples():
-    k = series_tensor_class((0, 1, 1, 0))
-    assert k == KClass(-2, BiDegree(1, 1), 0)
-    assert series_tensor_class((0, 0, 0, 2)) == KClass(2, BiDegree(-2, -2), 4)
-    assert series_tensor_class((0, 0, 0, 0)) == KClass.zero()
-
-
-def test_series_tensor_class_rejects_bad_series():
-    # a tuple + concatenates; the 8-tuple must not be truncated to 4
-    with pytest.raises(ValueError):
-        series_tensor_class(simple_module(1) + simple_module(2))
-    with pytest.raises(ValueError):
-        series_tensor_class((0, 1, 0))
-    with pytest.raises(TypeError):
-        series_tensor_class((True, 0, 0, 0))
-    with pytest.raises(TypeError):
-        series_tensor_class((1.0, 0, 0, 0))
 
 
 def test_reconstruct_example():
@@ -276,7 +249,9 @@ def test_pages_and_reconstruction_match_the_formulas(rank, key):
     e = BundleNumerics(rank, BiDegree(2, 2), c2)
     assert page.convergence_class() == from_chern(e) == KClass(rank, BiDegree(2, 2), 8 - 2 * c2)
     hom, ext1 = hom_ext_series(rank, c2)
-    assert reconstruct(e) == series_tensor_class(hom) - series_tensor_class(ext1) == from_chern(e)
+    # additive over the composition series: each simple's line class, signed by its shift
+    signed = ((-1) ** entry.shift * (h - x) * line_class(entry.degree) for entry, h, x in zip(DICTIONARY, hom, ext1))
+    assert reconstruct(e) == sum(signed, KClass.zero()) == from_chern(e)
 
 
 @settings(max_examples=100, deadline=None, database=None)

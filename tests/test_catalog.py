@@ -23,7 +23,7 @@ from nefq2.catalog import (
     certify,
     verify_case,
 )
-from nefq2.cohomology import euler_char
+from nefq2.cohomology import euler_char, is_weak_fano
 from nefq2.ktheory import KClass, TorsionKind, to_chern
 from nefq2.picard import ZERO, intersect
 
@@ -441,6 +441,11 @@ def test_weak_fano_flag():
         c.id for c in list_cases("main22") if not case_to_json(c)["flags"]["weak_fano"]
     }
     assert false_ids == {"main22-10", "main22-12", "main22-13"}
+    # every table's flag, and that of its row at min_rank, against intersect
+    for case in _grid_cases():
+        assert case.flags()["weak_fano"] == (case.expected_c2 < intersect(case.c1, case.c1)), case.id
+        row = verify_case(case, case.min_rank)  # every grid case has Chern data there
+        assert row.weak_fano == is_weak_fano(row.computed) == (row.c2 < intersect(row.c1, row.c1)), case.id
 
 
 def test_globally_generated_flag():
