@@ -6,7 +6,10 @@ that calls ``__post_init__`` if the class has one; ``__eq__`` and
 ``__hash__`` over the field tuple, equal only to the same class; a
 ``Name(field=value, ...)`` repr; ``__match_args__``; and no assignment or
 deletion of attributes.  The three methods over the fields are compiled
-once per class by one ``exec``, as ``collections.namedtuple`` does.  A
+from generated source by ``exec``, as ``collections.namedtuple`` does, at
+first use: the first construction compiles ``__init__``, and the first
+``==`` or ``hash`` ``__eq__`` and ``__hash__``.  Until then the class holds
+stand-ins, and ``inspect.signature`` of the class shows the stand-in's.  A
 class with no ``functools.cached_property`` is rebuilt with ``__slots__``
 over its fields, as ``dataclass(slots=True)`` does, and its ``__init__``
 stores each field through its slot; a method closing over ``__class__``
@@ -63,16 +66,14 @@ def frozen(cls: type[T]) -> type[T]:
     post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
     mine = "".join(f"self.{n}, " for n in names)
     theirs = "".join(f"other.{n}, " for n in names)
-    source = (
-        f"def __init__(self{params}):{stores}{post}\n"
+    eq = (
         f"def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
         f"        return ({mine}) == ({theirs})\n    return NotImplemented\n"
         f"def __hash__(self):\n    return hash(({mine}))\n"
     )
-    exec(source, scope)
-    for name in ("__init__", "__eq__", "__hash__"):
-        scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, scope[name])
+    init = f"def __init__(self{params}):{stores}{post}\n"
+    for name, source in (("__init__", init), ("__eq__", eq), ("__hash__", eq)):
+        setattr(cls, name, _stand_in(cls, name, source, scope))
     cls.__match_args__ = names
     cls.__repr__ = _repr
     cls.__setattr__ = _refuse_set
@@ -95,6 +96,21 @@ def _slotted(cls: type, names: tuple[str, ...], scope: dict[str, Any]) -> type:
     for name in names:
         scope[f"_set_{name}"] = vars(rebuilt)[name].__set__
     return rebuilt
+
+
+def _stand_in(cls: type, name: str, source: str, scope: dict[str, Any]) -> Any:
+    """``cls.name`` until its first call, which compiles ``source`` and puts its methods on ``cls``."""
+
+    def stand_in(self: Any, *args: Any, **kwargs: Any) -> Any:
+        if vars(cls)[name] is stand_in:
+            methods: dict[str, Any] = {}
+            exec(source, scope, methods)
+            for method, function in methods.items():
+                function.__qualname__ = f"{cls.__qualname__}.{method}"
+                setattr(cls, method, function)
+        return vars(cls)[name](self, *args, **kwargs)
+
+    return stand_in
 
 
 def _check(cls: type, name: str, note: str, scope: dict[str, Any]) -> str:

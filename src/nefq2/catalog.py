@@ -280,11 +280,15 @@ _QUADRIC21 = (
     ("5", [((-2, -1), 1)], [((0, 0), "r+1")], 4),
 )
 
-#: The parameter-free tables, built once at import.
-_TABLES: dict[str, tuple[CaseSpec, ...]] = {
-    "main22": _table("main22", BiDegree(2, 2), _MAIN22),
-    "quadric21": _table("quadric21", BiDegree(2, 1), _QUADRIC21),
-}
+#: The parameter-free tables, as (determinant, rows).
+_TABLES = {"main22": ((2, 2), _MAIN22), "quadric21": ((2, 1), _QUADRIC21)}
+
+
+@functools.cache
+def _fixed_table(theorem: str) -> tuple[CaseSpec, ...]:
+    """The cases of a parameter-free table, built at its first read and kept."""
+    c1, rows = _TABLES[theorem]
+    return _table(theorem, BiDegree(*c1), rows)
 
 
 def _require_c1(theorem: str, c1: BiDegree | None) -> BiDegree:
@@ -341,7 +345,7 @@ def list_cases(
     if theorem in _TABLES:
         if c1 is not None or b is not None:
             raise HypothesisError(f"{theorem} is not parametric: it takes no --c1 or --b-param")
-        return _TABLES[theorem]
+        return _fixed_table(theorem)
     if theorem == "halfmax":
         det = _require_c1(theorem, c1)
         if b is None:

@@ -53,13 +53,24 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+#: The commands, in the order of the usage line.
+_COMMANDS = ("cohomology", "chi", "twist", "ses", "bondal", "catalog", "verify")
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for ``argv``: the subparser of the command that ``argv[0]`` names
+    (``catalog`` with its ``list`` child) under a metavar that lists every command, so
+    the top-level usage is the same, or every command for any other ``argv[0]``
+    (``-h``, ``--version``, ``--``, an unknown command) and for an empty ``argv``."""
     parser = _Parser(
         prog="nefq2",
         description="Exact cohomology, K-theory and classification checks on the quadric surface.",
     )
     parser.add_argument("--version", action="version", version=f"nefq2 {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
+    built = _COMMANDS
+    if argv[:1] and argv[0] in _COMMANDS:
+        built, commands.metavar = argv[:1], "{" + ",".join(_COMMANDS) + "}"
 
     parsers: dict[str, argparse.ArgumentParser] = {}
     for name, run, ints, text in (
@@ -69,44 +80,49 @@ def _build_parser() -> argparse.ArgumentParser:
         ("ses", _run_ses, "", "quotient Chern data for 0 -> sub -> mid -> Q -> 0 of line bundle sums"),
         ("bondal", _run_bondal, "c2 rank", "second page and module-profile reconstruction"),
     ):
-        p = parsers[name] = commands.add_parser(name, help=text)
-        p.set_defaults(run=run)
-        for arg in ints.split():
-            p.add_argument(arg, type=int)
-    for flag, part in (("--sub", "sub"), ("--mid", "middle")):
-        text = f"line bundle summand of the {part} (repeatable)"
-        parsers["ses"].add_argument(
-            flag, action="append", default=[], type=_line_term, metavar="A,B[:MULT]", help=text
+        if name in built:
+            p = parsers[name] = commands.add_parser(name, help=text)
+            p.set_defaults(run=run)
+            for arg in ints.split():
+                p.add_argument(arg, type=int)
+    if "ses" in parsers:
+        for flag, part in (("--sub", "sub"), ("--mid", "middle")):
+            text = f"line bundle summand of the {part} (repeatable)"
+            parsers["ses"].add_argument(
+                flag, action="append", default=[], type=_line_term, metavar="A,B[:MULT]", help=text
+            )
+        parsers["ses"].set_defaults(usage_error=parsers["ses"].error)
+    if "bondal" in parsers:
+        parsers["bondal"].add_argument(
+            "--variant",
+            choices=[VARIANT_CURVE, VARIANT_STRUCTURE],
+            help="required meaning for c2=8; omitted there, both variants print",
         )
-    parsers["ses"].set_defaults(usage_error=parsers["ses"].error)
-    parsers["bondal"].add_argument(
-        "--variant",
-        choices=[VARIANT_CURVE, VARIANT_STRUCTURE],
-        help="required meaning for c2=8; omitted there, both variants print",
-    )
 
-    p = commands.add_parser("catalog", help="the classification tables")
-    catalog_commands = p.add_subparsers(dest="catalog_command", required=True)
-    p = catalog_commands.add_parser("list", help="list the cases of a table")
-    p.set_defaults(run=_run_catalog_list)
-    p.add_argument(
-        "--theorem",
-        choices=THEOREMS,
-        default="all",
-        help="table to list ('all' = both parameter-free tables)",
-    )
-    p.add_argument("--c1", type=_bidegree, metavar="A,B", help="determinant for parametric tables")
-    p.add_argument("--b-param", type=int, dest="b_param", help="splitting degree for halfmax")
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    if "catalog" in built:
+        p = commands.add_parser("catalog", help="the classification tables")
+        catalog_commands = p.add_subparsers(dest="catalog_command", required=True)
+        p = catalog_commands.add_parser("list", help="list the cases of a table")
+        p.set_defaults(run=_run_catalog_list)
+        p.add_argument(
+            "--theorem",
+            choices=THEOREMS,
+            default="all",
+            help="table to list ('all' = both parameter-free tables)",
+        )
+        p.add_argument("--c1", type=_bidegree, metavar="A,B", help="determinant for parametric tables")
+        p.add_argument("--b-param", type=int, dest="b_param", help="splitting degree for halfmax")
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = commands.add_parser("verify", help="recompute and check a table")
-    p.set_defaults(run=_run_verify)
-    p.add_argument("theorem", choices=THEOREMS)
-    p.add_argument("--rank-min", type=int, default=None)
-    p.add_argument("--rank-max", type=int, default=10)
-    p.add_argument("--c1", type=_bidegree, metavar="A,B")
-    p.add_argument("--b-param", type=int, dest="b_param")
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    if "verify" in built:
+        p = commands.add_parser("verify", help="recompute and check a table")
+        p.set_defaults(run=_run_verify)
+        p.add_argument("theorem", choices=THEOREMS)
+        p.add_argument("--rank-min", type=int, default=None)
+        p.add_argument("--rank-max", type=int, default=10)
+        p.add_argument("--c1", type=_bidegree, metavar="A,B")
+        p.add_argument("--b-param", type=int, dest="b_param")
+        p.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 
 
@@ -221,8 +237,7 @@ def _run_catalog_list(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     raw_argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(raw_argv)
+    args = _build_parser(raw_argv).parse_args(raw_argv)
     args.raw_argv = raw_argv
     try:
         return args.run(args)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import nefq2
-from nefq2 import catalog, list_cases, verify
+from nefq2 import catalog, cli, list_cases, verify
 from nefq2.cli import main
 
 
@@ -218,6 +218,53 @@ def test_version(capsys):
     assert capsys.readouterr().out.strip() == f"nefq2 {nefq2.__version__}"
 
 
+#: argv whose parse shows argparse's own output: every help, the version,
+#: usage errors of the top-level parser and of a subparser, and one plain run
+_PARSER_ARGV = (
+    *([name, "-h"] for name in ("cohomology", "chi", "twist", "ses", "bondal", "catalog", "verify")),
+    ["catalog", "list", "-h"],
+    ["-h"],
+    ["--version"],
+    ["--"],
+    ["--", "cohomology", "1", "1"],
+    ["bogus"],
+    [],
+    ["cohomology", "1"],
+    ["cohomology", "1", "1", "2"],
+    ["catalog"],
+    ["verify", "main22", "--rank-max"],
+    ["bondal", "8", "3", "--variant", "bogus"],
+    ["ses", "--mid", "1,0"],
+    ["cohomology", "1", "1"],
+)
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), whether it returns or exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGV, ids=[" ".join(argv) or "(none)" for argv in _PARSER_ARGV])
+def test_a_command_parses_as_under_the_every_command_parser(capsys, monkeypatch, argv):
+    # main builds only the subparser that argv[0] names; the parser with every
+    # command must read each argv to the same exit code, stdout and stderr
+    alone = _outcome(capsys, argv)
+    every = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: every())
+    assert alone == _outcome(capsys, argv)
+
+
+def test_usage_errors_name_the_command_argument(capsys):
+    # no metavar renames it when argv[0] names no command
+    assert "error: argument command: invalid choice: 'bogus'" in _outcome(capsys, ["bogus"])[2]
+    assert _outcome(capsys, [])[2].endswith("error: the following arguments are required: command\n")
+
+
 def test_empty_sweep_is_a_usage_error(capsys):
     for extra in ((), ("--format", "json")):
         code, out, err = run(capsys, "verify", "main22", "--rank-min", "20", "--rank-max", "3", *extra)
@@ -365,6 +412,34 @@ def test_json_modules_load_only_for_json_output(argv, loaded):
         [sys.executable, "-c", _LOADED_PROBE, *argv], env=_child_env(), capture_output=True, text=True, timeout=60
     )
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", loaded + "\n")
+
+
+#: Runs main(argv) in a fresh interpreter, then prints how many parameter-free
+#: tables it built and whether CaseSpec and RankExpr have a compiled __init__.
+_BUILT_PROBE = """
+import io, sys
+from nefq2 import catalog
+from nefq2.cli import main
+sys.stdout = io.StringIO()
+main(sys.argv[1:])
+compiled = [cls.__init__.__qualname__ == f"{cls.__name__}.__init__" for cls in (catalog.CaseSpec, catalog.RankExpr)]
+print(catalog._fixed_table.cache_info().currsize, compiled, file=sys.__stdout__)
+"""
+
+
+_BUILT = (
+    (["cohomology", "-3", "0"], "0 [False, False]"),
+    (["catalog", "list", "--theorem", "main22"], "1 [True, True]"),
+    (["catalog", "list"], "2 [True, True]"),
+)
+
+
+@pytest.mark.parametrize("argv,built", _BUILT, ids=[" ".join(argv) for argv, _ in _BUILT])
+def test_a_cold_command_builds_only_the_tables_and_methods_it_uses(argv, built):
+    proc = subprocess.run(
+        [sys.executable, "-c", _BUILT_PROBE, *argv], env=_child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", built + "\n")
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -7,8 +7,12 @@ from __future__ import annotations
 
 import copy
 import importlib
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +262,85 @@ def test_frozen_refuses_a_method_that_closes_over_its_class():
             @property
             def kind(self) -> str:
                 return __class__.__name__
+
+
+#: ``uses(cls, blob, wrong, other, first)``: what each use of the value
+#: pickled in ``blob`` gives, the use named ``first`` made first, and then the
+#: qualified names of the three generated methods.  A value is unpickled for
+#: each use, so a use that builds one through ``__init__`` (the pickle round
+#: trip of a slotted type, a copy, ``replace``) may be its type's first call.
+_USES = """
+import copy, pickle
+from nefq2._value import replace
+
+
+def uses(cls, blob, wrong, other, first):
+    def outcome(use):
+        try:
+            return use()
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def fields(value):
+        return tuple(getattr(value, name) for name in value.__match_args__)
+
+    table = {
+        "wrong type": lambda: cls(*wrong),
+        "== another class": lambda: (pickle.loads(blob) == other, other == pickle.loads(blob)),
+        "hash": lambda: hash(pickle.loads(blob)) == hash(fields(pickle.loads(blob))),
+        "copy": lambda: copy.copy(pickle.loads(blob)) == pickle.loads(blob) == copy.deepcopy(pickle.loads(blob)),
+        "pickle": lambda: pickle.loads(pickle.dumps(pickle.loads(blob))) == pickle.loads(blob),
+        "replace": lambda: (
+            replace(pickle.loads(blob)) == pickle.loads(blob),
+            outcome(lambda: replace(pickle.loads(blob), **dict(zip(cls.__match_args__, wrong)))),
+        ),
+    }
+    done = {name: outcome(table[name]) for name in (first, *table)}
+    return done, [getattr(cls, name).__qualname__ for name in ("__init__", "__eq__", "__hash__")]
+"""
+
+_USE_PROBE = _USES + """
+import sys
+print(uses(*pickle.loads(bytes.fromhex(sys.argv[1])), sys.argv[2]))
+"""
+
+_FIRST_USES = ("wrong type", "== another class", "hash", "copy", "pickle", "replace")
+
+
+def _first_use_case(value: object, other: object) -> tuple[type, bytes, tuple, object]:
+    """(type, pickled value, its fields with the first checked one 1.5, a value of another type)."""
+    cls, fields = type(value), _fields(value)
+    checked = next(i for i, note in enumerate(vars(cls)["__annotations__"].values()) if "[" not in note)
+    return cls, pickle.dumps(value), (*fields[:checked], 1.5, *fields[checked + 1 :]), other
+
+
+#: the other value holds no value of the type under test, so unpickling it
+#: does not use that type
+FIRST_USES = [
+    (_first_use_case(value, BiDegree(2, 0) if type(value) is RankExpr else RankExpr(2)), first)
+    for value, *_ in VALUES
+    for first in _FIRST_USES
+]
+
+
+@pytest.mark.parametrize(
+    "case,first", FIRST_USES, ids=[f"{case[0].__name__}-{first}" for case, first in FIRST_USES]
+)
+def test_a_value_type_behaves_the_same_whatever_its_first_use(case, first):
+    # each value type compiles its methods at first use: in a fresh process,
+    # whichever use comes first, every use gives what it gives here, where
+    # every method is compiled, and afterwards the compiled methods are in place
+    namespace: dict[str, object] = {}
+    exec(_USES, namespace)
+    here, names = namespace["uses"](*case, first)
+    cls = case[0]
+    assert names == [f"{cls.__name__}.__init__", f"{cls.__name__}.__eq__", f"{cls.__name__}.__hash__"]
+    src = str(Path(nefq2.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _USE_PROBE, pickle.dumps(case).hex(), first],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"{(here, names)}\n")
