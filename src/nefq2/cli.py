@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 _COMMANDS = ("cohomology", "chi", "twist", "ses", "bondal", "catalog", "verify")
 
 
-def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """The parser for ``argv``: the subparser of the command that ``argv[0]`` names
     (``catalog`` with its ``list`` child) under a metavar that lists every command, so
     the top-level usage is the same, or every command for any other ``argv[0]``

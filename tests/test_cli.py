@@ -255,7 +255,7 @@ def test_a_command_parses_as_under_the_every_command_parser(capsys, monkeypatch,
     # command must read each argv to the same exit code, stdout and stderr
     alone = _outcome(capsys, argv)
     every = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv: every())
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: every([]))
     assert alone == _outcome(capsys, argv)
 
 
