@@ -1,7 +1,8 @@
 """Derived-equivalence bookkeeping: from module data back to sheaf classes.
 
-The derived equivalence induced by the tilting bundle sends the four
-vertex simples to shifted line bundles:
+The derived equivalence induced by the tilting bundle sends each vertex
+simple to the dual of its collection member, shifted by that member's
+degree: the simple of O(a, b) goes to O(-a, -b)[a + b], so
 
     S0 -> O        [0]
     S1 -> O(-1,0)  [1]
@@ -22,13 +23,15 @@ a small second-page table with possible entries only at (p, q) in
 identified sheaves; c2 = 8 has two variants and this module asserts no
 preference between them.  A page is its (c2, rank, variant), and its
 entries are derived from them when read.  What does not move with the rank
-is built once per (c2, variant), at import: the q = 1 entries, the twisted
-terms of their four-term presentation and D = [E2(-1,1)] - [E2(-2,1)].
-Each ``e2_page`` call recomputes and compares both identities.
+is built once per (c2, variant), at the first read of the page table: the
+q = 1 entries, the twisted terms of their four-term presentation and
+D = [E2(-1,1)] - [E2(-2,1)].  Each ``e2_page`` call recomputes and
+compares both identities.
 """
 
 from __future__ import annotations
 
+import functools
 from types import MappingProxyType
 from typing import Mapping
 
@@ -39,28 +42,12 @@ from .ktheory import (
     KClass, TorsionDescriptor, TorsionKind, _line_sum, from_chern, line_class, line_label, torsion_class
 )
 from .picard import ZERO, BiDegree
-from .quiver import _C1_22, hom_ext_series
+from .quiver import _C1_22, COLLECTION, hom_ext_series
 
 
-@frozen
-class ShiftedLineClass:
-    """A line bundle placed in a single cohomological degree."""
-
-    degree: BiDegree
-    shift: int
-
-
-#: Image of each vertex simple under the derived equivalence.
-DICTIONARY: tuple[ShiftedLineClass, ...] = (
-    ShiftedLineClass(BiDegree(0, 0), 0),
-    ShiftedLineClass(BiDegree(-1, 0), 1),
-    ShiftedLineClass(BiDegree(0, -1), 1),
-    ShiftedLineClass(BiDegree(-1, -1), 2),
-)
-
-
-#: Each vertex simple's line degree, with the sign of its shift's parity.
-_SIGNED_DEGREES = tuple((entry.degree, -1 if entry.shift % 2 else 1) for entry in DICTIONARY)
+#: Each vertex simple's line degree, the dual of its collection member, with
+#: the sign of its shift's parity.
+_SIGNED_DEGREES = tuple((-g, -1 if (g.a + g.b) % 2 else 1) for g in COLLECTION)
 
 
 def reconstruct(e: BundleNumerics) -> KClass:
@@ -141,7 +128,7 @@ class E2Page:
         O^(rank + 8 - c2) and the q = 1 entries of this c2 and variant."""
         n0 = self.rank + 8 - self.c2
         corner = E2Entry(KClass(n0, ZERO, 0), line_label(ZERO, n0))
-        return MappingProxyType({(0, 0): corner, **_PAGES[self.c2, self.variant][0]})
+        return MappingProxyType({(0, 0): corner, **_pages()[self.c2, self.variant][0]})
 
     def entry(self, p: int, q: int) -> KClass:
         """The class at (p, q), zero where the page has no entry.  A
@@ -150,19 +137,19 @@ class E2Page:
             raise TypeError(f"page positions must be integers, got {p!r} and {q!r}")
         if (p, q) == (0, 0):
             return KClass(self.rank + 8 - self.c2, ZERO, 0)
-        e = _PAGES[self.c2, self.variant][0].get((p, q))
+        e = _pages()[self.c2, self.variant][0].get((p, q))
         return e.kclass if e is not None else _NO_CLASS
 
     def four_term_residual(self) -> KClass:
         """The alternating K-sum of the four-term presentation of the two
         q = 1 entries, the twisted terms' sum minus D; exactness forces zero."""
-        _, twisted_terms, d = _PAGES[self.c2, self.variant]
+        _, twisted_terms, d = _pages()[self.c2, self.variant]
         return _line_sum(twisted_terms) - d
 
     def convergence_class(self) -> KClass:
         """Alternating sum over the whole page; equals the abutment class:
         (rank + 8 - c2)[O] + D, with D = [E2(-1,1)] - [E2(-2,1)]."""
-        d = _PAGES[self.c2, self.variant][2]
+        d = _pages()[self.c2, self.variant][2]
         return KClass(self.rank + 8 - self.c2 + d.rank, d.c1, d.ch2x2)
 
     def third_page_corner(self) -> KClass:
@@ -191,18 +178,22 @@ def _sheaf_entry(kind: TorsionKind, *support: BiDegree) -> E2Entry:
     return E2Entry(torsion_class(t), t.label(), t)
 
 
-#: What a page has that does not move with the rank, keyed by (c2, variant)
-#: and built once: its q = 1 entries, the twisted terms of their four-term
-#: presentation, and D = [E2(-1,1)] - [E2(-2,1)].
-_PAGES = {
-    (c2, variant): (q1, _twisted_terms(c2), _alternating_sum(q1))
-    for (c2, variant), q1 in (
-        ((6, None), {(-2, 1): _line_entry(_M11, 2)}),
-        ((7, None), {(-2, 1): _line_entry(_M22), (-1, 1): _sheaf_entry(TorsionKind.POINT_SHEAF)}),
-        ((8, VARIANT_CURVE), {(-1, 1): _sheaf_entry(TorsionKind.CURVE_TORSION, BiDegree(2, 2))}),
-        ((8, VARIANT_STRUCTURE), {(-2, 1): _line_entry(_M22), (-1, 1): _sheaf_entry(TorsionKind.STRUCTURE_SHEAF)}),
-    )
-}
+@functools.cache
+def _pages() -> (
+    dict[tuple[int, str | None], tuple[dict[tuple[int, int], E2Entry], tuple[tuple[BiDegree, int], ...], KClass]]
+):
+    """What a page has that does not move with the rank, keyed by (c2, variant),
+    built at its first read and kept: its q = 1 entries, the twisted terms of
+    their four-term presentation, and D = [E2(-1,1)] - [E2(-2,1)]."""
+    return {
+        (c2, variant): (q1, _twisted_terms(c2), _alternating_sum(q1))
+        for (c2, variant), q1 in (
+            ((6, None), {(-2, 1): _line_entry(_M11, 2)}),
+            ((7, None), {(-2, 1): _line_entry(_M22), (-1, 1): _sheaf_entry(TorsionKind.POINT_SHEAF)}),
+            ((8, VARIANT_CURVE), {(-1, 1): _sheaf_entry(TorsionKind.CURVE_TORSION, BiDegree(2, 2))}),
+            ((8, VARIANT_STRUCTURE), {(-2, 1): _line_entry(_M22), (-1, 1): _sheaf_entry(TorsionKind.STRUCTURE_SHEAF)}),
+        )
+    }
 
 
 def e2_page(c2: int, rank: int, variant: str | None = None) -> E2Page:
@@ -211,18 +202,18 @@ def e2_page(c2: int, rank: int, variant: str | None = None) -> E2Page:
     For c2 = 8 a variant is required: ``curve_torsion`` (torsion quotient
     on a (2,2) curve) or ``structure_sheaf`` (structure-sheaf quotient).
     ``E2Page`` checks these hypotheses.  The twisted terms and
-    D = [E2(-1,1)] - [E2(-2,1)] come from a table built at import.  Every
-    call checks the twisted terms' line sum against D (four-term exactness)
-    and (rank + 8 - c2)[O] + D against ``from_chern`` (convergence), each
-    as a comparison of int 4-tuples (rank, c1a, c1b, ch2x2).  A c2 or rank
-    that is not an int raises TypeError.
+    D = [E2(-1,1)] - [E2(-2,1)] come from a table built at its first read.
+    Every call checks the twisted terms' line sum against D (four-term
+    exactness) and (rank + 8 - c2)[O] + D against ``from_chern``
+    (convergence), each as a comparison of int 4-tuples (rank, c1a, c1b,
+    ch2x2).  A c2 or rank that is not an int raises TypeError.
     """
     if type(c2) is not int:
         raise TypeError(f"c2 must be an integer, got {c2!r}")
     if type(rank) is not int:
         raise TypeError(f"rank must be an integer, got {rank!r}")
     page = E2Page(c2, rank, variant)
-    _, twisted_terms, d = _PAGES[c2, variant]
+    _, twisted_terms, d = _pages()[c2, variant]
     d_rank, d_a, d_b, d_ch2x2 = d.rank, d.c1.a, d.c1.b, d.ch2x2
     twisted = _line_sum(twisted_terms)
     if (twisted.rank, twisted.c1.a, twisted.c1.b, twisted.ch2x2) != (d_rank, d_a, d_b, d_ch2x2):

@@ -18,10 +18,11 @@ Four tables are shipped:
 Each table is written as literal rows in the paper's order,
 ``(number, sub, mid, c2[, options])``.  sub and mid list
 ``((a, b), multiplicity)`` pairs and c2 is the tabulated second Chern
-class.  The optional dict may set ``coker`` (a TorsionDescriptor, default
-None), ``gg`` (globally generated, default True), ``bondal`` (satisfies
-the reconstruction hypotheses, default False) and ``twin``: True places
-the ruling-swapped twin of the row, id suffix ``-swap``, right after it.
+class.  The optional dict may set ``coker`` (a TorsionKind that takes no
+support, default None; the row's TorsionDescriptor is built from it), ``gg``
+(globally generated, default True), ``bondal`` (satisfies the
+reconstruction hypotheses, default False) and ``twin``: True places the
+ruling-swapped twin of the row, id suffix ``-swap``, right after it.
 
 Each CaseSpec records a four-term display 0 -> sub -> mid -> E -> coker
 -> 0 whose sub and mid are direct sums of line bundles with
@@ -217,13 +218,14 @@ def _table(theorem: str, c1: BiDegree, rows: Iterable[tuple[Any, ...]]) -> tuple
     cases: list[CaseSpec] = []
     for number, sub, mid, c2, *options in rows:
         opts: dict[str, Any] = options[0] if options else {}
+        kind = opts.get("coker")
         case = CaseSpec(
             id=f"{theorem}-{number}",
             theorem=theorem,
             c1=c1,
             sub_terms=_terms(sub),
             mid_terms=_terms(mid),
-            coker=opts.get("coker"),
+            coker=None if kind is None else TorsionDescriptor(kind),
             expected_c2=c2,
             globally_generated=opts.get("gg", True),
             bondal_reconstructible=opts.get("bondal", False),
@@ -255,20 +257,8 @@ _MAIN22 = (
     ("9", [((-1, -1), 2)], [((0, 0), "r+2")], 6, dict(bondal=True)),
     # Members force a one-dimensional h1, so there is no module-profile route.
     ("10", [((-2, -2), 1)], [((0, 0), "r+1")], 8),
-    (
-        "11",
-        [((-2, -2), 1)],
-        [((0, 0), "r+1")],
-        7,
-        dict(coker=TorsionDescriptor(TorsionKind.POINT_SHEAF), gg=False, bondal=True),
-    ),
-    (
-        "12",
-        [((-2, -2), 1)],
-        [((0, 0), "r")],
-        8,
-        dict(coker=TorsionDescriptor(TorsionKind.STRUCTURE_SHEAF), gg=False, bondal=True),
-    ),
+    ("11", [((-2, -2), 1)], [((0, 0), "r+1")], 7, dict(coker=TorsionKind.POINT_SHEAF, gg=False, bondal=True)),
+    ("12", [((-2, -2), 1)], [((0, 0), "r")], 8, dict(coker=TorsionKind.STRUCTURE_SHEAF, gg=False, bondal=True)),
     ("13", [((-1, -1), 4)], [((0, 0), "r"), ((-1, 0), 2), ((0, -1), 2)], 8, dict(gg=False, bondal=True)),
 )
 

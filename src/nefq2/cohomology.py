@@ -66,23 +66,6 @@ class BundleNumerics:
         return f"rank={self.rank} c1={self.c1} c2={self.c2}"
 
 
-def line_cohomology_p1(d: int) -> tuple[int, int]:
-    """(h0, h1) of O(d) on one line.
-
-    >>> line_cohomology_p1(3)
-    (4, 0)
-    >>> line_cohomology_p1(-1)
-    (0, 0)
-    >>> line_cohomology_p1(-4)
-    (0, 3)
-    """
-    if type(d) is not int:
-        raise TypeError(f"degree must be an integer, got {d!r}")
-    h0 = d + 1 if d >= 0 else 0
-    h1 = -d - 1 if d <= -2 else 0
-    return (h0, h1)
-
-
 def cohomology_q2(x: BiDegree) -> CohomologyVector:
     """Cohomology of the line bundle O(a, b) on the quadric, via Kuenneth.
 

@@ -14,29 +14,22 @@ from hypothesis import strategies as st
 from nefq2 import BiDegree, BundleNumerics, HypothesisError, ReconstructionError, list_cases
 from nefq2 import bondal
 from nefq2._value import replace
-from nefq2.bondal import (
-    DICTIONARY,
-    VARIANT_CURVE,
-    VARIANT_STRUCTURE,
-    E2Page,
-    ShiftedLineClass,
-    e2_page,
-    reconstruct,
-)
+from nefq2.bondal import VARIANT_CURVE, VARIANT_STRUCTURE, E2Page, e2_page, reconstruct
 from nefq2.catalog import RankExpr, certify
 from nefq2.cohomology import ext1_module_profile
 from nefq2.ktheory import POINT_CLASS, KClass, TorsionKind, from_chern, line_class
-from nefq2.quiver import hom_ext_series
+from nefq2.quiver import COLLECTION, hom_ext_series
 
 from whitney_oracle import case_chern
 
 
 def test_dictionary_entries():
-    assert DICTIONARY == (
-        ShiftedLineClass(BiDegree(0, 0), 0),
-        ShiftedLineClass(BiDegree(-1, 0), 1),
-        ShiftedLineClass(BiDegree(0, -1), 1),
-        ShiftedLineClass(BiDegree(-1, -1), 2),
+    # each vertex simple goes to the dual of its collection member, signed by its shift's parity
+    assert bondal._SIGNED_DEGREES == (
+        (BiDegree(0, 0), 1),
+        (BiDegree(-1, 0), -1),
+        (BiDegree(0, -1), -1),
+        (BiDegree(-1, -1), 1),
     )
 
 
@@ -250,7 +243,7 @@ def test_pages_and_reconstruction_match_the_formulas(rank, key):
     assert page.convergence_class() == from_chern(e) == KClass(rank, BiDegree(2, 2), 8 - 2 * c2)
     hom, ext1 = hom_ext_series(rank, c2)
     # additive over the composition series: each simple's line class, signed by its shift
-    signed = ((-1) ** entry.shift * (h - x) * line_class(entry.degree) for entry, h, x in zip(DICTIONARY, hom, ext1))
+    signed = ((-1) ** (g.a + g.b) * (h - x) * line_class(-g) for g, h, x in zip(COLLECTION, hom, ext1))
     assert reconstruct(e) == sum(signed, KClass.zero()) == from_chern(e)
 
 

@@ -414,27 +414,51 @@ def test_json_modules_load_only_for_json_output(argv, loaded):
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", loaded + "\n")
 
 
-#: Runs main(argv) in a fresh interpreter, then prints how many parameter-free
-#: tables it built and whether CaseSpec and RankExpr have a compiled __init__.
+#: Runs main(argv) in a fresh interpreter (with no argv, only imports nefq2.cli),
+#: then prints how many parameter-free tables and page tables it built, and
+#: which value types of the loaded modules hold a compiled __init__ or __eq__.
 _BUILT_PROBE = """
 import io, sys
-from nefq2 import catalog
+from nefq2 import _value, bondal, catalog
 from nefq2.cli import main
 sys.stdout = io.StringIO()
-main(sys.argv[1:])
-compiled = [cls.__init__.__qualname__ == f"{cls.__name__}.__init__" for cls in (catalog.CaseSpec, catalog.RankExpr)]
-print(catalog._fixed_table.cache_info().currsize, compiled, file=sys.__stdout__)
+if sys.argv[1:]:
+    main(sys.argv[1:])
+compiled = sorted(
+    f"{cls.__name__}.{name}"
+    for module in [m for n, m in sys.modules.items() if n.startswith("nefq2.")]
+    for cls in vars(module).values()
+    if isinstance(cls, type) and cls.__module__ == module.__name__ and vars(cls).get("__repr__") is _value._repr
+    for name in ("__init__", "__eq__")
+    if vars(cls)[name].__qualname__ == f"{cls.__name__}.{name}"
+)
+tables = catalog._fixed_table.cache_info().currsize, bondal._pages.cache_info().currsize
+print(*tables, compiled, file=sys.__stdout__)
 """
 
 
 _BUILT = (
-    (["cohomology", "-3", "0"], "0 [False, False]"),
-    (["catalog", "list", "--theorem", "main22"], "1 [True, True]"),
-    (["catalog", "list"], "2 [True, True]"),
+    ([], "0 0 ['BiDegree.__init__', 'KClass.__init__']"),
+    (["cohomology", "-3", "0"], "0 0 ['BiDegree.__init__', 'CohomologyVector.__init__', 'KClass.__init__']"),
+    (
+        ["catalog", "list", "--theorem", "main22"],
+        "1 0 ['BiDegree.__eq__', 'BiDegree.__init__', 'CaseSpec.__init__', 'KClass.__init__', 'RankExpr.__init__', "
+        "'TorsionDescriptor.__init__']",
+    ),
+    (
+        ["catalog", "list"],
+        "2 0 ['BiDegree.__eq__', 'BiDegree.__init__', 'CaseSpec.__init__', 'KClass.__init__', 'RankExpr.__init__', "
+        "'TorsionDescriptor.__init__']",
+    ),
+    (
+        ["bondal", "7", "3"],
+        "0 1 ['BiDegree.__eq__', 'BiDegree.__init__', 'BundleNumerics.__init__', 'E2Entry.__init__', "
+        "'E2Page.__init__', 'KClass.__init__', 'TorsionDescriptor.__init__']",
+    ),
 )
 
 
-@pytest.mark.parametrize("argv,built", _BUILT, ids=[" ".join(argv) for argv, _ in _BUILT])
+@pytest.mark.parametrize("argv,built", _BUILT, ids=[" ".join(argv) or "import" for argv, _ in _BUILT])
 def test_a_cold_command_builds_only_the_tables_and_methods_it_uses(argv, built):
     proc = subprocess.run(
         [sys.executable, "-c", _BUILT_PROBE, *argv], env=_child_env(), capture_output=True, text=True, timeout=60

@@ -19,7 +19,7 @@ import pytest
 import nefq2
 from nefq2 import BiDegree, BundleNumerics, HypothesisError, list_cases
 from nefq2._value import _repr, frozen, replace
-from nefq2.bondal import E2Entry, E2Page, ShiftedLineClass, e2_page
+from nefq2.bondal import E2Entry, E2Page, e2_page
 from nefq2.catalog import CaseSpec, Certificate, RankExpr, certify
 from nefq2.cohomology import CohomologyVector
 from nefq2.ktheory import KClass, TorsionDescriptor, TorsionKind
@@ -55,12 +55,6 @@ VALUES = [
         "TorsionDescriptor(kind=<TorsionKind.CURVE_TORSION: 'curve'>, support=BiDegree(a=2, b=2), twist_degree=1)",
         {"support": None},
         HypothesisError,
-    ),
-    (
-        ShiftedLineClass(BiDegree(-1, 0), 1),
-        "ShiftedLineClass(degree=BiDegree(a=-1, b=0), shift=1)",
-        {"shift": 1.0},
-        TypeError,
     ),
     (
         ENTRY,
@@ -160,7 +154,7 @@ def test_replace_runs_the_field_checks_again(value, text, bad, error):
 
 def test_replace_refuses_an_unknown_field():
     with pytest.raises(TypeError):
-        replace(ShiftedLineClass(BiDegree(-1, 0), 1), bogus=1)
+        replace(BiDegree(-1, 0), bogus=1)
 
 
 @pytest.mark.parametrize("cls,name", CHECKED, ids=[f"{c.__name__}.{n}" for c, n in CHECKED])
