@@ -11,8 +11,8 @@ from nefq2.catalog import case_to_json, certify
 # Every display in the determinant-(2,2) catalog, with its invariants.
 print("case            min_rank  c2   c2 at r=min..min+3")
 for case in list_cases("main22"):
-    values = [certify(case).row(r).c2 for r in range(case.min_rank, case.min_rank + 4)]
-    print(f"{case.id:<16} {case.min_rank:>7}  {case.expected_c2:>2}   {values}")
+    values = [certify(case).row(r).c2 for r in range(case.display.min_rank, case.display.min_rank + 4)]
+    print(f"{case.id:<16} {case.display.min_rank:>7}  {case.expected_c2:>2}   {values}")
 
 # The same machinery covers the determinant-(2,1) catalog and the two
 # parametric families.

@@ -24,11 +24,11 @@ support, default None; the row's TorsionDescriptor is built from it), ``gg``
 reconstruction hypotheses, default False) and ``twin``: True places the
 ruling-swapped twin of the row, id suffix ``-swap``, right after it.
 
-Each CaseSpec records a four-term display 0 -> sub -> mid -> E -> coker
--> 0 whose sub and mid are direct sums of line bundles with
-multiplicities affine in the rank r, together with provenance-free flags
-(nef is asserted by the table, weak_fano, min_rank and the numerics are
-always recomputed; nothing about a bundle is ever looked up).
+A case is a ``Display``, 0 -> sub -> mid -> E -> coker -> 0 with sub and
+mid direct sums of line bundles with multiplicities affine in the rank r,
+plus the table's claims: id, theorem, c1, expected c2 and provenance-free
+flags (nef is asserted by the table, weak_fano, min_rank and the numerics
+are always recomputed; nothing about a bundle is ever looked up).
 
 JSON schema (stable, lexicographic key order):
 
@@ -124,40 +124,66 @@ def _terms(raw: Iterable[tuple[tuple[int, int], int | str]]) -> tuple[Term, ...]
 
 
 @frozen
-class CaseSpec:
-    """One classification family, as a four-term display."""
+class Display:
+    """A four-term display 0 -> sub -> mid -> E -> coker -> 0: line-bundle
+    sums with multiplicities affine in the rank r, and a cokernel or None."""
 
-    id: str
-    theorem: str
-    c1: BiDegree
-    sub_terms: tuple[Term, ...]
-    mid_terms: tuple[Term, ...]
-    coker: TorsionDescriptor | None
-    expected_c2: int
-    globally_generated: bool | None
-    bondal_reconstructible: bool
-    twin_of: str | None = None
+    sub: tuple[Term, ...]
+    mid: tuple[Term, ...]
+    coker: TorsionDescriptor | None = None
 
     def __post_init__(self) -> None:
-        for name in ("sub_terms", "mid_terms"):
+        for name in ("sub", "mid"):
             terms = getattr(self, name)
             if type(terms) is not tuple or any(
                 type(t) is not tuple or tuple(map(type, t)) != Term.__args__ for t in terms
             ):
-                raise TypeError(f"CaseSpec.{name} must be a tuple of (BiDegree, RankExpr) pairs, got {terms!r}")
+                raise TypeError(f"Display.{name} must be a tuple of (BiDegree, RankExpr) pairs, got {terms!r}")
 
     @functools.cached_property
     def min_rank(self) -> int:
         """The smallest r >= 1 at which every multiplicity c + k*r with k > 0
         is >= 0, derived from the display on first use."""
-        return max([1] + [-(m.const // m.coef) for _, m in self.sub_terms + self.mid_terms if m.coef > 0])
+        return max([1] + [-(m.const // m.coef) for _, m in self.sub + self.mid if m.coef > 0])
+
+    def kclass(self, r: int) -> KClass:
+        """Alternating K-sum of the display, term by term, at rank r."""
+        sub, mid = ([(deg, mult.evaluate(r)) for deg, mult in terms] for terms in (self.sub, self.mid))
+        coker = torsion_class(self.coker) if self.coker is not None else KClass.zero()
+        return four_term_quotient(_line_sum(sub), _line_sum(mid), coker)
+
+    def swap(self) -> Display:
+        """The display under exchanging the two rulings, a curve cokernel's support included."""
+        sub, mid = (tuple((d.swap(), m) for d, m in terms) for terms in (self.sub, self.mid))
+        curve = self.coker is not None and self.coker.support is not None
+        return Display(sub, mid, replace(self.coker, support=self.coker.support.swap()) if curve else self.coker)
+
+
+@frozen
+class CaseSpec:
+    """One classification family: a display and the table's claims about it."""
+
+    id: str
+    theorem: str
+    c1: BiDegree
+    display: Display
+    expected_c2: int
+    globally_generated: bool | None
+    bondal_reconstructible: bool
+    twin_of: str | None = None
+
+    # Read only by the benchmark under bench/; ROADMAP item 1a deletes these four.
+    sub_terms = property(lambda self: self.display.sub)
+    mid_terms = property(lambda self: self.display.mid)
+    coker = property(lambda self: self.display.coker)
+    min_rank = property(lambda self: self.display.min_rank)
 
     @functools.cached_property
     def _certificate(self) -> Certificate:
         from .verify import Certificate
 
-        base = _display_class(self, 0)
-        return Certificate(self, base, _display_class(self, 1) - base)
+        base = self.display.kclass(0)
+        return Certificate(self, base, self.display.kclass(1) - base)
 
     def flags(self) -> dict[str, Any]:
         return {
@@ -188,29 +214,18 @@ def case_to_json(case: CaseSpec) -> dict[str, Any]:
     return {
         "id": case.id,
         "theorem": case.theorem,
-        "sub": [{"deg": [d.a, d.b], "mult": m.render()} for d, m in case.sub_terms],
-        "mid": [{"deg": [d.a, d.b], "mult": m.render()} for d, m in case.mid_terms],
-        "coker": _coker_json(case.coker),
-        "min_rank": case.min_rank,
+        "sub": [{"deg": [d.a, d.b], "mult": m.render()} for d, m in case.display.sub],
+        "mid": [{"deg": [d.a, d.b], "mult": m.render()} for d, m in case.display.mid],
+        "coker": _coker_json(case.display.coker),
+        "min_rank": case.display.min_rank,
         "flags": case.flags(),
         "twin_of": case.twin_of,
     }
 
 
 def _swapped(case: CaseSpec) -> CaseSpec:
-    """The (a,b) -> (b,a) twin of a display, linked back to it."""
-
-    def swap(terms: tuple[Term, ...]) -> tuple[Term, ...]:
-        return tuple((d.swap(), m) for d, m in terms)
-
-    return replace(
-        case,
-        id=f"{case.id}-swap",
-        c1=case.c1.swap(),
-        sub_terms=swap(case.sub_terms),
-        mid_terms=swap(case.mid_terms),
-        twin_of=case.id,
-    )
+    """The (a,b) -> (b,a) twin of a case, linked back to it."""
+    return replace(case, id=f"{case.id}-swap", c1=case.c1.swap(), display=case.display.swap(), twin_of=case.id)
 
 
 def _table(theorem: str, c1: BiDegree, rows: Iterable[tuple[Any, ...]]) -> tuple[CaseSpec, ...]:
@@ -223,9 +238,7 @@ def _table(theorem: str, c1: BiDegree, rows: Iterable[tuple[Any, ...]]) -> tuple
             id=f"{theorem}-{number}",
             theorem=theorem,
             c1=c1,
-            sub_terms=_terms(sub),
-            mid_terms=_terms(mid),
-            coker=None if kind is None else TorsionDescriptor(kind),
+            display=Display(_terms(sub), _terms(mid), None if kind is None else TorsionDescriptor(kind)),
             expected_c2=c2,
             globally_generated=opts.get("gg", True),
             bondal_reconstructible=opts.get("bondal", False),
@@ -348,13 +361,6 @@ def list_cases(
     raise ValueError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
 
 
-def _display_class(case: CaseSpec, r: int) -> KClass:
-    """Alternating K-sum of the display, term by term, at rank r."""
-    sub, mid = ([(deg, mult.evaluate(r)) for deg, mult in terms] for terms in (case.sub_terms, case.mid_terms))
-    coker = torsion_class(case.coker) if case.coker is not None else KClass.zero()
-    return four_term_quotient(_line_sum(sub), _line_sum(mid), coker)
-
-
 def sweep(
     theorem: str, rank_min: int | None, rank_max: int, *, c1: BiDegree | None = None, b: int | None = None
 ) -> list[tuple[CaseSpec, int]]:
@@ -364,7 +370,8 @@ def sweep(
     if type(rank_max) is not int or not (rank_min is None or type(rank_min) is int):
         raise TypeError(f"rank bounds must be integers, got {rank_min!r} and {rank_max!r}")
     cases = list_cases(theorem, c1=c1, b=b)
-    firsts = ((case, case.min_rank if rank_min is None else max(rank_min, case.min_rank)) for case in cases)
+    # every min_rank is >= 1, so a rank_min of None is no bound, as is 0
+    firsts = ((case, max(rank_min or 1, case.display.min_rank)) for case in cases)
     swept = [(case, lo) for case, lo in firsts if lo <= rank_max]
     if not swept:
         lo = "min_rank" if rank_min is None else rank_min

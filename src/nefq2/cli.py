@@ -127,13 +127,14 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
 
 
 def _case_line(case: CaseSpec) -> str:
-    sub = "+".join(line_label(d, m) for d, m in case.sub_terms) or "0"
-    mid = "+".join(line_label(d, m) for d, m in case.mid_terms)
-    coker = case.coker.label() if case.coker is not None else "0"
+    display = case.display
+    sub = "+".join(line_label(d, m) for d, m in display.sub) or "0"
+    mid = "+".join(line_label(d, m) for d, m in display.mid)
+    coker = display.coker.label() if display.coker is not None else "0"
     twin = f" twin_of={case.twin_of}" if case.twin_of else ""
     return (
         f"{case.id}: 0 -> {sub} -> {mid} -> E -> {coker} -> 0"
-        f"  [min_rank {case.min_rank}, c2 {case.expected_c2}]{twin}"
+        f"  [min_rank {display.min_rank}, c2 {case.expected_c2}]{twin}"
     )
 
 

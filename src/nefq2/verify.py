@@ -97,7 +97,7 @@ def _steady(case: CaseSpec, r: int, c1: BiDegree, c2: int) -> _Steady:
     a, b, table = c1.a, c1.b, case.c1
     c1sq = intersect(c1, c1)
     c1_ok, c2_ok, bound_ok = a == table.a and b == table.b, c2 == case.expected_c2, 0 <= c2 <= c1sq
-    multiplicities_ok = all([m.const + m.coef * r >= 0 for _, m in case.sub_terms + case.mid_terms])
+    multiplicities_ok = all([m.const + m.coef * r >= 0 for _, m in case.display.sub + case.display.mid])
     checks = (
         # the text of f"display c1 {c1}, table c1 {table}", without two str() calls
         CheckResult("c1", c1_ok, f"display c1 ({a},{b}), table c1 ({table.a},{table.b})"),
@@ -139,8 +139,8 @@ class Certificate:
     def _fixed(self) -> _Steady | None:
         """The steady part of every row of a flat display, made at min_rank;
         None for any other display, or one with no Chern data there."""
-        base, lo, terms = self.base, self.case.min_rank, self.case.sub_terms + self.case.mid_terms
-        if self.slope != _SLOPE_O or any([m.coef < 0 for _, m in terms]):
+        base, display, lo = self.base, self.case.display, self.case.display.min_rank
+        if self.slope != _SLOPE_O or any([m.coef < 0 for _, m in display.sub + display.mid]):
             return None
         try:
             c2 = _chern_c2(base.rank + lo, base.c1, base.ch2x2)
@@ -161,8 +161,8 @@ class Certificate:
         case = self.case
         if type(r) is not int:
             raise TypeError(f"rank must be an integer, got {r!r}")
-        if r < case.min_rank:
-            raise ValueError(f"{case.id} needs rank >= {case.min_rank}, got {r}")
+        if r < case.display.min_rank:
+            raise ValueError(f"{case.id} needs rank >= {case.display.min_rank}, got {r}")
         base, slope, fixed = self.base, self.slope, self._fixed
         rank = base.rank + r * slope.rank
         if fixed is None:

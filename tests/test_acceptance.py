@@ -56,7 +56,7 @@ def test_criterion_1_c2_table_from_oracle():
     cases = list_cases("main22")
     # first reproduce the table by brute-force Chern expansion alone
     for case in cases:
-        for r in range(case.min_rank, 11):
+        for r in range(case.display.min_rank, 11):
             rank, c1, c2 = case_chern(case, r)
             assert (rank, c1) == (r, (2, 2))
             assert c2 == FAMILY_C2[_family(case)], case.id
@@ -211,7 +211,7 @@ def test_criterion_8_quadric21_table():
     assert [c.expected_c2 for c in cases] == [0, 1, 2, 3, 4]
     for case in cases:
         assert case.c1 == BiDegree(2, 1)
-        for r in range(case.min_rank, 11):
+        for r in range(case.display.min_rank, 11):
             rank, c1, c2 = case_chern(case, r)
             assert (rank, c1, c2) == (r, (2, 1), case.expected_c2)
             assert certify(case).row(r).computed == BundleNumerics(r, BiDegree(2, 1), c2)

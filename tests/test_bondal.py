@@ -69,8 +69,8 @@ def test_reconstruct_rank_is_symbolically_exact():
     assert sorted({c.expected_c2 for c in marked}) == [6, 7, 8]
     for case in marked:
         cert = certify(case)
-        assert cert.proved_from(case.min_rank), case.id
-        for r in (case.min_rank, case.min_rank + 1, 10**6):
+        assert cert.proved_from(case.display.min_rank), case.id
+        for r in (case.display.min_rank, case.display.min_rank + 1, 10**6):
             rank, c1, c2 = case_chern(case, r)
             assert reconstruct(BundleNumerics(rank, BiDegree(*c1), c2)).rank == r
             assert ("reconstruction", True) in [(n, p) for n, p, _ in cert.row(r).checks], (case.id, r)

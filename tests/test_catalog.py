@@ -16,6 +16,7 @@ from nefq2._value import replace
 from nefq2.catalog import (
     CaseSpec,
     CheckResult,
+    Display,
     RankExpr,
     VerificationReport,
     case_kclass,
@@ -24,7 +25,7 @@ from nefq2.catalog import (
     verify_case,
 )
 from nefq2.cohomology import euler_char, is_weak_fano
-from nefq2.ktheory import KClass, TorsionKind, to_chern
+from nefq2.ktheory import KClass, TorsionDescriptor, TorsionKind, to_chern
 from nefq2.picard import ZERO, intersect
 
 from whitney_oracle import case_chern
@@ -101,7 +102,7 @@ def _grid_cases():
 
 def _cross_check_ranks(case: CaseSpec) -> tuple[int, int, int]:
     """The ranks at which a certificate is compared with the oracle."""
-    return (case.min_rank, case.min_rank + 1, 10**6)
+    return (case.display.min_rank, case.display.min_rank + 1, 10**6)
 
 
 def test_rank_expr_parse_and_render():
@@ -163,7 +164,7 @@ def test_case_counts_and_order():
 
 def test_all_means_the_parameter_free_tables():
     assert list_cases("all") == list_cases("main22") + list_cases("quadric21")
-    assert catalog.sweep("all", None, 10) == [(c, c.min_rank) for c in list_cases("all")]
+    assert catalog.sweep("all", None, 10) == [(c, c.display.min_rank) for c in list_cases("all")]
     with pytest.raises(HypothesisError, match="^main22 is not parametric"):
         list_cases("all", c1=BiDegree(2, 2))
     with pytest.raises(HypothesisError, match="^main22 is not parametric"):
@@ -251,7 +252,7 @@ def test_halfmax_parameter_validation():
 
 
 def test_min_ranks():
-    got = {c.id: c.min_rank for c in list_cases("main22")}
+    got = {c.id: c.display.min_rank for c in list_cases("main22")}
     assert got["main22-1"] == 1
     assert got["main22-2"] == 2
     assert got["main22-5"] == 1
@@ -261,25 +262,27 @@ def test_min_ranks():
     for case in _grid_cases():  # list_cases("all"), then the parametric grid
         # min_rank is the first rank, found by search, at which every
         # multiplicity of the display evaluates >= 0
-        terms = case.sub_terms + case.mid_terms
+        terms = case.display.sub + case.display.mid
         first = next(r for r in itertools.count(1) if all(m.evaluate(r) >= 0 for _, m in terms))
-        assert case.min_rank == first, case.id
+        assert case.display.min_rank == first, case.id
 
 
 def test_min_rank_is_derived_from_the_display():
     case = {c.id: c for c in list_cases("main22")}["main22-6-2"]
-    assert "min_rank" not in CaseSpec.__match_args__
-    assert case.min_rank == 4 and vars(case)["min_rank"] == 4
+    display = case.display
+    assert "min_rank" not in Display.__match_args__ + CaseSpec.__match_args__
+    assert display.min_rank == 4 and vars(display)["min_rank"] == 4
     # a replaced display has its own min_rank, and min_rank is not a field
-    assert replace(case, mid_terms=case.mid_terms[:-1] + ((ZERO, RankExpr(-6, 1)),)).min_rank == 6
+    assert replace(display, mid=display.mid[:-1] + ((ZERO, RankExpr(-6, 1)),)).min_rank == 6
     for value in (0, 4):
-        with pytest.raises(TypeError):
-            replace(case, min_rank=value)
+        for value_type in (display, case):
+            with pytest.raises(TypeError):
+                replace(value_type, min_rank=value)
 
 
 def test_every_case_matches_whitney_oracle():
     for case in _sample_cases():
-        for r in range(case.min_rank, case.min_rank + 6):
+        for r in range(case.display.min_rank, case.display.min_rank + 6):
             rank, c1, c2 = case_chern(case, r)
             got = certify(case).row(r).computed
             assert (got.rank, (got.c1.a, got.c1.b), got.c2) == (rank, c1, c2)
@@ -295,7 +298,7 @@ def test_expected_c2_table():
 
 def test_c2_independent_of_rank():
     for case in list_cases("main22"):
-        values = {certify(case).row(r).c2 for r in range(case.min_rank, case.min_rank + 5)}
+        values = {certify(case).row(r).c2 for r in range(case.display.min_rank, case.display.min_rank + 5)}
         assert values == {case.expected_c2}
 
 
@@ -303,9 +306,9 @@ def test_symbolic_rank_of_displays():
     # sum of multiplicities: mid minus sub plus the rank of the
     # cokernel must be exactly r for every display
     for case in _grid_cases():
-        const = sum(m.const for _, m in case.mid_terms) - sum(m.const for _, m in case.sub_terms)
-        coef = sum(m.coef for _, m in case.mid_terms) - sum(m.coef for _, m in case.sub_terms)
-        if case.coker is not None and case.coker.kind is TorsionKind.STRUCTURE_SHEAF:
+        const = sum(m.const for _, m in case.display.mid) - sum(m.const for _, m in case.display.sub)
+        coef = sum(m.coef for _, m in case.display.mid) - sum(m.coef for _, m in case.display.sub)
+        if case.display.coker is not None and case.display.coker.kind is TorsionKind.STRUCTURE_SHEAF:
             const += 1
         total = RankExpr(const, coef)
         assert total == RankExpr(0, 1), case.id
@@ -323,12 +326,12 @@ def test_twins():
     for tw in swaps:
         base = by_id[tw.twin_of]
         assert tw.id == base.id + "-swap"
-        assert tw.min_rank == base.min_rank
+        assert tw.display.min_rank == base.display.min_rank
         assert tw.expected_c2 == base.expected_c2
         # term data is the base's with both ruling degrees exchanged
-        assert [(d.swap(), m) for d, m in tw.sub_terms] == list(base.sub_terms)
-        assert [(d.swap(), m) for d, m in tw.mid_terms] == list(base.mid_terms)
-        for r in range(base.min_rank, base.min_rank + 4):
+        assert [(d.swap(), m) for d, m in tw.display.sub] == list(base.display.sub)
+        assert [(d.swap(), m) for d, m in tw.display.mid] == list(base.display.mid)
+        for r in range(base.display.min_rank, base.display.min_rank + 4):
             a = certify(base).row(r).computed
             b = certify(tw).row(r).computed
             assert (a.rank, a.c2) == (b.rank, b.c2)
@@ -345,6 +348,22 @@ def test_twins():
         assert (case.twin_of is not None) == case.id.endswith("-swap")
 
 
+@pytest.mark.parametrize("kind", list(TorsionKind), ids=lambda kind: kind.value)
+def test_a_twin_swaps_the_c1_of_every_cokernel_kind(kind):
+    # mid O(1,0) + O^(r-1) and a cokernel: with a curve cokernel on a (1,0)
+    # curve c1 is (2,0), and the twin's must be (0,2), its support swapped too
+    curve = kind is TorsionKind.CURVE_TORSION
+    coker = TorsionDescriptor(kind, BiDegree(1, 0), 1) if curve else TorsionDescriptor(kind)
+    display = Display((), ((BiDegree(1, 0), RankExpr(1)), (ZERO, RankExpr(-1, 1))), coker)
+    case = CaseSpec("asymmetric", "main22", display.kclass(1).c1, display, 0, None, False)
+    twin = catalog._swapped(case)
+    assert twin.display == display.swap() and display.swap().swap() == display
+    for r in (1, 2, 10**6):
+        k, swapped = case_kclass(case, r), case_kclass(twin, r)
+        assert (swapped.rank, swapped.c1, swapped.ch2x2) == (k.rank, k.c1.swap(), k.ch2x2)
+        assert swapped.c1 == twin.c1 and swapped == display.swap().kclass(r)
+
+
 def test_symmetric_displays_have_no_twin():
     by_id = {c.id: c for c in list_cases("main22")}
     def key(term):
@@ -354,8 +373,8 @@ def test_symmetric_displays_have_no_twin():
     for cid in ("main22-1", "main22-3", "main22-6", "main22-6-1-1", "main22-9"):
         case = by_id[cid]
         assert case.twin_of is None
-        swapped = sorted(((d.swap(), m) for d, m in case.mid_terms), key=key)
-        assert swapped == sorted(case.mid_terms, key=key)
+        swapped = sorted(((d.swap(), m) for d, m in case.display.mid), key=key)
+        assert swapped == sorted(case.display.mid, key=key)
 
 
 def test_same_numerics_across_distinct_displays():
@@ -364,7 +383,7 @@ def test_same_numerics_across_distinct_displays():
     six = by_id["main22-6"]
     for cid in ("main22-6-1", "main22-6-1-1", "main22-6-1-2", "main22-6-2", "main22-6-3"):
         other = by_id[cid]
-        r = max(six.min_rank, other.min_rank)
+        r = max(six.display.min_rank, other.display.min_rank)
         assert certify(other).row(r).computed == certify(six).row(r).computed
     # cases eight and nine differ in display but not in (rank, c1, c2)
     assert certify(by_id["main22-8"]).row(3).computed == certify(by_id["main22-9"]).row(3).computed
@@ -444,7 +463,7 @@ def test_weak_fano_flag():
     # every table's flag, and that of its row at min_rank, against intersect
     for case in _grid_cases():
         assert case.flags()["weak_fano"] == (case.expected_c2 < intersect(case.c1, case.c1)), case.id
-        row = verify_case(case, case.min_rank)  # every grid case has Chern data there
+        row = verify_case(case, case.display.min_rank)  # every grid case has Chern data there
         assert row.weak_fano == is_weak_fano(row.computed) == (row.c2 < intersect(row.c1, row.c1)), case.id
 
 
@@ -466,12 +485,12 @@ def test_table_claims_hold_for_every_rank():
     assert len(cases) == 28 + 75 + 3 * 16
     for case in cases:
         cert = certify(case)
-        assert cert.proved_from(case.min_rank), case.id
+        assert cert.proved_from(case.display.min_rank), case.id
         # every shipped display has the slope [O]: rank r, and c1, c2 fixed
         assert cert.slope == KClass(1, ZERO, 0), case.id
         assert cert.base.rank == 0 and cert.base.c1 == case.c1, case.id
-        for _, m in case.sub_terms + case.mid_terms:
-            assert m.coef in (0, 1) and m.evaluate(case.min_rank) >= 0, case.id
+        for _, m in case.display.sub + case.display.mid:
+            assert m.coef in (0, 1) and m.evaluate(case.display.min_rank) >= 0, case.id
         for r in _cross_check_ranks(case):
             oracle = case_chern(case, r)
             e = to_chern(case_kclass(case, r))
@@ -502,8 +521,8 @@ def test_affine_class_is_computed_on_first_use():
     assert case_kclass(twin, 4).c1 == case_kclass(case, 4).c1.swap()
     changed = replace(case, expected_c2=0)
     assert "_certificate" not in vars(changed)
-    assert not certify(changed).proved_from(changed.min_rank)
-    assert cert.proved_from(case.min_rank)
+    assert not certify(changed).proved_from(changed.display.min_rank)
+    assert cert.proved_from(case.display.min_rank)
 
 
 def test_case_spec_checks_its_fields():
@@ -522,9 +541,9 @@ def test_case_spec_checks_its_fields():
 
 
 def test_case_spec_terms_are_bidegree_rank_expr_pairs():
-    case = list_cases("main22")[0]
+    display = list_cases("main22")[0].display
     good = (ZERO, RankExpr(1))
-    for field in ("sub_terms", "mid_terms"):
+    for field in ("sub", "mid"):
         for terms in (
             ((ZERO, 1),),
             (((0, 0), RankExpr(1)),),
@@ -534,9 +553,9 @@ def test_case_spec_terms_are_bidegree_rank_expr_pairs():
             [good],
             None,
         ):
-            with pytest.raises(TypeError, match=rf"^CaseSpec\.{field} must be a tuple of \(BiDegree, RankExpr\) pairs"):
-                replace(case, **{field: terms})
-        assert getattr(replace(case, **{field: (good,)}), field) == (good,)
+            with pytest.raises(TypeError, match=rf"^Display\.{field} must be a tuple of \(BiDegree, RankExpr\) pairs"):
+                replace(display, **{field: terms})
+        assert getattr(replace(display, **{field: (good,)}), field) == (good,)
 
 
 def test_sweep_proves_reconstruction_twice_per_c2(monkeypatch):
@@ -558,7 +577,7 @@ def test_sweep_proves_reconstruction_twice_per_c2(monkeypatch):
 
 def _verdict_ranks(case: CaseSpec, rng: random.Random) -> tuple[int, ...]:
     """min_rank and three random ranks up to 10**6."""
-    return (case.min_rank, *(rng.randint(case.min_rank, 10**6) for _ in range(3)))
+    return (case.display.min_rank, *(rng.randint(case.display.min_rank, 10**6) for _ in range(3)))
 
 
 def _row_with_its_verdict(case: CaseSpec, r: int) -> VerificationReport:
@@ -583,7 +602,7 @@ def test_a_failing_reconstruction_is_not_proved(monkeypatch):
     monkeypatch.setattr(verify, "reconstruct", broken)
     case = {c.id: c for c in list_cases("main22")}["main22-9"]
     cert = certify(case)
-    assert not cert.proved_from(case.min_rank)
+    assert not cert.proved_from(case.display.min_rank)
     name, passed, detail = cert.row(3).checks[-1]
     assert (name, passed) == ("reconstruction", False) and detail.startswith("no module profile")
     # every flagged case then fails the reconstruction check alone, at each rank tried
@@ -598,7 +617,7 @@ def test_a_failing_reconstruction_is_not_proved(monkeypatch):
 
 def test_case_kclass_consistency():
     for case in _sample_cases():
-        r = case.min_rank + 1
+        r = case.display.min_rank + 1
         assert to_chern(case_kclass(case, r)) == certify(case).row(r).computed
 
 
@@ -619,7 +638,7 @@ def test_verify_case_reports():
 
 def test_verify_case_is_the_certificate_row_with_named_checks():
     for case in _grid_cases():
-        for r in (case.min_rank, case.min_rank + 3):
+        for r in (case.display.min_rank, case.display.min_rank + 3):
             report, row = verify_case(case, r), certify(case).row(r)
             assert type(report) is type(row) is VerificationReport
             assert report == row, (case.id, r)
@@ -633,7 +652,7 @@ def test_verify_case_is_the_certificate_row_with_named_checks():
 
 def test_verify_all_is_the_rows_of_the_certificates():
     reports = verify_all("all")
-    rows = [row for case in list_cases("all") for row in certify(case).rows(case.min_rank, 10)[1]]
+    rows = [row for case in list_cases("all") for row in certify(case).rows(case.display.min_rank, 10)[1]]
     assert reports == rows and len(reports) == 261
     assert all(type(check) is CheckResult for report in reports for check in report.checks)
 
@@ -722,7 +741,7 @@ def test_verify_all():
     assert all(r.passed for r in reports)
     # each case contributes one report per admissible rank up to 4
     expected = sum(
-        max(0, 4 - c.min_rank + 1) for c in list_cases("main22")
+        max(0, 4 - c.display.min_rank + 1) for c in list_cases("main22")
     )
     assert len(reports) == expected
     with pytest.raises(HypothesisError, match=r"^empty sweep: no case has a rank in 9\.\.8$"):

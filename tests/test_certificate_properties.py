@@ -21,14 +21,7 @@ from hypothesis import strategies as st
 from nefq2 import MalformedClassError, NefQ2Error, ReconstructionError, list_cases, verify
 from nefq2._value import replace
 from nefq2.bondal import reconstruct
-from nefq2.catalog import (
-    CaseSpec,
-    Certificate,
-    RankExpr,
-    _display_class,
-    case_kclass,
-    certify,
-)
+from nefq2.catalog import CaseSpec, Certificate, Display, RankExpr, case_kclass, certify
 from nefq2.cohomology import _chi, euler_char, is_weak_fano
 from nefq2.ktheory import KClass, TorsionDescriptor, TorsionKind, to_chern
 from nefq2.picard import ZERO, BiDegree, intersect
@@ -52,45 +45,51 @@ cokers = st.sampled_from(
 
 
 @st.composite
-def displays(draw) -> CaseSpec:
-    """A random display.  Half of them are built like the tables' rows: fixed
-    multiplicities, maybe an O^(k-r), and O^(r+k) or O^(2r+k) in the middle
-    so that the rank is r, with c1 and c2 the display's own at min_rank, so
-    that many of them pass.  The others have any multiplicities, so c1 and
-    c2 may move with r.  A flat negative multiplicity, or a falling one such
-    as O^(k-r), fails the multiplicities check at some ranks >= min_rank."""
-    like_a_row = draw(st.booleans())
-    sub, mid = (tuple(draw(fixed_terms if like_a_row else any_terms)) for _ in range(2))
+def row_displays(draw) -> Display:
+    """A display built like the tables' rows: fixed multiplicities, maybe an
+    O^(k-r), and O^(r+k) or O^(2r+k) in the middle so that the rank is r."""
+    sub, mid = (tuple(draw(fixed_terms)) for _ in range(2))
     coker = draw(cokers)
-    if like_a_row:
-        if draw(st.booleans()):
-            mid += ((ZERO, RankExpr(draw(st.integers(0, 40)), -1)),)  # negative from some rank on
-        k = sum(m.const for _, m in sub) - sum(m.const for _, m in mid)
-        k -= coker is not None and coker.kind is TorsionKind.STRUCTURE_SHEAF
-        mid += ((ZERO, RankExpr(k, 1 - sum(m.coef for _, m in mid))),)
-    case = CaseSpec(
-        id="random",
-        theorem="main22",
-        c1=draw(degrees),
-        sub_terms=sub,
-        mid_terms=mid,
-        coker=coker,
-        expected_c2=draw(st.integers(-2, 12)),
-        globally_generated=draw(st.sampled_from((True, False, None))),
-        bondal_reconstructible=draw(st.booleans()),
-    )
-    if like_a_row:
+    if draw(st.booleans()):
+        mid += ((ZERO, RankExpr(draw(st.integers(0, 40)), -1)),)  # negative from some rank on
+    k = sum(m.const for _, m in sub) - sum(m.const for _, m in mid)
+    k -= coker is not None and coker.kind is TorsionKind.STRUCTURE_SHEAF
+    return Display(sub, mid + ((ZERO, RankExpr(k, 1 - sum(m.coef for _, m in mid))),), coker)
+
+
+#: A display with any multiplicities, so that c1 and c2 may move with r.
+any_displays = st.builds(Display, any_terms.map(tuple), any_terms.map(tuple), cokers)
+
+#: A random display, half of them built like the tables' rows.
+displays = st.one_of(row_displays(), any_displays)
+
+
+@st.composite
+def claimed(draw, displays, own) -> CaseSpec:
+    """A case of a drawn display that claims a random c1, c2 and flags, or,
+    when ``own`` draws True, the display's own c1 and c2 at min_rank, where
+    it has them."""
+    display = draw(displays)
+    gg = draw(st.sampled_from((True, False, None)))
+    case = CaseSpec("random", "main22", draw(degrees), display, draw(st.integers(-2, 12)), gg, draw(st.booleans()))
+    if draw(own):
         try:
-            e = to_chern(_display_class(case, case.min_rank))
+            e = to_chern(display.kclass(display.min_rank))
         except NefQ2Error:
             return case
         case = replace(case, c1=e.c1, expected_c2=e.c2)
     return case
 
 
+#: Cases of random displays: of one built like a row with its own c1 and
+#: c2, so that many of them pass, or of any display with random claims.  A
+#: flat negative multiplicity, or a falling one such as O^(k-r), fails the
+#: multiplicities check at some ranks >= min_rank.
+display_cases = st.one_of(claimed(row_displays(), st.just(True)), claimed(any_displays, st.just(False)))
+
 #: Random displays and the catalog's own rows, now and then with a wrong c2.
 cases = st.one_of(
-    displays(),
+    display_cases,
     st.builds(
         lambda case, wrong: replace(case, expected_c2=case.expected_c2 + wrong),
         st.sampled_from(list_cases("main22") + list_cases("quadric21")),
@@ -105,8 +104,8 @@ def direct(case: CaseSpec, r: int, k: KClass):
     and c2, whether it is weak Fano, the checks and whether all of them pass;
     an error as (type, message)."""
     try:
-        if r < case.min_rank:
-            raise ValueError(f"{case.id} needs rank >= {case.min_rank}, got {r}")
+        if r < case.display.min_rank:
+            raise ValueError(f"{case.id} needs rank >= {case.display.min_rank}, got {r}")
         e = to_chern(k)
         c1sq = intersect(e.c1, e.c1)
         chi = euler_char(e)
@@ -118,7 +117,7 @@ def direct(case: CaseSpec, r: int, k: KClass):
             ("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family"),
             (
                 "multiplicities",
-                all(m.evaluate(r) >= 0 for _, m in case.sub_terms + case.mid_terms),
+                all(m.evaluate(r) >= 0 for _, m in case.display.sub + case.display.mid),
                 "every display multiplicity evaluates >= 0",
             ),
         ]
@@ -167,23 +166,23 @@ def check_proof(cert: Certificate, lo: int) -> None:
 @given(cases, st.integers(0, 60), st.integers(0, 3))
 def test_row_equals_the_direct_evaluation_of_a_display(case, above, offset):
     cert = certify(case)
-    r = case.min_rank + above - (offset == 3)  # now and then one below min_rank
-    assert case_kclass(case, r) == _display_class(case, r)
-    assert evaluated(cert, r) == direct(case, r, _display_class(case, r))
-    check_proof(cert, case.min_rank + offset)
+    r = case.display.min_rank + above - (offset == 3)  # now and then one below min_rank
+    assert case_kclass(case, r) == case.display.kclass(r)
+    assert evaluated(cert, r) == direct(case, r, case.display.kclass(r))
+    check_proof(cert, case.display.min_rank + offset)
 
 
-def first_rank(case: CaseSpec) -> int:
+def first_rank(display: Display) -> int:
     """min_rank by search: the first r >= 1 at which no multiplicity that
     rises with r is negative."""
-    terms = case.sub_terms + case.mid_terms
+    terms = display.sub + display.mid
     return next(r for r in itertools.count(1) if all(m.evaluate(r) >= 0 for _, m in terms if m.coef > 0))
 
 
 @SETTINGS
-@given(cases)
-def test_min_rank_is_the_first_rank_found_by_search(case):
-    assert case.min_rank == first_rank(case)
+@given(displays)
+def test_min_rank_is_the_first_rank_found_by_search(display):
+    assert display.min_rank == first_rank(display)
 
 
 @pytest.mark.parametrize(
@@ -192,61 +191,48 @@ def test_min_rank_is_the_first_rank_found_by_search(case):
     ids=("flat", "falling"),
 )
 def test_displays_fail_the_multiplicities_check_through_negative_terms(negative):
-    # min_rank ignores flat and falling multiplicities, so displays() still
+    # min_rank ignores flat and falling multiplicities, so display_cases still
     # makes rows whose multiplicities check fails at or above min_rank
     def fails(case: CaseSpec) -> bool:
-        if not any(negative(m) for _, m in case.sub_terms + case.mid_terms):
+        if not any(negative(m) for _, m in case.display.sub + case.display.mid):
             return False
-        rows = [evaluated(certify(case), r) for r in range(case.min_rank, case.min_rank + 51)]
+        rows = [evaluated(certify(case), r) for r in range(case.display.min_rank, case.display.min_rank + 51)]
         return any(len(row) == 8 and row.checks[5][:2] == ("multiplicities", False) for row in rows)
 
-    case = find(displays(), fails, settings=settings(max_examples=2000, database=None))
-    assert not certify(case).proved_from(case.min_rank)
+    case = find(display_cases, fails, settings=settings(max_examples=2000, database=None))
+    assert not certify(case).proved_from(case.display.min_rank)
 
 
 @st.composite
-def flat_displays(draw) -> CaseSpec:
+def flat_displays(draw) -> Display:
     """A random flat display: fixed multiplicities of either sign, and
     O^(r+k) in the middle, k chosen so that the rank is r + shift, shift
-    mostly 0.  Its c1 and c2 are now and then its own at min_rank."""
+    mostly 0."""
     signed_terms = st.lists(st.tuples(degrees, st.builds(RankExpr, st.integers(-2, 3))), max_size=3)
     sub, mid = (tuple(draw(signed_terms)) for _ in range(2))
     coker = draw(cokers)
     k = sum(m.const for _, m in sub) - sum(m.const for _, m in mid) + draw(st.sampled_from((0, 0, 0, 1, -1, 3)))
     k -= coker is not None and coker.kind is TorsionKind.STRUCTURE_SHEAF
-    case = CaseSpec(
-        id="flat",
-        theorem="main22",
-        c1=draw(degrees),
-        sub_terms=sub,
-        mid_terms=mid + ((ZERO, RankExpr(k, 1)),),
-        coker=coker,
-        expected_c2=draw(st.integers(-2, 12)),
-        globally_generated=None,
-        bondal_reconstructible=draw(st.booleans()),
-    )
-    if draw(st.booleans()):
-        try:
-            e = to_chern(_display_class(case, case.min_rank))
-        except NefQ2Error:
-            return case
-        case = replace(case, c1=e.c1, expected_c2=e.c2)
-    return case
+    return Display(sub, mid + ((ZERO, RankExpr(k, 1)),), coker)
+
+
+#: Cases of flat displays, now and then with the display's own c1 and c2.
+flat_cases = claimed(flat_displays(), st.booleans())
 
 
 def far_ranks(case: CaseSpec) -> tuple[int, ...]:
-    return (case.min_rank, case.min_rank + 1, 10**6)
+    return (case.display.min_rank, case.display.min_rank + 1, 10**6)
 
 
 @SETTINGS
-@given(flat_displays())
+@given(flat_cases)
 def test_a_flat_row_equals_the_direct_evaluation(case):
     cert = certify(case)
     assert cert.slope == KClass(1, ZERO, 0)
     for r in far_ranks(case):
-        assert evaluated(cert, r) == direct(case, r, _display_class(case, r)), r
+        assert evaluated(cert, r) == direct(case, r, case.display.kclass(r)), r
     # the kept checks exist exactly when the row at min_rank does not raise
-    assert (vars(cert)["_fixed"] is None) == (len(evaluated(cert, case.min_rank)) == 2)
+    assert (vars(cert)["_fixed"] is None) == (len(evaluated(cert, case.display.min_rank)) == 2)
 
 
 @pytest.mark.parametrize(
@@ -254,21 +240,21 @@ def test_a_flat_row_equals_the_direct_evaluation(case):
     (
         lambda cert, row: not row.checks[4].passed,
         lambda cert, row: cert.base.rank != 0,
-        lambda cert, row: any(m.coef == 0 and m.const < 0 for _, m in cert.case.mid_terms + cert.case.sub_terms),
+        lambda cert, row: any(m.coef == 0 and m.const < 0 for _, m in cert.case.display.mid + cert.case.display.sub),
     ),
     ids=("negative_chi_at_lo", "base_rank_not_zero", "constant_negative_multiplicity"),
 )
 def test_flat_rows_whose_kept_checks_fail_equal_the_direct_evaluation(failing):
     def kept_and_failing(case: CaseSpec) -> bool:
         cert = certify(case)
-        row = evaluated(cert, case.min_rank)
+        row = evaluated(cert, case.display.min_rank)
         return len(row) == 8 and vars(cert)["_fixed"] is not None and failing(cert, row)
 
-    case = find(flat_displays(), kept_and_failing, settings=settings(max_examples=2000, database=None))
+    case = find(flat_cases, kept_and_failing, settings=settings(max_examples=2000, database=None))
     cert = certify(case)
-    assert not cert.proved_from(case.min_rank)
+    assert not cert.proved_from(case.display.min_rank)
     for r in far_ranks(case):
-        assert evaluated(cert, r) == direct(case, r, _display_class(case, r)), r
+        assert evaluated(cert, r) == direct(case, r, case.display.kclass(r)), r
 
 
 def test_a_replaced_reconstruct_is_seen_by_a_kept_certificate(monkeypatch):
@@ -297,9 +283,9 @@ kclasses = st.builds(KClass, st.integers(-4, 6), degrees, st.integers(-9, 9))
 def test_row_equals_the_direct_evaluation_of_an_affine_class(case, base, slope, above, offset):
     # any (base, slope), so nonzero c1 slopes and odd ch2 parities occur
     cert = Certificate(case, base, slope)
-    r = case.min_rank + above
+    r = case.display.min_rank + above
     assert evaluated(cert, r) == direct(case, r, base + r * slope)
-    check_proof(cert, case.min_rank + offset)
+    check_proof(cert, case.display.min_rank + offset)
 
 
 #: Slopes at and near [O], the slope of every shipped display.
@@ -316,19 +302,19 @@ near_slopes = st.builds(
 def test_a_class_right_at_one_rank_is_proved_exactly_for_the_slope_of_O(case, slope, offset, at_zero):
     # the class with the table's c1 and c2 and rank s at s = lo or s = 0,
     # moving with the slope
-    lo = case.min_rank + offset
+    lo = case.display.min_rank + offset
     s = 0 if at_zero else lo
     anchor = KClass(s, case.c1, intersect(case.c1, case.c1) - 2 * case.expected_c2)
     cert = Certificate(case, anchor - s * slope, slope)
     r = lo + at_zero
     assert evaluated(cert, r) == direct(case, r, cert.base + r * slope)
-    rising = all(m.coef >= 0 for _, m in case.sub_terms + case.mid_terms)
+    rising = all(m.coef >= 0 for _, m in case.display.sub + case.display.mid)
     assert cert.proved_from(lo) == (slope == KClass(1, ZERO, 0) and rising and passes(evaluated(cert, lo)))
     check_proof(cert, lo)
 
 
 def test_odd_parity_raises_the_error_of_to_chern():
-    case = CaseSpec("odd", "main22", ZERO, (), (), None, -1, True, False)
+    case = CaseSpec("odd", "main22", ZERO, Display((), ()), -1, True, False)
     cert = Certificate(case, KClass(0, ZERO, 0), KClass(1, ZERO, 1))
     with pytest.raises(MalformedClassError, match="parity"):
         cert.row(1)

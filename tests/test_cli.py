@@ -376,12 +376,12 @@ def test_huge_rank_max_prints_one_line_per_case():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     cases = list_cases("main22")
-    total = sum(rank_max - case.min_rank + 1 for case in cases)
+    total = sum(rank_max - case.display.min_rank + 1 for case in cases)
     lines = proc.stdout.splitlines()
     assert lines[-1] == f"summary: {total}/{total} checks passed, 0 failed"
     assert len(lines) == len(cases) + 1
     for case, line in zip(cases, lines):
-        assert line.startswith(f"{case.id}  c2={case.expected_c2}  r={case.min_rank}..{rank_max}  ")
+        assert line.startswith(f"{case.id}  c2={case.expected_c2}  r={case.display.min_rank}..{rank_max}  ")
         assert line.endswith("  PASS")
 
 
@@ -442,12 +442,18 @@ _BUILT = (
     (["cohomology", "-3", "0"], "0 0 ['BiDegree.__init__', 'CohomologyVector.__init__', 'KClass.__init__']"),
     (
         ["catalog", "list", "--theorem", "main22"],
-        "1 0 ['BiDegree.__eq__', 'BiDegree.__init__', 'CaseSpec.__init__', 'KClass.__init__', 'RankExpr.__init__', "
-        "'TorsionDescriptor.__init__']",
+        "1 0 ['BiDegree.__eq__', 'BiDegree.__init__', 'CaseSpec.__init__', 'Display.__init__', 'KClass.__init__', "
+        "'RankExpr.__init__', 'TorsionDescriptor.__init__']",
     ),
     (
         ["catalog", "list"],
-        "2 0 ['BiDegree.__eq__', 'BiDegree.__init__', 'CaseSpec.__init__', 'KClass.__init__', 'RankExpr.__init__', "
+        "2 0 ['BiDegree.__eq__', 'BiDegree.__init__', 'CaseSpec.__init__', 'Display.__init__', 'KClass.__init__', "
+        "'RankExpr.__init__', 'TorsionDescriptor.__init__']",
+    ),
+    (
+        ["verify", "main22"],
+        "1 0 ['BiDegree.__eq__', 'BiDegree.__init__', 'BundleNumerics.__init__', 'CaseSpec.__init__', "
+        "'Certificate.__init__', 'Display.__init__', 'KClass.__eq__', 'KClass.__init__', 'RankExpr.__init__', "
         "'TorsionDescriptor.__init__']",
     ),
     (

@@ -23,7 +23,7 @@ from test_cli import _child_env
 
 from nefq2 import BiDegree, NefQ2Error, __version__, list_cases, verify_all
 from nefq2._value import replace
-from nefq2.catalog import CaseSpec, RankExpr, certify, verify_case
+from nefq2.catalog import CaseSpec, Display, RankExpr, certify, verify_case
 from nefq2.cli import main
 from nefq2.cohomology import _chi
 from nefq2.picard import ZERO
@@ -138,11 +138,11 @@ def test_failing_reports_equal_json_dumps():
         replace(by_id["main22-12"], id='main22-12 "∞"', expected_c2=6),
         by_id["main22-9"],
     ]
-    reports = [verify_case(case, r) for case in cases for r in range(case.min_rank, 6)]
+    reports = [verify_case(case, r) for case in cases for r in range(case.display.min_rank, 6)]
     assert [r.passed for r in reports].count(True) == 5  # main22-9 at ranks 1..5
     assert {r.flags["globally_generated"] for r in reports} == {None, False, True}
     argv = ("verify", "main22", "--rank-max", "5", "--format", "json")
-    assert _written(argv, [(case, case.min_rank) for case in cases], 5) == _dumps(argv, reports)
+    assert _written(argv, [(case, case.display.min_rank) for case in cases], 5) == _dumps(argv, reports)
     assert _written(argv, [], 5) == _dumps(argv, [])
 
 
@@ -160,7 +160,7 @@ def test_random_displays_are_written_as_json_dumps(drawn, rank_min, span):
     hi = rank_min + span
     firsts, reports = [], []
     for case, case_id in drawn:
-        case, lo = replace(case, id=case_id), max(rank_min, case.min_rank)
+        case, lo = replace(case, id=case_id), max(rank_min, case.display.min_rank)
         if lo > hi:
             continue
         try:
@@ -203,28 +203,26 @@ def test_template_gives_the_row_text_of_every_rank():
         id="k = -1",
         theorem="main22",
         c1=BiDegree(0, -1),
-        sub_terms=((BiDegree(0, 1), RankExpr(1)),),
-        mid_terms=((ZERO, RankExpr(1, 1)),),
-        coker=None,
+        display=Display(((BiDegree(0, 1), RankExpr(1)),), ((ZERO, RankExpr(1, 1)),)),
         expected_c2=0,
         globally_generated=True,
         bondal_reconstructible=False,
     )
     ks, k_zero = set(), set()
     for case in shipped + parametric + [negative]:
-        _, _, k = certify(case).rows(case.min_rank, case.min_rank)
-        row = certify(case).row(case.min_rank)
+        _, _, k = certify(case).rows(case.display.min_rank, case.display.min_rank)
+        row = certify(case).row(case.display.min_rank)
         assert k == _chi(0, row.c1, row.c2), case.id
         fill = _template(case, _case_text(case), k)
-        assert fill is not None and certify(case).proved_from(case.min_rank), case.id
+        assert fill is not None and certify(case).proved_from(case.display.min_rank), case.id
         ks.add(k)
         if k == 0:
             k_zero.add(case.id if case.theorem == "main22" else (case.id, row.c1))
-        assert _filled_rows(case, fill, case.min_rank, case.min_rank + 1) == [1]
-        batch = next(fill(case.min_rank, 10**4)).count(_ROW_START)
+        assert _filled_rows(case, fill, case.display.min_rank, case.display.min_rank + 1) == [1]
+        batch = next(fill(case.display.min_rank, 10**4)).count(_ROW_START)
         assert batch > 1
         for edge in (10, 100, 1000, 10**6):
-            lo = max(case.min_rank, min(edge, edge - k) - batch - batch // 2 - 1)
+            lo = max(case.display.min_rank, min(edge, edge - k) - batch - batch // 2 - 1)
             lengths = _filled_rows(case, fill, lo, max(edge, edge - k) + batch)
             assert lengths[0] == batch and len(lengths) >= 2
     assert k_zero == {"main22-10", "main22-12", "main22-13", ("halfmax-split", BiDegree(0, 0))}
@@ -242,14 +240,12 @@ def test_template_of_a_large_k_makes_two_decimals_a_row():
         id="k = -1000",
         theorem="main22",
         c1=BiDegree(0, -1000),
-        sub_terms=((BiDegree(0, 1000), RankExpr(1)),),
-        mid_terms=((ZERO, RankExpr(1, 1)),),
-        coker=None,
+        display=Display(((BiDegree(0, 1000), RankExpr(1)),), ((ZERO, RankExpr(1, 1)),)),
         expected_c2=0,
         globally_generated=True,
         bondal_reconstructible=False,
     )
-    for case, lo, k in ((split, split.min_rank, 1002000), (below, 1000, -1000)):
+    for case, lo, k in ((split, split.display.min_rank, 1002000), (below, 1000, -1000)):
         row = certify(case).row(lo)
         _, _, handed = certify(case).rows(lo, lo)
         assert _chi(0, row.c1, row.c2) == handed == k and certify(case).proved_from(lo), case.id
@@ -274,7 +270,7 @@ def test_writes_are_fixed_blocks():
     # the last is one 64 KiB block, whatever the rows' lengths, so the
     # memory does not grow with the range
     sizes: list[int] = []
-    firsts = [(case, case.min_rank) for case in list_cases("main22")]
+    firsts = [(case, case.display.min_rank) for case in list_cases("main22")]
     _written(("verify", "main22"), firsts, 5000, lambda text: sizes.append(len(text)))
     assert sum(sizes) > 100_000_000
     assert max(sizes) < 100_000

@@ -20,20 +20,19 @@ import nefq2
 from nefq2 import BiDegree, BundleNumerics, HypothesisError, list_cases
 from nefq2._value import _repr, frozen, replace
 from nefq2.bondal import E2Entry, E2Page, e2_page
-from nefq2.catalog import CaseSpec, Certificate, RankExpr, certify
+from nefq2.catalog import CaseSpec, Certificate, Display, RankExpr, certify
 from nefq2.cohomology import CohomologyVector
 from nefq2.ktheory import KClass, TorsionDescriptor, TorsionKind
 
 C22 = BiDegree(2, 2)
 CURVE = TorsionDescriptor(TorsionKind.CURVE_TORSION, C22, 1)
 ENTRY = E2Entry(KClass(0, BiDegree(0, 0), 2), "k(p)", TorsionDescriptor(TorsionKind.POINT_SHEAF))
+DISPLAY = Display(((BiDegree(0, 0), RankExpr(1)),), ((BiDegree(1, 1), RankExpr(-1, 1)),))
 CASE = CaseSpec(
     id="t-1",
     theorem="t",
     c1=C22,
-    sub_terms=((BiDegree(0, 0), RankExpr(1)),),
-    mid_terms=((BiDegree(1, 1), RankExpr(-1, 1)),),
-    coker=None,
+    display=DISPLAY,
     expected_c2=2,
     globally_generated=None,
     bondal_reconstructible=False,
@@ -66,19 +65,26 @@ VALUES = [
     (E2Page(6, 3, None), "E2Page(c2=6, rank=3, variant=None)", {"variant": b"curve"}, TypeError),
     (RankExpr(-3, 1), "RankExpr(const=-3, coef=1)", {"coef": True}, TypeError),
     (
+        DISPLAY,
+        "Display(sub=((BiDegree(a=0, b=0), RankExpr(const=1, coef=0)),), "
+        "mid=((BiDegree(a=1, b=1), RankExpr(const=-1, coef=1)),), coker=None)",
+        {"sub": [(BiDegree(0, 0), RankExpr(1))]},
+        TypeError,
+    ),
+    (
         CASE,
         "CaseSpec(id='t-1', theorem='t', c1=BiDegree(a=2, b=2), "
-        "sub_terms=((BiDegree(a=0, b=0), RankExpr(const=1, coef=0)),), "
-        "mid_terms=((BiDegree(a=1, b=1), RankExpr(const=-1, coef=1)),), coker=None, "
+        "display=Display(sub=((BiDegree(a=0, b=0), RankExpr(const=1, coef=0)),), "
+        "mid=((BiDegree(a=1, b=1), RankExpr(const=-1, coef=1)),), coker=None), "
         "expected_c2=2, globally_generated=None, bondal_reconstructible=False, twin_of=None)",
-        {"mid_terms": ((C22, -1),)},
+        {"display": (((C22, RankExpr(1)),), ())},
         TypeError,
     ),
     (
         Certificate(CASE, KClass(-1, C22, 0), KClass(1, BiDegree(0, 0), 0)),
         "Certificate(case=CaseSpec(id='t-1', theorem='t', c1=BiDegree(a=2, b=2), "
-        "sub_terms=((BiDegree(a=0, b=0), RankExpr(const=1, coef=0)),), "
-        "mid_terms=((BiDegree(a=1, b=1), RankExpr(const=-1, coef=1)),), coker=None, "
+        "display=Display(sub=((BiDegree(a=0, b=0), RankExpr(const=1, coef=0)),), "
+        "mid=((BiDegree(a=1, b=1), RankExpr(const=-1, coef=1)),), coker=None), "
         "expected_c2=2, globally_generated=None, bondal_reconstructible=False, twin_of=None), "
         "base=KClass(rank=-1, c1=BiDegree(a=2, b=2), ch2x2=0), slope=KClass(rank=1, c1=BiDegree(a=0, b=0), ch2x2=0))",
         {"slope": (1, (0, 0), 0)},
@@ -169,9 +175,11 @@ def test_the_type_rule_is_exact_and_names_the_field():
         BundleNumerics(2, (2, 2), 5)
     with pytest.raises(TypeError, match=r"^KClass\.rank must be int, got True$"):
         KClass(True, C22, 0)
-    with pytest.raises(TypeError, match=r"^CaseSpec\.coker must be TorsionDescriptor or None, got 'point'$"):
-        replace(CASE, coker="point")
-    assert replace(CASE, coker=None) == CASE
+    with pytest.raises(TypeError, match=r"^Display\.coker must be TorsionDescriptor or None, got 'point'$"):
+        replace(DISPLAY, coker="point")
+    with pytest.raises(TypeError, match=r"^Display\.sub must be a tuple of \(BiDegree, RankExpr\) pairs, got \[\("):
+        replace(DISPLAY, sub=[(BiDegree(0, 0), RankExpr(1))])
+    assert replace(DISPLAY, coker=None) == DISPLAY
 
 
 def test_frozen_refuses_an_annotation_it_cannot_check():
@@ -211,7 +219,7 @@ def test_defaults_and_derived_values():
     assert replace(case) == case and replace(case, id="x") != case
 
 
-SLOTTED = [v for v, *_ in VALUES if type(v) not in (CaseSpec, Certificate)]
+SLOTTED = [v for v, *_ in VALUES if type(v) not in (Display, CaseSpec, Certificate)]
 
 
 @pytest.mark.parametrize("value", SLOTTED, ids=[type(v).__name__ for v in SLOTTED])
@@ -231,9 +239,9 @@ def test_value_types_without_a_cached_property_are_slotted(value):
 def test_cached_properties_keep_their_values_in_the_instance_dict():
     case = list_cases("main22")[0]
     cert = certify(case)
-    assert cert._fixed is not None and case.min_rank == 1
-    assert {"min_rank", "_certificate"} <= set(vars(case)) and "_fixed" in vars(cert)
-    assert not hasattr(CaseSpec, "__slots__") and not hasattr(Certificate, "__slots__")
+    assert cert._fixed is not None and case.display.min_rank == 1
+    assert "min_rank" in vars(case.display) and "_certificate" in vars(case) and "_fixed" in vars(cert)
+    assert not any(hasattr(cls, "__slots__") for cls in (Display, CaseSpec, Certificate))
 
 
 def test_frozen_refuses_a_method_that_closes_over_its_class():

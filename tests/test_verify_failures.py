@@ -24,7 +24,7 @@ from test_golden import _render
 
 from nefq2 import NefQ2Error, catalog, cli
 from nefq2._value import replace
-from nefq2.catalog import CaseSpec, RankExpr
+from nefq2.catalog import CaseSpec, Display, RankExpr
 from nefq2.picard import ZERO, BiDegree
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,16 +40,14 @@ BROKEN = {
     "c1_slope": replace(
         _MAIN22["main22-1"],
         id="main22-1-slope",
-        mid_terms=_MAIN22["main22-1"].mid_terms + ((BiDegree(1, 0), RankExpr(0, 1)),),
+        display=Display((), _MAIN22["main22-1"].display.mid + ((BiDegree(1, 0), RankExpr(0, 1)),)),
     ),
     # 0 -> O(-3,-3) -> O^(r+1) -> E -> 0: c2 = 18 and chi = r - 3, negative at r = 1, 2
     "chi_negative": CaseSpec(
         id="main22-chi",
         theorem="main22",
         c1=BiDegree(3, 3),
-        sub_terms=((BiDegree(-3, -3), RankExpr(1)),),
-        mid_terms=((ZERO, RankExpr(1, 1)),),
-        coker=None,
+        display=Display(((BiDegree(-3, -3), RankExpr(1)),), ((ZERO, RankExpr(1, 1)),)),
         expected_c2=18,
         globally_generated=True,
         bondal_reconstructible=False,
@@ -59,9 +57,7 @@ BROKEN = {
         id="main22-virtual",
         theorem="main22",
         c1=ZERO,
-        sub_terms=((ZERO, RankExpr(0, 1)),),
-        mid_terms=((ZERO, RankExpr(2)),),
-        coker=None,
+        display=Display(((ZERO, RankExpr(0, 1)),), ((ZERO, RankExpr(2)),)),
         expected_c2=0,
         globally_generated=None,
         bondal_reconstructible=False,
@@ -72,9 +68,10 @@ BROKEN = {
         id="main22-c2-10",
         theorem="main22",
         c1=BiDegree(2, 2),
-        sub_terms=((ZERO, RankExpr(1)),),
-        mid_terms=((BiDegree(3, -1), RankExpr(1)), (BiDegree(-1, 3), RankExpr(1)), (ZERO, RankExpr(-1, 1))),
-        coker=None,
+        display=Display(
+            ((ZERO, RankExpr(1)),),
+            ((BiDegree(3, -1), RankExpr(1)), (BiDegree(-1, 3), RankExpr(1)), (ZERO, RankExpr(-1, 1))),
+        ),
         expected_c2=10,
         globally_generated=False,
         bondal_reconstructible=True,
@@ -85,9 +82,7 @@ BROKEN = {
         id="main22-falling",
         theorem="main22",
         c1=BiDegree(2, 2),
-        sub_terms=((ZERO, RankExpr(2, -1)),),
-        mid_terms=((BiDegree(2, 2), RankExpr(1)), (ZERO, RankExpr(1))),
-        coker=None,
+        display=Display(((ZERO, RankExpr(2, -1)),), ((BiDegree(2, 2), RankExpr(1)), (ZERO, RankExpr(1)))),
         expected_c2=0,
         globally_generated=True,
         bondal_reconstructible=False,
@@ -106,7 +101,7 @@ def test_a_broken_row_passes_exactly_when_every_check_passes():
     failing = set()
     for name, broken in BROKEN.items():
         for case in (_MAIN22["main22-1"], broken):
-            for r in (*range(case.min_rank, case.min_rank + 4), *_verdict_ranks(case, rng)):
+            for r in (*range(case.display.min_rank, case.display.min_rank + 4), *_verdict_ranks(case, rng)):
                 try:
                     row = _row_with_its_verdict(case, r)
                 except NefQ2Error:
@@ -116,7 +111,8 @@ def test_a_broken_row_passes_exactly_when_every_check_passes():
     # the virtual case passes at r = 1 and has no Chern data from r = 2 on
     assert failing == set(BROKEN) - {"virtual"}
     # one more O in the middle of main22-1 fails the rank check alone
-    extra = replace(_MAIN22["main22-1"], mid_terms=_MAIN22["main22-1"].mid_terms + ((ZERO, RankExpr(1)),))
+    one = _MAIN22["main22-1"]
+    extra = replace(one, display=Display((), one.display.mid + ((ZERO, RankExpr(1)),)))
     for r in _verdict_ranks(extra, rng):
         row = _row_with_its_verdict(extra, r)
         assert [check.name for check in row.checks if not check.passed] == ["rank"], r

@@ -116,18 +116,19 @@ def quotient_chern(
 def case_chern(case, r: int) -> tuple[int, tuple[int, int], int]:
     """quotient_chern of a catalog case's display at rank r.
 
-    Duck-typed: it reads the case's sub_terms, mid_terms and coker (the
+    Duck-typed: it reads the sub, mid and coker of the case's display (the
     kind through its ``.value``), so the oracle stays free of imports
     from the package under test."""
 
     def primitive(terms):
         return [((d.a, d.b), m.evaluate(r)) for d, m in terms]
 
-    coker = case.coker
+    display = case.display
+    coker = display.coker
     if coker is None:
         shape = None
     elif coker.kind.value == "curve":
         shape = ("curve", (coker.support.a, coker.support.b), coker.twist_degree)
     else:
         shape = (coker.kind.value,)
-    return quotient_chern(primitive(case.sub_terms), primitive(case.mid_terms), shape)
+    return quotient_chern(primitive(display.sub), primitive(display.mid), shape)
