@@ -275,9 +275,9 @@ def test_min_rank_is_derived_from_the_display():
     # a replaced display has its own min_rank, and min_rank is not a field
     assert replace(display, mid=display.mid[:-1] + ((ZERO, RankExpr(-6, 1)),)).min_rank == 6
     for value in (0, 4):
-        for value_type in (display, case):
+        for holder in (display, case):
             with pytest.raises(TypeError):
-                replace(value_type, min_rank=value)
+                replace(holder, min_rank=value)
 
 
 def test_every_case_matches_whitney_oracle():
