@@ -1,5 +1,9 @@
 """Command line front end.
 
+A well-formed command line is read from the grammar table, _COMMANDS,
+without argparse. argparse, and with it gettext and locale, loads only for
+any other line: help, ``--version``, usage errors, an abbreviated flag.
+
 Exit codes: 0 when every requested check passes, 1 when a verification or
 internal identity fails or the reader closes stdout early, 2 for usage
 errors (bad flags, bad theorem name, parameters a table does not take,
@@ -8,12 +12,12 @@ violated input hypotheses).
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import re
 import sys
-from typing import Any, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import __version__
 from .bondal import VARIANT_CURVE, VARIANT_STRUCTURE, E2Page, e2_page, reconstruct
@@ -23,12 +27,21 @@ from .errors import NefQ2Error, ReconstructionError
 from .ktheory import line_label, ses_quotient_chern, sum_of_lines, to_chern, twist_chern
 from .picard import BiDegree
 
+if TYPE_CHECKING:
+    import argparse
+
+
+def _type_error(message: str) -> Exception:
+    import argparse  # loaded only for a value that argparse reports
+
+    return argparse.ArgumentTypeError(message)
+
 
 def _bidegree(text: str) -> BiDegree:
     try:
         a, b = (int(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'a,b' integers, got {text!r}")
+        raise _type_error(f"expected 'a,b' integers, got {text!r}")
     return BiDegree(a, b)
 
 
@@ -37,93 +50,16 @@ def _line_term(text: str) -> tuple[BiDegree, int]:
     try:
         count = int(mult) if colon else 1
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad multiplicity in {text!r}")
+        raise _type_error(f"bad multiplicity in {text!r}")
     if count < 0:
-        raise argparse.ArgumentTypeError(f"negative multiplicity in {text!r}")
+        raise _type_error(f"negative multiplicity in {text!r}")
     return (_bidegree(deg), count)
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser, and so each of its subparsers, that reads every
-    token starting with '-' and a digit as a value: '--c1 -1,-1' parses like
-    '--c1=-1,-1' instead of being taken for an unknown option."""
-
-    def __init__(self, **kwargs: Any) -> None:
-        super().__init__(**kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
-
-
-#: The commands, in the order of the usage line.
-_COMMANDS = ("cohomology", "chi", "twist", "ses", "bondal", "catalog", "verify")
-
-
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``: the subparser of the command that ``argv[0]`` names
-    (``catalog`` with its ``list`` child) under a metavar that lists every command, so
-    the top-level usage is the same, or every command for any other ``argv[0]``
-    (``-h``, ``--version``, ``--``, an unknown command) and for an empty ``argv``."""
-    parser = _Parser(
-        prog="nefq2",
-        description="Exact cohomology, K-theory and classification checks on the quadric surface.",
-    )
-    parser.add_argument("--version", action="version", version=f"nefq2 {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-    built = _COMMANDS
-    if argv[:1] and argv[0] in _COMMANDS:
-        built, commands.metavar = argv[:1], "{" + ",".join(_COMMANDS) + "}"
-
-    parsers: dict[str, argparse.ArgumentParser] = {}
-    for name, run, ints, text in (
-        ("cohomology", _run_cohomology, "a b", "h^i of the line bundle O(a,b)"),
-        ("chi", _run_chi, "rank c1a c1b c2 p q", "Euler characteristic of a twisted bundle"),
-        ("twist", _run_twist, "rank c1a c1b c2 la lb", "Chern data of E tensor O(la,lb)"),
-        ("ses", _run_ses, "", "quotient Chern data for 0 -> sub -> mid -> Q -> 0 of line bundle sums"),
-        ("bondal", _run_bondal, "c2 rank", "second page and module-profile reconstruction"),
-    ):
-        if name in built:
-            p = parsers[name] = commands.add_parser(name, help=text)
-            p.set_defaults(run=run)
-            for arg in ints.split():
-                p.add_argument(arg, type=int)
-    if "ses" in parsers:
-        for flag, part in (("--sub", "sub"), ("--mid", "middle")):
-            text = f"line bundle summand of the {part} (repeatable)"
-            parsers["ses"].add_argument(
-                flag, action="append", default=[], type=_line_term, metavar="A,B[:MULT]", help=text
-            )
-        parsers["ses"].set_defaults(usage_error=parsers["ses"].error)
-    if "bondal" in parsers:
-        parsers["bondal"].add_argument(
-            "--variant",
-            choices=[VARIANT_CURVE, VARIANT_STRUCTURE],
-            help="required meaning for c2=8; omitted there, both variants print",
-        )
-
-    if "catalog" in built:
-        p = commands.add_parser("catalog", help="the classification tables")
-        catalog_commands = p.add_subparsers(dest="catalog_command", required=True)
-        p = catalog_commands.add_parser("list", help="list the cases of a table")
-        p.set_defaults(run=_run_catalog_list)
-        p.add_argument(
-            "--theorem",
-            choices=THEOREMS,
-            default="all",
-            help="table to list ('all' = both parameter-free tables)",
-        )
-        p.add_argument("--c1", type=_bidegree, metavar="A,B", help="determinant for parametric tables")
-        p.add_argument("--b-param", type=int, dest="b_param", help="splitting degree for halfmax")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-
-    if "verify" in built:
-        p = commands.add_parser("verify", help="recompute and check a table")
-        p.set_defaults(run=_run_verify)
-        p.add_argument("theorem", choices=THEOREMS)
-        p.add_argument("--rank-min", type=int, default=None)
-        p.add_argument("--rank-max", type=int, default=10)
-        p.add_argument("--c1", type=_bidegree, metavar="A,B")
-        p.add_argument("--b-param", type=int, dest="b_param")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-    return parser
+#: A token that is a value though it starts with '-', for argparse and for
+#: _read alike: '--c1 -1,-1' parses like '--c1=-1,-1' instead of being taken
+#: for an unknown option.
+_NEGATIVE = re.compile(r"-\.?\d")
 
 
 def _case_line(case: CaseSpec) -> str:
@@ -150,34 +86,34 @@ def _print_page(page: E2Page) -> None:
     print(f"  converges to {abutment}: PASS")
 
 
-def _run_cohomology(args: argparse.Namespace) -> int:
+def _run_cohomology(args: Any) -> int:
     v = cohomology_q2(BiDegree(args.a, args.b))
     print(f"h0={v.h0} h1={v.h1} h2={v.h2} chi={v.chi}")
     return 0
 
 
-def _numerics(args: argparse.Namespace) -> BundleNumerics:
+def _numerics(args: Any) -> BundleNumerics:
     return BundleNumerics(args.rank, BiDegree(args.c1a, args.c1b), args.c2)
 
 
-def _run_chi(args: argparse.Namespace) -> int:
+def _run_chi(args: Any) -> int:
     print(euler_char(_numerics(args), args.p, args.q))
     return 0
 
 
-def _run_twist(args: argparse.Namespace) -> int:
+def _run_twist(args: Any) -> int:
     print(twist_chern(_numerics(args), BiDegree(args.la, args.lb)))
     return 0
 
 
-def _run_ses(args: argparse.Namespace) -> int:
+def _run_ses(args: Any) -> int:
     if not args.sub or not args.mid:
-        args.usage_error("ses needs at least one --sub and one --mid term")
+        _build_parser("ses").error("ses needs at least one --sub and one --mid term")
     print(ses_quotient_chern(to_chern(sum_of_lines(args.sub)), to_chern(sum_of_lines(args.mid))))
     return 0
 
 
-def _run_bondal(args: argparse.Namespace) -> int:
+def _run_bondal(args: Any) -> int:
     variants: list[str | None]
     if args.c2 == 8 and args.variant is None:
         variants = [VARIANT_CURVE, VARIANT_STRUCTURE]
@@ -190,7 +126,7 @@ def _run_bondal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_verify(args: argparse.Namespace) -> int:
+def _run_verify(args: Any) -> int:
     from .verify import certify  # compiled only for this command
 
     hi = args.rank_max
@@ -224,7 +160,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     return 0 if passed == total else 1
 
 
-def _run_catalog_list(args: argparse.Namespace) -> int:
+def _run_catalog_list(args: Any) -> int:
     cases = list_cases(args.theorem, c1=args.c1, b=args.b_param)
     if args.format == "json":
         from .report_json import write_catalog_json
@@ -236,9 +172,130 @@ def _run_catalog_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ints(names: str) -> tuple[tuple[str, dict[str, Any]], ...]:
+    return tuple((name, {"type": int}) for name in names.split())
+
+
+_SUMMAND = {"action": "append", "default": [], "type": _line_term, "metavar": "A,B[:MULT]"}
+_C1 = {"type": _bidegree, "metavar": "A,B"}
+_FORMAT = ("--format", {"choices": ["text", "json"], "default": "text"})
+
+#: The grammar, written once for _build_parser and _read: each command (``catalog
+#: list`` is ``catalog``'s one child) with its help, its run function and its
+#: arguments as ``add_argument`` takes them, in the order of the usage line.
+_COMMANDS: tuple[tuple[str, str, Callable[[Any], int], tuple[tuple[str, dict[str, Any]], ...]], ...] = (
+    ("cohomology", "h^i of the line bundle O(a,b)", _run_cohomology, _ints("a b")),
+    ("chi", "Euler characteristic of a twisted bundle", _run_chi, _ints("rank c1a c1b c2 p q")),
+    ("twist", "Chern data of E tensor O(la,lb)", _run_twist, _ints("rank c1a c1b c2 la lb")),
+    ("ses", "quotient Chern data for 0 -> sub -> mid -> Q -> 0 of line bundle sums", _run_ses, (
+        ("--sub", {**_SUMMAND, "help": "line bundle summand of the sub (repeatable)"}),
+        ("--mid", {**_SUMMAND, "help": "line bundle summand of the middle (repeatable)"}),
+    )),
+    ("bondal", "second page and module-profile reconstruction", _run_bondal, (
+        *_ints("c2 rank"),
+        ("--variant", {
+            "choices": [VARIANT_CURVE, VARIANT_STRUCTURE],
+            "help": "required meaning for c2=8; omitted there, both variants print",
+        }),
+    )),
+    ("catalog list", "list the cases of a table", _run_catalog_list, (
+        ("--theorem", {
+            "choices": THEOREMS, "default": "all", "help": "table to list ('all' = both parameter-free tables)",
+        }),
+        ("--c1", {**_C1, "help": "determinant for parametric tables"}),
+        ("--b-param", {"type": int, "help": "splitting degree for halfmax"}),
+        _FORMAT,
+    )),
+    ("verify", "recompute and check a table", _run_verify, (
+        ("theorem", {"choices": THEOREMS}),
+        ("--rank-min", {"type": int, "default": None}),
+        ("--rank-max", {"type": int, "default": 10}),
+        ("--c1", _C1),
+        ("--b-param", {"type": int}),
+        _FORMAT,
+    )),
+)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or the subparser of ``command``. Only it
+    prints help, ``--version`` and usage errors; main builds it for a line
+    that _read leaves."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser, and so each of its subparsers, that reads every
+        token _NEGATIVE matches as a value."""
+
+        def __init__(self, **kwargs: Any) -> None:
+            super().__init__(**kwargs)
+            self._negative_number_matcher = _NEGATIVE
+
+    parser = _Parser(
+        prog="nefq2",
+        description="Exact cohomology, K-theory and classification checks on the quadric surface.",
+    )
+    parser.add_argument("--version", action="version", version=f"nefq2 {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, text, run, arguments in _COMMANDS:
+        if name == "catalog list":
+            p = commands.add_parser("catalog", help="the classification tables")
+            p = p.add_subparsers(dest="catalog_command", required=True).add_parser("list", help=text)
+        else:
+            p = commands.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
+    return parser if command is None else commands.choices[command]
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of ``argv``, read from _COMMANDS without
+    argparse when ``argv`` is a well-formed line of the grammar. None for
+    any other line: help, ``--version``, ``--``, an abbreviated or unknown
+    flag, a value that does not convert or is not a choice, a missing or
+    extra positional. argparse reads that line, and prints what it prints."""
+    for name, _, run, arguments in _COMMANDS:
+        words = name.split()
+        if argv[: len(words)] == words:
+            break
+    else:
+        return None
+    fields: dict[str, Any] = {"command": words[0], "run": run}
+    if len(words) > 1:
+        fields["catalog_command"] = words[1]
+    options = {arg: (arg[2:].replace("-", "_"), kwargs) for arg, kwargs in arguments if arg.startswith("-")}
+    positionals = [(arg, kwargs) for arg, kwargs in arguments if not arg.startswith("-")]
+    for dest, kwargs in options.values():
+        fields[dest] = [] if kwargs.get("action") == "append" else kwargs.get("default")
+    tokens = iter(argv[len(words) :])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if token in options or (eq and flag in options):
+            dest, kwargs = options[flag]
+            text = text if eq else next(tokens, "-")  # none left: '-' fails the flag test below
+        elif positionals:
+            (dest, kwargs), text = positionals.pop(0), token
+        else:
+            return None
+        if text.startswith("-") and not _NEGATIVE.match(text):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except Exception:  # argparse converts the value again and reports or raises the same
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        if kwargs.get("action") == "append":
+            fields[dest].append(value)
+        else:
+            fields[dest] = value
+    return None if positionals else SimpleNamespace(**fields)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     raw_argv = list(sys.argv[1:] if argv is None else argv)
-    args = _build_parser(raw_argv).parse_args(raw_argv)
+    args = _read(raw_argv) or _build_parser().parse_args(raw_argv)
     args.raw_argv = raw_argv
     try:
         return args.run(args)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import gc
+import io
 import json
 import os
 import resource
@@ -13,6 +15,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nefq2
 from nefq2 import catalog, cli, list_cases, verify
@@ -219,7 +223,8 @@ def test_version(capsys):
 
 
 #: argv whose parse shows argparse's own output: every help, the version,
-#: usage errors of the top-level parser and of a subparser, and one plain run
+#: usage errors of the top-level parser and of a subparser, an ambiguous and
+#: an abbreviated flag, and one plain run
 _PARSER_ARGV = (
     *([name, "-h"] for name in ("cohomology", "chi", "twist", "ses", "bondal", "catalog", "verify")),
     ["catalog", "list", "-h"],
@@ -233,10 +238,29 @@ _PARSER_ARGV = (
     ["cohomology", "1", "1", "2"],
     ["catalog"],
     ["verify", "main22", "--rank-max"],
+    ["verify", "main22", "--rank-m", "3"],
+    ["verify", "main22", "--rank-ma", "3"],
     ["bondal", "8", "3", "--variant", "bogus"],
     ["ses", "--mid", "1,0"],
     ["cohomology", "1", "1"],
 )
+
+#: The README's command lines, without "nefq2" and comments.
+_README_ARGV = [
+    line.split("#")[0].split()[1:]
+    for line in (Path(__file__).resolve().parent.parent / "README.md")
+    .read_text(encoding="utf-8")
+    .split("## Command line", 1)[1]
+    .split("```sh\n", 1)[1]
+    .split("```", 1)[0]
+    .splitlines()
+]
+
+#: Lines that parse and then exit 2, in the library.
+_LIBRARY_ERROR_ARGV = [["catalog", "list", "--theorem", "nearmax"], ["bondal", "5", "3"]]
+
+#: The lines a cold command is benchmarked on.
+_BENCHED_ARGV = [*_README_ARGV, ["verify", "all", "--format", "json"], *_LIBRARY_ERROR_ARGV]
 
 
 def _outcome(capsys, argv):
@@ -249,14 +273,71 @@ def _outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _check_read(argv):
+    """cli._read gives the namespace the parser of every command gives, or
+    None: always None where that parser prints help or version, or exits."""
+    read = cli._read(list(argv))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(cli._build_parser().parse_args(list(argv)))
+        except SystemExit:
+            parsed = None
+    assert read is None or vars(read) == parsed, (read, parsed)
+    return read
+
+
+@pytest.mark.parametrize("argv", _BENCHED_ARGV, ids=" ".join)
+def test_a_documented_line_is_read_without_argparse(argv):
+    assert len(_README_ARGV) == 10
+    assert _check_read(argv) is not None
+
+
 @pytest.mark.parametrize("argv", _PARSER_ARGV, ids=[" ".join(argv) or "(none)" for argv in _PARSER_ARGV])
 def test_a_command_parses_as_under_the_every_command_parser(capsys, monkeypatch, argv):
-    # main builds only the subparser that argv[0] names; the parser with every
-    # command must read each argv to the same exit code, stdout and stderr
-    alone = _outcome(capsys, argv)
-    every = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv: every([]))
-    assert alone == _outcome(capsys, argv)
+    # _read leaves every line but the two plain ones to the parser of every
+    # command, and each prints the same exit code, stdout and stderr when
+    # that parser reads it
+    assert (_check_read(argv) is None) == (argv not in (["cohomology", "1", "1"], ["ses", "--mid", "1,0"]))
+    read = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_read", lambda argv: None)
+    assert read == _outcome(capsys, argv)
+
+
+#: Tokens for the lines drawn below: the grammar's own and other flags, and
+#: values that argparse's int, bidegree and choice readers take or refuse.
+_FLAGS = sorted({arg for *_, arguments in cli._COMMANDS for arg, _ in arguments if arg.startswith("-")})
+_ODD_FLAGS = ["-h", "--help", "--version", "--", "--bogus"]
+_VALUES = ["-3", "+5", " 5", "1_0", "\u0663", "-.5", "-x", "-", "", "0", "1", "8", "3,2", "-1,-1", "1,0:3", "0,0:", "1;2"]
+_TOKENS = st.one_of(
+    st.sampled_from(_FLAGS + _ODD_FLAGS + _VALUES + ["main22", "all", "json", "curve_torsion", "bogus", "list"]),
+    st.builds("{}={}".format, st.sampled_from(_FLAGS + _ODD_FLAGS), st.sampled_from(_VALUES + ["json", "main22"])),
+)
+
+
+@st.composite
+def _lines(draw):
+    """A command's words, a value for each positional and some options,
+    spelled out or abbreviated, in either form and any order; then up to two
+    tokens inserted anywhere."""
+    name, _, _, arguments = draw(st.sampled_from(cli._COMMANDS))
+    units = []
+    for arg, kwargs in arguments:
+        value = draw(st.sampled_from(list(kwargs.get("choices", _VALUES))))
+        if not arg.startswith("-"):
+            units.append([value])
+        elif draw(st.booleans()):
+            flag = draw(st.sampled_from([arg, arg[:-1], arg[:-2]]))  # '--rank-m' is ambiguous
+            units.append(draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])))
+    argv = name.split() + [token for unit in draw(st.permutations(units)) for token in unit]
+    for at, token in draw(st.lists(st.tuples(st.integers(0, len(argv)), _TOKENS), max_size=2)):
+        argv.insert(at, token)
+    return argv
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(argv=_lines())
+def test_read_gives_argparse_namespace_or_leaves_the_line(argv):
+    _check_read(argv)
 
 
 def test_usage_errors_name_the_command_argument(capsys):
@@ -472,10 +553,45 @@ def test_a_cold_command_builds_only_the_tables_and_methods_it_uses(argv, built):
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", built + "\n")
 
 
+#: Modules that importing argparse and its gettext lookups load.
+_ARGPARSE_MODULES = {"argparse", "gettext", "locale", "shutil"}
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    probe = 'import sys, nefq2.cli; print(sorted({"dataclasses", "inspect"} & set(sys.modules)))'
+    # nor argparse: the interpreter's own start-up may load shutil, so the
+    # probe counts what the import adds
+    probed = {"dataclasses", "inspect", *_ARGPARSE_MODULES}
+    probe = f"import sys; was = set(sys.modules); import nefq2.cli; print(sorted({probed!r} & set(sys.modules) - was))"
     proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+#: Runs main(argv) in a fresh interpreter, its output discarded, then prints
+#: which of argparse's modules the import and main loaded.
+_ARGPARSE_PROBE = f"""
+import io, sys
+before = set(sys.modules)
+from nefq2.cli import main
+sys.stdout = sys.stderr = io.StringIO()
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print(sorted({_ARGPARSE_MODULES!r} & set(sys.modules) - before), file=sys.__stdout__)
+"""
+
+
+_ARGPARSE_ARGV = [["-h"], ["--version"], ["cohomology", "1"]]
+
+
+@pytest.mark.parametrize("argv", [*_README_ARGV, *_LIBRARY_ERROR_ARGV, *_ARGPARSE_ARGV], ids=" ".join)
+def test_only_help_version_and_usage_errors_load_argparse(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _ARGPARSE_PROBE, *argv], env=_child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = ast.literal_eval(proc.stdout)
+    assert "argparse" in loaded if argv in _ARGPARSE_ARGV else loaded == []
 
 
 #: The modules whose import times the benchmark reads from ``import nefq2.cli``.
