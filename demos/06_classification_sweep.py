@@ -6,7 +6,8 @@ Sweeping the classification catalog
 import json
 
 from nefq2 import BiDegree, list_cases, verify_all
-from nefq2.catalog import case_to_json, certify
+from nefq2.catalog import case_to_json
+from nefq2.verify import certify
 
 # Every display in the determinant-(2,2) catalog, with its invariants.
 print("case            min_rank  c2   c2 at r=min..min+3")

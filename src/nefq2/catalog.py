@@ -48,7 +48,7 @@ reads c2 from the table's expected_c2, a verify row's from the c2
 computed from the display at its rank.
 
 The checks of a case are made by the certificate engine, ``nefq2.verify``,
-loaded at first use; this module forwards the engine's public names.
+loaded at first use and imported from there.
 """
 
 from __future__ import annotations
@@ -379,12 +379,12 @@ def sweep(
     return swept
 
 
-#: The certificate engine's public names, which ``verify`` defines.
-_ENGINE = ("certify", "Certificate", "CheckResult", "VerificationReport", "case_kclass", "verify_case", "verify_all")
+# Read only by the benchmark under bench/; ROADMAP item 1a deletes this block.
+_ENGINE = ("VerificationReport", "case_kclass", "verify_case", "verify_all")
 
 
 def __getattr__(name: str) -> Any:
-    """An engine name, read from ``verify``, which only then is loaded."""
+    """One of the four engine names the benchmark reads, from ``verify``."""
     if name in _ENGINE:
         from . import verify
 

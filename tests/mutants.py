@@ -1,5 +1,6 @@
-"""A mutation gate: each mutant breaks the package in one place, and a
-named check must catch it.
+"""A mutation gate: each mutant breaks the package in one place, the
+catalog or one help string of the command line, and a named check must
+catch it.
 
     python tests/mutants.py
 
@@ -62,6 +63,12 @@ MUTANTS = {
         VERIFY_ALL,
     ),
     "_table ignores twin": (CATALOG, 'if opts.get("twin"):', "if False:", CATALOG_MAIN22),
+    "a help string is shortened": (
+        "src/nefq2/cli.py",
+        '"splitting degree for halfmax"',
+        '"splitting degree"',
+        ("tier1", "tests/test_help.py"),
+    ),
 }
 
 #: Mutants no check catches yet: the reconstruction check passes for any

@@ -13,7 +13,7 @@ import time
 
 from nefq2 import BiDegree, BundleNumerics, euler_char, list_cases, verify_all
 from nefq2.bondal import VARIANT_CURVE, VARIANT_STRUCTURE, e2_page, reconstruct
-from nefq2.catalog import case_to_json, certify
+from nefq2.catalog import case_to_json
 from nefq2.cohomology import cohomology_q2
 from nefq2.ktheory import (
     IdealResolution,
@@ -27,6 +27,7 @@ from nefq2.ktheory import (
     twist_chern,
 )
 from nefq2.quiver import build_algebra
+from nefq2.verify import certify
 
 from whitney_oracle import case_chern, quotient_chern
 

@@ -15,10 +15,11 @@ from nefq2 import BiDegree, BundleNumerics, HypothesisError, ReconstructionError
 from nefq2 import bondal
 from nefq2._value import replace
 from nefq2.bondal import VARIANT_CURVE, VARIANT_STRUCTURE, E2Page, e2_page, reconstruct
-from nefq2.catalog import RankExpr, certify
+from nefq2.catalog import RankExpr
 from nefq2.cohomology import ext1_module_profile
 from nefq2.ktheory import POINT_CLASS, KClass, TorsionKind, from_chern, line_class
 from nefq2.quiver import COLLECTION, hom_ext_series
+from nefq2.verify import certify
 
 from whitney_oracle import case_chern
 

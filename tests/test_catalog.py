@@ -13,20 +13,11 @@ import pytest
 from nefq2 import BiDegree, HypothesisError, ReconstructionError, list_cases, verify_all
 from nefq2 import catalog, verify
 from nefq2._value import replace
-from nefq2.catalog import (
-    CaseSpec,
-    CheckResult,
-    Display,
-    RankExpr,
-    VerificationReport,
-    case_kclass,
-    case_to_json,
-    certify,
-    verify_case,
-)
+from nefq2.catalog import CaseSpec, Display, RankExpr, case_to_json
 from nefq2.cohomology import euler_char, is_weak_fano
 from nefq2.ktheory import KClass, TorsionDescriptor, TorsionKind, to_chern
 from nefq2.picard import ZERO, intersect
+from nefq2.verify import CheckResult, VerificationReport, case_kclass, certify, verify_case
 
 from whitney_oracle import case_chern
 

@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 from nefq2 import MalformedClassError, NefQ2Error, ReconstructionError, list_cases, verify
 from nefq2._value import replace
 from nefq2.bondal import reconstruct
-from nefq2.catalog import CaseSpec, Certificate, Display, RankExpr, case_kclass, certify
+from nefq2.catalog import CaseSpec, Display, RankExpr
 from nefq2.cohomology import _chi, euler_char, is_weak_fano
 from nefq2.ktheory import KClass, TorsionDescriptor, TorsionKind, to_chern
 from nefq2.picard import ZERO, BiDegree, intersect
+from nefq2.verify import Certificate, case_kclass, certify
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 

@@ -23,11 +23,12 @@ from test_cli import _child_env
 
 from nefq2 import BiDegree, NefQ2Error, __version__, list_cases, verify_all
 from nefq2._value import replace
-from nefq2.catalog import CaseSpec, Display, RankExpr, certify, verify_case
+from nefq2.catalog import CaseSpec, Display, RankExpr
 from nefq2.cli import main
 from nefq2.cohomology import _chi
 from nefq2.picard import ZERO
 from nefq2.report_json import _BLOCK, _blocks, _case_text, _row_text, _template, string, write_verify_json
+from nefq2.verify import certify, verify_case
 
 #: (argv, tables, verify_all keyword arguments)
 RUNS = (

@@ -1,6 +1,7 @@
 """The mutation gate of ``tests/mutants.py``: every mutant is caught by its
-check, and every known survivor survives.  It takes a few seconds, most of
-them in the one tier-1 file that a mutant's check runs."""
+check, and every known survivor survives.  It takes several seconds, most
+of them in the tier-1 files that the mutants' checks run, so CI runs the
+gate as a step of its own."""
 
 from __future__ import annotations
 

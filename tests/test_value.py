@@ -20,9 +20,10 @@ import nefq2
 from nefq2 import BiDegree, BundleNumerics, HypothesisError, list_cases
 from nefq2._value import _repr, frozen, replace
 from nefq2.bondal import E2Entry, E2Page, e2_page
-from nefq2.catalog import CaseSpec, Certificate, Display, RankExpr, certify
+from nefq2.catalog import CaseSpec, Display, RankExpr
 from nefq2.cohomology import CohomologyVector
 from nefq2.ktheory import KClass, TorsionDescriptor, TorsionKind
+from nefq2.verify import Certificate, certify
 
 C22 = BiDegree(2, 2)
 CURVE = TorsionDescriptor(TorsionKind.CURVE_TORSION, C22, 1)
