@@ -384,7 +384,7 @@ _ENGINE = ("VerificationReport", "case_kclass", "verify_case", "verify_all")
 
 
 def __getattr__(name: str) -> Any:
-    """One of the four engine names the benchmark reads, from ``verify``."""
+    """An engine name, read from ``verify``, which only then is loaded."""
     if name in _ENGINE:
         from . import verify
 

@@ -8,7 +8,7 @@ check at rank r, made in plain ints; ``proved_from(lo)`` decides whether
 all of them pass at every r >= lo, and ``rows(lo, hi)`` hands a sweep's
 rows to ``nefq2 verify``.  ``verify_case`` and ``verify_all`` read the
 rows, and ``case_kclass`` the class.  Only the ``verify`` command loads
-this module, the one home of these names (the package also has ``verify_all``).
+this module; import its names from here (the package also has ``verify_all``).
 """
 
 from __future__ import annotations
