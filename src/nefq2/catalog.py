@@ -15,14 +15,21 @@ Four tables are shipped:
     c2 one or two below the maximum, parametrized by (c1a, c1b): three
     families.
 
-Each table is written as literal rows in the paper's order,
-``(number, sub, mid, c2[, options])``.  sub and mid list
-``((a, b), multiplicity)`` pairs and c2 is the tabulated second Chern
-class.  The optional dict may set ``coker`` (a TorsionKind that takes no
-support, default None; the row's TorsionDescriptor is built from it), ``gg``
-(globally generated, default True), ``bondal`` (satisfies the
-reconstruction hypotheses, default False) and ``twin``: True places the
-ruling-swapped twin of the row, id suffix ``-swap``, right after it.
+The two parameter-free tables are written as text, one row per line in
+the paper's order and in the notation ``nefq2 catalog list`` prints.  Its
+columns are the row number; sub and mid as ``line_label`` writes a sum of
+line bundles, "+"-joined, with ``0`` for the empty sum; the cokernel as
+``TorsionDescriptor.label`` writes it (``0``, ``k(p)`` or ``O``); and the
+tabulated second Chern class c2.  Flag words may follow: ``twin`` places
+the ruling-swapped twin of the row, id suffix ``-swap``, right after it;
+``not-gg`` marks a family that is not globally generated; ``bondal`` one
+that satisfies the reconstruction hypotheses.  A line that starts with
+``#`` is a comment.  A table's text is parsed at its first read, into the
+``(number, sub, mid, c2, options)`` rows in which the parametric tables
+are written: sub and mid list ``((a, b), multiplicity)`` pairs, and the
+optional dict may set ``coker`` (a TorsionKind that takes no support,
+default None), ``gg`` (default True), ``bondal`` (default False) and
+``twin``.
 
 A case is a ``Display``, 0 -> sub -> mid -> E -> coker -> 0 with sub and
 mid direct sums of line bundles with multiplicities affine in the rank r,
@@ -249,39 +256,66 @@ def _table(theorem: str, c1: BiDegree, rows: Iterable[tuple[Any, ...]]) -> tuple
     return tuple(cases)
 
 
-_MAIN22 = (
-    ("1", [], [((2, 2), 1), ((0, 0), "r-1")], 0),
-    ("2", [], [((2, 1), 1), ((0, 1), 1), ((0, 0), "r-2")], 2, dict(twin=True)),
-    ("3", [], [((1, 1), 2), ((0, 0), "r-2")], 2),
-    # When the composite into the (1,1) summand vanishes, the middle splits off O(1,1)
-    # and the display degenerates.
-    ("4", [((0, 0), 1)], [((1, 1), 1), ((1, 0), 1), ((0, 1), 1), ((0, 0), "r-2")], 3),
-    ("5", [((-1, -1), 1)], [((1, 1), 1), ((0, 0), "r")], 4),
-    ("6", [((0, 0), 2)], [((1, 0), 2), ((0, 1), 2), ((0, 0), "r-2")], 4),
-    ("6-1", [((0, 0), 1)], [((2, 0), 1), ((0, 1), 2), ((0, 0), "r-2")], 4, dict(twin=True)),
-    ("6-1-1", [], [((2, 0), 1), ((0, 2), 1), ((0, 0), "r-2")], 4),
-    ("6-1-2", [], [((2, 0), 1), ((0, 1), 2), ((0, 0), "r-3")], 4, dict(twin=True)),
-    ("6-2", [], [((1, 0), 2), ((0, 1), 2), ((0, 0), "r-4")], 4),
-    # Twin inferred from the table's ruling-symmetry remark.
-    ("6-3", [((0, -1), 1)], [((1, 0), 2), ((0, 1), 1), ((0, 0), "r-2")], 4, dict(twin=True)),
-    ("7", [((-1, -1), 1), ((-1, 0), 1), ((0, -1), 1)], [((0, 0), "r+3")], 5),
-    # Twin inferred from the table's ruling-symmetry remark.
-    ("8", [((-1, -2), 1)], [((1, 0), 1), ((0, 0), "r")], 6, dict(twin=True)),
-    ("9", [((-1, -1), 2)], [((0, 0), "r+2")], 6, dict(bondal=True)),
-    # Members force a one-dimensional h1, so there is no module-profile route.
-    ("10", [((-2, -2), 1)], [((0, 0), "r+1")], 8),
-    ("11", [((-2, -2), 1)], [((0, 0), "r+1")], 7, dict(coker=TorsionKind.POINT_SHEAF, gg=False, bondal=True)),
-    ("12", [((-2, -2), 1)], [((0, 0), "r")], 8, dict(coker=TorsionKind.STRUCTURE_SHEAF, gg=False, bondal=True)),
-    ("13", [((-1, -1), 4)], [((0, 0), "r"), ((-1, 0), 2), ((0, -1), 2)], 8, dict(gg=False, bondal=True)),
-)
+#: A cokernel column's text, as ``TorsionDescriptor.label`` writes it, and its kind.
+_COKERS = {"0": None, "k(p)": TorsionKind.POINT_SHEAF, "O": TorsionKind.STRUCTURE_SHEAF}
 
-_QUADRIC21 = (
-    ("1", [], [((2, 1), 1), ((0, 0), "r-1")], 0),
-    ("2", [], [((1, 1), 1), ((1, 0), 1), ((0, 0), "r-2")], 1),
-    ("3", [((0, 0), 1)], [((1, 0), 2), ((0, 1), 1), ((0, 0), "r-2")], 2),
-    ("4", [((-1, -1), 1), ((-1, 0), 1)], [((0, 0), "r+2")], 3),
-    ("5", [((-2, -1), 1)], [((0, 0), "r+1")], 4),
-)
+
+def _sum(text: str) -> list[tuple[tuple[int, int], int | str]]:
+    """The ``((a, b), multiplicity)`` pairs of a sum as ``line_label`` writes
+    them, joined by "+"; "0" is the empty sum."""
+    terms = []
+    for term in ("+" + text).split("+O")[1:]:
+        deg, _, mult = term.partition("^")
+        a, b = (deg.strip("()") or "0,0").split(",")
+        mult = mult.strip("()") or "1"
+        terms.append(((int(a), int(b)), int(mult) if mult.isdigit() else mult))
+    return terms
+
+
+def _rows(text: str) -> Iterable[tuple[Any, ...]]:
+    """The ``(number, sub, mid, c2, options)`` rows that ``_table`` takes, of
+    a table written as text."""
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            number, sub, mid, coker, c2, *flags = line.split()
+            yield number, _sum(sub), _sum(mid), int(c2), dict(
+                coker=_COKERS[coker], gg="not-gg" not in flags, bondal="bondal" in flags, twin="twin" in flags
+            )
+
+
+_MAIN22 = """
+1      0                         O(2,2)+O^(r-1)                0     0
+2      0                         O(2,1)+O(0,1)+O^(r-2)         0     2  twin
+3      0                         O(1,1)^2+O^(r-2)              0     2
+# When the composite into the (1,1) summand vanishes, the middle splits off O(1,1)
+# and the display degenerates.
+4      O                         O(1,1)+O(1,0)+O(0,1)+O^(r-2)  0     3
+5      O(-1,-1)                  O(1,1)+O^r                    0     4
+6      O^2                       O(1,0)^2+O(0,1)^2+O^(r-2)     0     4
+6-1    O                         O(2,0)+O(0,1)^2+O^(r-2)       0     4  twin
+6-1-1  0                         O(2,0)+O(0,2)+O^(r-2)         0     4
+6-1-2  0                         O(2,0)+O(0,1)^2+O^(r-3)       0     4  twin
+6-2    0                         O(1,0)^2+O(0,1)^2+O^(r-4)     0     4
+# Twin inferred from the table's ruling-symmetry remark.
+6-3    O(0,-1)                   O(1,0)^2+O(0,1)+O^(r-2)       0     4  twin
+7      O(-1,-1)+O(-1,0)+O(0,-1)  O^(r+3)                       0     5
+# Twin inferred from the table's ruling-symmetry remark.
+8      O(-1,-2)                  O(1,0)+O^r                    0     6  twin
+9      O(-1,-1)^2                O^(r+2)                       0     6  bondal
+# Members force a one-dimensional h1, so there is no module-profile route.
+10     O(-2,-2)                  O^(r+1)                       0     8
+11     O(-2,-2)                  O^(r+1)                       k(p)  7  not-gg bondal
+12     O(-2,-2)                  O^r                           O     8  not-gg bondal
+13     O(-1,-1)^4                O^r+O(-1,0)^2+O(0,-1)^2       0     8  not-gg bondal
+"""
+
+_QUADRIC21 = """
+1  0                 O(2,1)+O^(r-1)           0  0
+2  0                 O(1,1)+O(1,0)+O^(r-2)    0  1
+3  O                 O(1,0)^2+O(0,1)+O^(r-2)  0  2
+4  O(-1,-1)+O(-1,0)  O^(r+2)                  0  3
+5  O(-2,-1)          O^(r+1)                  0  4
+"""
 
 #: The parameter-free tables, as (determinant, rows).
 _TABLES = {"main22": ((2, 2), _MAIN22), "quadric21": ((2, 1), _QUADRIC21)}
@@ -289,9 +323,9 @@ _TABLES = {"main22": ((2, 2), _MAIN22), "quadric21": ((2, 1), _QUADRIC21)}
 
 @functools.cache
 def _fixed_table(theorem: str) -> tuple[CaseSpec, ...]:
-    """The cases of a parameter-free table, built at its first read and kept."""
-    c1, rows = _TABLES[theorem]
-    return _table(theorem, BiDegree(*c1), rows)
+    """The cases of a parameter-free table, parsed and built at its first read and kept."""
+    c1, text = _TABLES[theorem]
+    return _table(theorem, BiDegree(*c1), _rows(text))
 
 
 def _require_c1(theorem: str, c1: BiDegree | None) -> BiDegree:

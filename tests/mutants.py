@@ -63,6 +63,12 @@ MUTANTS = {
         VERIFY_ALL,
     ),
     "_table ignores twin": (CATALOG, 'if opts.get("twin"):', "if False:", CATALOG_MAIN22),
+    "main22-6-1-2 loses a trivial summand": (
+        CATALOG,
+        "O(2,0)+O(0,1)^2+O^(r-3)",
+        "O(2,0)+O(0,1)^2+O^(r-2)",
+        CATALOG_MAIN22,
+    ),
     "a help string is shortened": (
         "src/nefq2/cli.py",
         '"splitting degree for halfmax"',
@@ -76,14 +82,14 @@ MUTANTS = {
 KNOWN_SURVIVORS = {
     "main22-10 flagged bondal=True": (
         CATALOG,
-        '("10", [((-2, -2), 1)], [((0, 0), "r+1")], 8),',
-        '("10", [((-2, -2), 1)], [((0, 0), "r+1")], 8, dict(bondal=True)),',
+        "10     O(-2,-2)                  O^(r+1)                       0     8\n",
+        "10     O(-2,-2)                  O^(r+1)                       0     8  bondal\n",
         VERIFY_ALL,
     ),
     "main22-8 flagged bondal=True": (
         CATALOG,
-        '[((1, 0), 1), ((0, 0), "r")], 6, dict(twin=True)),',
-        '[((1, 0), 1), ((0, 0), "r")], 6, dict(twin=True, bondal=True)),',
+        "8      O(-1,-2)                  O(1,0)+O^r                    0     6  twin\n",
+        "8      O(-1,-2)                  O(1,0)+O^r                    0     6  twin bondal\n",
         VERIFY_ALL,
     ),
 }

@@ -14,6 +14,7 @@ from nefq2 import BiDegree, HypothesisError, ReconstructionError, list_cases, ve
 from nefq2 import catalog, verify
 from nefq2._value import replace
 from nefq2.catalog import CaseSpec, Display, RankExpr, case_to_json
+from nefq2.cli import _case_line
 from nefq2.cohomology import euler_char, is_weak_fano
 from nefq2.ktheory import KClass, TorsionDescriptor, TorsionKind, to_chern
 from nefq2.picard import ZERO, intersect
@@ -386,6 +387,32 @@ def test_quadric21_table():
     for case in cases:
         assert case.c1 == BiDegree(2, 1)
         assert 0 <= case.expected_c2 <= 4
+
+
+@pytest.mark.parametrize("theorem", ["main22", "quadric21"])
+def test_each_row_of_a_fixed_table_is_the_line_catalog_list_prints(theorem):
+    # a table is parsed from the notation that catalog list renders, so the
+    # parser and the renderer must agree on every row's sums and cokernel
+    c1, text = catalog._TABLES[theorem]
+    assert type(text) is str
+    cases = iter(list_cases(theorem))
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        number, sub, mid, coker, c2, *flags = line.split()
+        assert len(set(flags)) == len(flags) and set(flags) <= {"twin", "not-gg", "bondal"}
+        case = next(cases)
+        display = f"{theorem}-{number}: 0 -> {sub} -> {mid} -> E -> {coker} -> 0"
+        assert _case_line(case) == f"{display}  [min_rank {case.display.min_rank}, c2 {c2}]"
+        assert (case.c1, case.expected_c2, case.globally_generated, case.bondal_reconstructible) == (
+            BiDegree(*c1),
+            int(c2),
+            "not-gg" not in flags,
+            "bondal" in flags,
+        )
+        if "twin" in flags:
+            assert next(cases).twin_of == case.id
+    assert next(cases, None) is None
 
 
 def test_halfmax_split_and_general():
