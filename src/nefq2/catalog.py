@@ -317,7 +317,7 @@ _QUADRIC21 = """
 5  O(-2,-1)          O^(r+1)                  0  4
 """
 
-#: The parameter-free tables, as (determinant, rows).
+#: The parameter-free tables, as (determinant, text).
 _TABLES = {"main22": ((2, 2), _MAIN22), "quadric21": ((2, 1), _QUADRIC21)}
 
 
