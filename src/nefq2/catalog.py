@@ -15,21 +15,18 @@ Four tables are shipped:
     c2 one or two below the maximum, parametrized by (c1a, c1b): three
     families.
 
-The two parameter-free tables are written as text, one row per line in
-the paper's order and in the notation ``nefq2 catalog list`` prints.  Its
-columns are the row number; sub and mid as ``line_label`` writes a sum of
-line bundles, "+"-joined, with ``0`` for the empty sum; the cokernel as
+Every table is written as text, one row per line in the paper's order
+and in the notation ``nefq2 catalog list`` prints.  Its columns are the
+row number; sub and mid as ``line_label`` writes a sum of line bundles,
+"+"-joined, with ``0`` for the empty sum; the cokernel as
 ``TorsionDescriptor.label`` writes it (``0``, ``k(p)`` or ``O``); and the
 tabulated second Chern class c2.  Flag words may follow: ``twin`` places
 the ruling-swapped twin of the row, id suffix ``-swap``, right after it;
 ``not-gg`` marks a family that is not globally generated; ``bondal`` one
 that satisfies the reconstruction hypotheses.  A line that starts with
-``#`` is a comment.  A table's text is parsed at its first read, into the
-``(number, sub, mid, c2, options)`` rows in which the parametric tables
-are written: sub and mid list ``((a, b), multiplicity)`` pairs, and the
-optional dict may set ``coker`` (a TorsionKind that takes no support,
-default None), ``gg`` (default True), ``bondal`` (default False) and
-``twin``.
+``#`` is a comment.  A parameter-free table's text is parsed at its first
+read; a parametric table's rows are formatted from its parameters and
+parsed once per kept parameter.
 
 A case is a ``Display``, 0 -> sub -> mid -> E -> coker -> 0 with sub and
 mid direct sums of line bundles with multiplicities affine in the rank r,
@@ -62,7 +59,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from ._value import frozen, replace
 from .cohomology import _weak_fano
@@ -124,10 +121,6 @@ class RankExpr:
 
 
 Term = tuple[BiDegree, RankExpr]
-
-
-def _terms(raw: Iterable[tuple[tuple[int, int], int | str]]) -> tuple[Term, ...]:
-    return tuple((BiDegree(*deg), RankExpr.parse(mult)) for deg, mult in raw)
 
 
 @frozen
@@ -235,52 +228,43 @@ def _swapped(case: CaseSpec) -> CaseSpec:
     return replace(case, id=f"{case.id}-swap", c1=case.c1.swap(), display=case.display.swap(), twin_of=case.id)
 
 
-def _table(theorem: str, c1: BiDegree, rows: Iterable[tuple[Any, ...]]) -> tuple[CaseSpec, ...]:
-    """The cases of one table, in row order, each twin right after its row."""
-    cases: list[CaseSpec] = []
-    for number, sub, mid, c2, *options in rows:
-        opts: dict[str, Any] = options[0] if options else {}
-        kind = opts.get("coker")
-        case = CaseSpec(
-            id=f"{theorem}-{number}",
-            theorem=theorem,
-            c1=c1,
-            display=Display(_terms(sub), _terms(mid), None if kind is None else TorsionDescriptor(kind)),
-            expected_c2=c2,
-            globally_generated=opts.get("gg", True),
-            bondal_reconstructible=opts.get("bondal", False),
-        )
-        cases.append(case)
-        if opts.get("twin"):
-            cases.append(_swapped(case))
-    return tuple(cases)
-
-
 #: A cokernel column's text, as ``TorsionDescriptor.label`` writes it, and its kind.
 _COKERS = {"0": None, "k(p)": TorsionKind.POINT_SHEAF, "O": TorsionKind.STRUCTURE_SHEAF}
 
 
-def _sum(text: str) -> list[tuple[tuple[int, int], int | str]]:
-    """The ``((a, b), multiplicity)`` pairs of a sum as ``line_label`` writes
-    them, joined by "+"; "0" is the empty sum."""
+def _sum(text: str) -> tuple[Term, ...]:
+    """The terms of a sum as ``line_label`` writes them, joined by "+"; "0"
+    is the empty sum."""
     terms = []
     for term in ("+" + text).split("+O")[1:]:
         deg, _, mult = term.partition("^")
         a, b = (deg.strip("()") or "0,0").split(",")
         mult = mult.strip("()") or "1"
-        terms.append(((int(a), int(b)), int(mult) if mult.isdigit() else mult))
-    return terms
+        terms.append((BiDegree(int(a), int(b)), RankExpr.parse(int(mult) if mult.isdigit() else mult)))
+    return tuple(terms)
 
 
-def _rows(text: str) -> Iterable[tuple[Any, ...]]:
-    """The ``(number, sub, mid, c2, options)`` rows that ``_table`` takes, of
-    a table written as text."""
+def _table(theorem: str, c1: BiDegree, text: str) -> tuple[CaseSpec, ...]:
+    """The cases of a table written as text, in row order, each twin right after its row."""
+    cases: list[CaseSpec] = []
     for line in text.splitlines():
-        if line and not line.startswith("#"):
-            number, sub, mid, coker, c2, *flags = line.split()
-            yield number, _sum(sub), _sum(mid), int(c2), dict(
-                coker=_COKERS[coker], gg="not-gg" not in flags, bondal="bondal" in flags, twin="twin" in flags
-            )
+        if not line or line.startswith("#"):
+            continue
+        number, sub, mid, coker, c2, *flags = line.split()
+        kind = _COKERS[coker]
+        case = CaseSpec(
+            id=f"{theorem}-{number}",
+            theorem=theorem,
+            c1=c1,
+            display=Display(_sum(sub), _sum(mid), None if kind is None else TorsionDescriptor(kind)),
+            expected_c2=int(c2),
+            globally_generated="not-gg" not in flags,
+            bondal_reconstructible="bondal" in flags,
+        )
+        cases.append(case)
+        if "twin" in flags:
+            cases.append(_swapped(case))
+    return tuple(cases)
 
 
 _MAIN22 = """
@@ -325,7 +309,7 @@ _TABLES = {"main22": ((2, 2), _MAIN22), "quadric21": ((2, 1), _QUADRIC21)}
 def _fixed_table(theorem: str) -> tuple[CaseSpec, ...]:
     """The cases of a parameter-free table, parsed and built at its first read and kept."""
     c1, text = _TABLES[theorem]
-    return _table(theorem, BiDegree(*c1), _rows(text))
+    return _table(theorem, BiDegree(*c1), text)
 
 
 def _require_c1(theorem: str, c1: BiDegree | None) -> BiDegree:
@@ -345,25 +329,22 @@ def _halfmax_cases(c1: BiDegree, b: int) -> tuple[CaseSpec, ...]:
         raise HypothesisError(f"determinant {c1} of a nef bundle must be effective")
     if not 0 <= b <= c1.b:
         raise HypothesisError(f"splitting degree b={b} must lie in 0..{c1.b}")
-    if b == c1.b:
-        row = ("split", [], [((c1.a, c1.b), 1), ((0, 0), "r-1")], 0)
-    else:
-        mid = [((c1.a, b), 1), ((0, 1), c1.b - b), ((0, 0), "r-2")]
-        row = ("general", [((0, 0), c1.b - b - 1)], mid, c1.a * (c1.b - b))
-    return _table("halfmax", c1, [row])
+    gap = c1.b - b
+    if gap == 0:
+        return _table("halfmax", c1, f"split  0  O({c1.a},{c1.b})+O^(r-1)  0  0")
+    return _table("halfmax", c1, f"general  O^{gap - 1}  O({c1.a},{b})+O(0,1)^{gap}+O^(r-2)  0  {c1.a * gap}")
 
 
 @functools.lru_cache(maxsize=_PARAMETERS_KEPT)
 def _nearmax_cases(c1: BiDegree) -> tuple[CaseSpec, ...]:
     if c1.a < 1 or c1.b < 1:
         raise HypothesisError(f"the near-maximal table needs both determinant degrees >= 1, got {c1}")
-    down, top = (c1.a - 1, c1.b - 1), c1.a + c1.b
-    rows = (
-        ("1", [], [(down, 1), ((1, 1), 1), ((0, 0), "r-2")], top - 2),
-        ("2", [((0, 0), 1)], [(down, 1), ((1, 0), 1), ((0, 1), 1), ((0, 0), "r-2")], top - 1),
-        ("3", [((-1, -1), 1)], [(down, 1), ((0, 0), "r")], top),
-    )
-    return _table("nearmax", c1, rows)
+    down, top = f"O({c1.a - 1},{c1.b - 1})", c1.a + c1.b
+    return _table("nearmax", c1, f"""
+1  0         {down}+O(1,1)+O^(r-2)         0  {top - 2}
+2  O         {down}+O(1,0)+O(0,1)+O^(r-2)  0  {top - 1}
+3  O(-1,-1)  {down}+O^r                    0  {top}
+""")
 
 
 def list_cases(

@@ -62,12 +62,22 @@ MUTANTS = {
         "coker = KClass.zero()",
         VERIFY_ALL,
     ),
-    "_table ignores twin": (CATALOG, 'if opts.get("twin"):', "if False:", CATALOG_MAIN22),
+    "_table ignores twin": (CATALOG, 'if "twin" in flags:', "if False:", CATALOG_MAIN22),
     "main22-6-1-2 loses a trivial summand": (
         CATALOG,
         "O(2,0)+O(0,1)^2+O^(r-3)",
         "O(2,0)+O(0,1)^2+O^(r-2)",
         CATALOG_MAIN22,
+    ),
+    "nearmax-2 has O(1,0) twice": (
+        CATALOG,
+        "{down}+O(1,0)+O(0,1)+O^(r-2)",
+        "{down}+O(1,0)+O(1,0)+O^(r-2)",
+        (
+            "differs",
+            ("catalog", "list", "--theorem", "nearmax", "--c1", "3,2", "--format", "json"),
+            "catalog_nearmax_json",
+        ),
     ),
     "a help string is shortened": (
         "src/nefq2/cli.py",

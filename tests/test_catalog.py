@@ -415,6 +415,14 @@ def test_each_row_of_a_fixed_table_is_the_line_catalog_list_prints(theorem):
     assert next(cases, None) is None
 
 
+def test_every_printed_sum_parses_back_to_its_display():
+    # every table is built from text, so each sum catalog list prints, the
+    # parametric grid's O^0 and bare O included, must read back as its terms
+    for case in _grid_cases():
+        sub, mid = re.fullmatch(r"\S+: 0 -> (\S+) -> (\S+) -> E -> .*", _case_line(case)).groups()
+        assert (catalog._sum(sub), catalog._sum(mid)) == (case.display.sub, case.display.mid), case.id
+
+
 def test_halfmax_split_and_general():
     split = list_cases("halfmax", c1=BiDegree(3, 2), b=2)[0]
     assert split.id == "halfmax-split"
