@@ -3,12 +3,14 @@ rank or at every rank at once.
 
 A case's display class is linear in its multiplicities, each affine in
 the rank r, so ``certify(case)`` keeps it as base + r * slope, a
-``Certificate``.  Its ``row(r)`` is the ``VerificationReport`` of every
-check at rank r, made in plain ints; ``proved_from(lo)`` decides whether
-all of them pass at every r >= lo, and ``rows(lo, hi)`` hands a sweep's
-rows to ``nefq2 verify``.  ``verify_case`` and ``verify_all`` read the
-rows, and ``case_kclass`` the class.  Only the ``verify`` command loads
-this module; import its names from here (the package also has ``verify_all``).
+``Certificate``, and each check of a row is an integer polynomial in r.
+Its ``row(r)`` is the ``VerificationReport`` of every check at rank r,
+made in plain ints; ``proved_from(lo)`` reads the polynomials alone to
+decide whether all of them pass at every r >= lo, and ``rows(lo, hi)``
+hands a sweep's rows to ``nefq2 verify``.  ``verify_case`` and
+``verify_all`` read the rows, and ``case_kclass`` the class.  Only the
+``verify`` command loads this module; import its names from here (the
+package also has ``verify_all``).
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from ._value import frozen
 from .bondal import reconstruct
 from .catalog import CaseSpec, sweep
 from .cohomology import BundleNumerics, _chi, _weak_fano
-from .errors import HypothesisError, NefQ2Error, ReconstructionError
+from .errors import HypothesisError, ReconstructionError
 from .ktheory import KClass, _chern_c2
-from .picard import ZERO, BiDegree, intersect
+from .picard import BiDegree
 from .quiver import _C1_22
 
 
@@ -70,10 +72,6 @@ class VerificationReport(NamedTuple):
         }
 
 
-#: The class [O] of the trivial line bundle: the slope of every shipped display.
-_SLOPE_O = KClass(1, ZERO, 0)
-
-
 def _reconstruction_check(c1: BiDegree, c2: int) -> CheckResult:
     """The reconstruction check of a flagged case: the cached proof at c1
     (2,2) with c2 in 6..8, through the ``reconstruct`` of this module as it
@@ -84,28 +82,9 @@ def _reconstruction_check(c1: BiDegree, c2: int) -> CheckResult:
     return CheckResult("reconstruction", False, f"{needs}, got c1 ({c1.a},{c1.b}) and c2 {c2}")
 
 
-#: What ``_steady`` makes: c1, c2, weak_fano, k = chi at rank 0, the c1, c2,
-#: c2_bound and multiplicities checks, and whether all four pass.
-_Steady = tuple[BiDegree, int, bool, int, tuple[CheckResult, ...], bool]
-
-
-def _steady(case: CaseSpec, r: int, c1: BiDegree, c2: int) -> _Steady:
-    """The part of the row at rank r of a display with this c1 and c2 that
-    does not move with r on a flat display: c1, c2, weak_fano, k = chi at
-    rank 0, the c1, c2, c2_bound and multiplicities checks, and their
-    verdict, decided here in plain ints."""
-    a, b, table = c1.a, c1.b, case.c1
-    c1sq = intersect(c1, c1)
-    c1_ok, c2_ok, bound_ok = a == table.a and b == table.b, c2 == case.expected_c2, 0 <= c2 <= c1sq
-    multiplicities_ok = all([m.const + m.coef * r >= 0 for _, m in case.display.sub + case.display.mid])
-    checks = (
-        # the text of f"display c1 {c1}, table c1 {table}", without two str() calls
-        CheckResult("c1", c1_ok, f"display c1 ({a},{b}), table c1 ({table.a},{table.b})"),
-        CheckResult("c2", c2_ok, f"computed c2 {c2}, expected {case.expected_c2}"),
-        CheckResult("c2_bound", bound_ok, f"c2 {c2} against nef bound 0..{c1sq}"),
-        CheckResult("multiplicities", multiplicities_ok, "every display multiplicity evaluates >= 0"),
-    )
-    return c1, c2, _weak_fano(c1, c2), _chi(0, c1, c2), checks, c1_ok and c2_ok and bound_ok and multiplicities_ok
+#: A row's rank, c1, c2, weak_fano, its checks but the reconstruction check,
+#: and whether all of those pass.
+_Row = tuple[int, BiDegree, int, bool, tuple[CheckResult, ...], bool]
 
 
 @frozen
@@ -113,22 +92,14 @@ class Certificate:
     """A case's display class as base + r * slope, and what follows from it.
 
     The class is linear in the multiplicities and each of them is affine in
-    r, so at rank r it is exactly base + r * slope.  ``row(r)`` evaluates
-    every check of a case from it in plain ints, ``proved_from(lo)``
-    decides whether all of them pass at every r >= lo, and ``rows(lo, hi)``
-    counts the ranks of a sweep that pass, with their rows and, for a
-    proved sweep, chi at rank 0.
-
-    A display is flat when its slope is [O] and no multiplicity falls with
-    r.  Then c1 and c2 do not move with r, and neither does the steady part
-    of a row at r >= min_rank (c1, c2, weak_fano, k = chi at rank 0 and the
-    c1, c2, c2_bound and multiplicities checks): the certificate keeps it,
-    from min_rank, unless the class there has no Chern data.  Any other
-    display's row makes its steady part at r.  Every row then adds the rank
-    check, chi = k + rank (Riemann-Roch has slope 1 in the rank) and the
-    reconstruction check, and its verdict is the steady part's verdict and
-    theirs, decided in plain ints.  It keeps nothing that depends on
-    anything but its fields.
+    r, so at rank r it is exactly base + r * slope, and every check of a row
+    but the reconstruction check is an integer polynomial in r.  ``row(r)``
+    makes every check at r in plain ints, ``proved_from(lo)`` decides from
+    the polynomials whether all of them pass at every r >= lo, and
+    ``rows(lo, hi)`` counts the ranks of a sweep that pass, with their rows
+    and, for a proved sweep, chi at rank 0.  A certificate whose polynomials
+    hold from min_rank keeps its row there and k = chi at rank 0: its rank
+    is r, its chi k + r, and nothing else moves with r.
     """
 
     case: CaseSpec
@@ -136,50 +107,88 @@ class Certificate:
     slope: KClass
 
     @functools.cached_property
-    def _fixed(self) -> _Steady | None:
-        """The steady part of every row of a flat display, made at min_rank;
-        None for any other display, or one with no Chern data there."""
-        base, display, lo = self.base, self.case.display, self.case.display.min_rank
-        if self.slope != _SLOPE_O or any([m.coef < 0 for _, m in display.sub + display.mid]):
-            return None
-        try:
-            c2 = _chern_c2(base.rank + lo, base.c1, base.ch2x2)
-        except NefQ2Error:
-            return None
-        return _steady(self.case, lo, base.c1, c2)
+    def _polynomials(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Every check but the reconstruction check as coefficients of
+        (1, r, r^2), from base, slope and the table in plain ints.
+
+        The identities, each 0 where its check passes, are rank - r, c1 - the
+        table's c1 (per coordinate) and 2*c2 - 2*expected_c2, where 2*c2 =
+        c1^2 - ch2x2.  The inequalities, each >= 0 where its check passes,
+        are 2*c2 and 2*(c1^2 - c2) = c1^2 + ch2x2 for the nef bound, 2*chi =
+        2*(rank + c1a + c1b) + ch2x2 by Riemann-Roch, and each multiplicity.
+        """
+        case, base, slope = self.case, self.base, self.slope
+        (a0, b0), (a1, b1), (x0, x1) = (base.c1.a, base.c1.b), (slope.c1.a, slope.c1.b), (base.ch2x2, slope.ch2x2)
+        c1sq = (2 * a0 * b0, 2 * (a0 * b1 + a1 * b0), 2 * a1 * b1)
+        c2x2 = (c1sq[0] - x0, c1sq[1] - x1, c1sq[2])
+        rank_id, c1a_id, c1b_id = (base.rank, slope.rank - 1, 0), (a0 - case.c1.a, a1, 0), (b0 - case.c1.b, b1, 0)
+        identities = rank_id, c1a_id, c1b_id, (c2x2[0] - 2 * case.expected_c2, c2x2[1], c2x2[2])
+        inequalities = (
+            c2x2,
+            (c1sq[0] + x0, c1sq[1] + x1, c1sq[2]),
+            (2 * (base.rank + a0 + b0) + x0, 2 * (slope.rank + a1 + b1) + x1, 0),
+            *[(m.const, m.coef, 0) for _, m in case.display.sub + case.display.mid],
+        )
+        return identities, inequalities
+
+    def _hold_from(self, lo: int) -> bool:
+        """Whether every identity is the zero polynomial and no inequality,
+        in s with r = lo + s, has a negative coefficient."""
+        identities, inequalities = self._polynomials
+        return not any(map(any, identities)) and all(
+            [min(c0 + (c1 + c2 * lo) * lo, c1 + 2 * c2 * lo, c2) >= 0 for c0, c1, c2 in inequalities]
+        )
+
+    @functools.cached_property
+    def _kept(self) -> tuple[_Row, int] | None:
+        """The row at min_rank without its reconstruction check, and k = chi
+        at rank 0, when the polynomials hold from min_rank; else None."""
+        case, lo = self.case, self.case.display.min_rank
+        return (self._evaluate(lo), _chi(0, case.c1, case.expected_c2)) if self._hold_from(lo) else None
+
+    def _evaluate(self, r: int) -> _Row:
+        """Every check at rank r but the reconstruction check, in plain ints;
+        a class with no Chern data raises the error of ``ktheory.to_chern``."""
+        case, base, slope, table = self.case, self.base, self.slope, self.case.c1
+        rank = base.rank + r * slope.rank
+        c1 = base.c1 + r * slope.c1 if slope.c1.a or slope.c1.b else base.c1
+        c2 = _chern_c2(rank, c1, base.ch2x2 + r * slope.ch2x2)
+        a, b, chi = c1.a, c1.b, _chi(rank, c1, c2)
+        c1sq = 2 * a * b
+        multiplicities_ok = all([m.const + m.coef * r >= 0 for _, m in case.display.sub + case.display.mid])
+        checks = (
+            CheckResult("rank", rank == r, f"display rank {rank}, requested {r}"),
+            # the text of f"display c1 {c1}, table c1 {table}", without two str() calls
+            CheckResult("c1", a == table.a and b == table.b, f"display c1 ({a},{b}), table c1 ({table.a},{table.b})"),
+            CheckResult("c2", c2 == case.expected_c2, f"computed c2 {c2}, expected {case.expected_c2}"),
+            CheckResult("c2_bound", 0 <= c2 <= c1sq, f"c2 {c2} against nef bound 0..{c1sq}"),
+            CheckResult("chi_nonnegative", chi >= 0, f"chi = {chi} must be >= 0 for a nef family"),
+            CheckResult("multiplicities", multiplicities_ok, "every display multiplicity evaluates >= 0"),
+        )
+        return rank, c1, c2, _weak_fano(c1, c2), checks, all([passed for _, passed, _ in checks])
+
+    def _check_rank(self, r: int) -> None:
+        """Raise TypeError for a rank that is not an int, ValueError for one below min_rank."""
+        if type(r) is not int:
+            raise TypeError(f"rank must be an integer, got {r!r}")
+        if r < self.case.display.min_rank:
+            raise ValueError(f"{self.case.id} needs rank >= {self.case.display.min_rank}, got {r}")
 
     def row(self, r: int) -> VerificationReport:
         """The report of every check at rank r, each a ``CheckResult``, the
-        reconstruction check included.  A rank that is not an int raises
-        TypeError, one below min_rank ValueError, and a class with no Chern
-        data the error of ``ktheory.to_chern``.
-
-        The reconstruction check goes through ``reconstruct`` at every call,
-        so a replaced function is seen.  The verdict is decided in plain
-        ints: the steady part's verdict, kept with it on a flat display,
-        and the rank, chi and reconstruction verdicts of this rank."""
-        case = self.case
-        if type(r) is not int:
-            raise TypeError(f"rank must be an integer, got {r!r}")
-        if r < case.display.min_rank:
-            raise ValueError(f"{case.id} needs rank >= {case.display.min_rank}, got {r}")
-        base, slope, fixed = self.base, self.slope, self._fixed
-        rank = base.rank + r * slope.rank
-        if fixed is None:
-            c1 = base.c1 + r * slope.c1 if slope.c1.a or slope.c1.b else base.c1
-            fixed = _steady(case, r, c1, _chern_c2(rank, c1, base.ch2x2 + r * slope.ch2x2))
-        c1, c2, weak_fano, k, (c1_check, c2_check, bound, multiplicities), steady_ok = fixed
-        chi = k + rank
-        rank_ok, chi_ok = rank == r, chi >= 0
-        checks = (
-            CheckResult("rank", rank_ok, f"display rank {rank}, requested {r}"),
-            c1_check,
-            c2_check,
-            bound,
-            CheckResult("chi_nonnegative", chi_ok, f"chi = {chi} must be >= 0 for a nef family"),
-            multiplicities,
-        )
-        passed = steady_ok and rank_ok and chi_ok
+        reconstruction check included, made through ``reconstruct`` at every
+        call so that a replaced function is seen.  A rank that is not an int
+        raises TypeError, one below min_rank ValueError, and a class with no
+        Chern data the error of ``ktheory.to_chern``."""
+        self._check_rank(r)
+        case, kept = self.case, self._kept
+        if kept is None:
+            rank, c1, c2, weak_fano, checks, passed = self._evaluate(r)
+        else:
+            (_, c1, c2, weak_fano, (_, c1_check, c2_check, bound, _, multiplicities), passed), k = kept
+            rank, rank_check = r, CheckResult("rank", True, f"display rank {r}, requested {r}")
+            chi = CheckResult("chi_nonnegative", True, f"chi = {k + r} must be >= 0 for a nef family")
+            checks = (rank_check, c1_check, c2_check, bound, chi, multiplicities)
         if case.bondal_reconstructible:
             reconstruction = _reconstruction_check(c1, c2)
             checks += (reconstruction,)
@@ -187,25 +196,15 @@ class Certificate:
         return VerificationReport(case, r, rank, c1, c2, weak_fano, checks, passed)
 
     def proved_from(self, lo: int) -> bool:
-        """Whether every check of ``row(r)`` passes at every r >= lo, for
-        lo >= min_rank: exactly when the display is flat and ``row(lo)``
-        passes.  A row(lo) that raises NefQ2Error is not proved.
-
-        With the slope [O] = (1, 0, 0) the rank is base.rank + r, so it is r
-        at every rank once it is lo at lo, and c1 and twice c2 do not move:
-        the c1, c2 and nef bound checks, the parity of twice c2 and the
-        reconstruction verdict are those at lo, and chi = const - c2 + rank
-        grows with r.  A multiplicity c + k*r >= 0 at lo stays so when
-        k >= 0.  Conversely, the rank, c1 and c2 checks pass at every rank
-        only if the slope is [O], and a falling multiplicity turns negative.
-        A flat row that passes at lo has rank lo, so base.rank is 0 and the
-        row at min_rank does not raise: the certificate keeps its checks.
-        """
-        try:
-            passed = self.row(lo).passed
-        except NefQ2Error:
-            return False
-        return passed and self._fixed is not None
+        """Whether every check of ``row(r)`` passes at every r >= lo, decided
+        without evaluating a row: the polynomials hold from lo, and the
+        reconstruction check, made at the table's c1 and c2, passes.  A rank
+        that is not an int raises TypeError, one below min_rank ValueError."""
+        self._check_rank(lo)
+        case = self.case
+        return self._hold_from(lo) and (
+            not case.bondal_reconstructible or _reconstruction_check(case.c1, case.expected_c2).passed
+        )
 
     def rows(self, lo: int, hi: int) -> tuple[int, Iterable[VerificationReport], int | None]:
         """How many ranks of lo..hi pass every check, ``row(r)`` for each,
@@ -220,9 +219,8 @@ class Certificate:
         ranks = range(lo, hi + 1)
         if not ranks:
             raise HypothesisError(f"empty sweep: no rank in {lo}..{hi}")
-        fixed = self._fixed
-        if fixed is not None and self.proved_from(lo):
-            return len(ranks), map(self.row, ranks), fixed[3]
+        if self.proved_from(lo):
+            return len(ranks), map(self.row, ranks), _chi(0, self.case.c1, self.case.expected_c2)
         rows = [self.row(r) for r in ranks]
         return sum(row.passed for row in rows), rows, None
 

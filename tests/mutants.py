@@ -1,6 +1,6 @@
 """A mutation gate: each mutant breaks the package in one place, the
-catalog or one help string of the command line, and a named check must
-catch it.
+catalog, the certificate engine or one help string of the command line,
+and a named check must catch it.
 
     python tests/mutants.py
 
@@ -39,6 +39,7 @@ import tempfile
 from pathlib import Path
 
 CATALOG = "src/nefq2/catalog.py"
+VERIFY = "src/nefq2/verify.py"
 CATALOG_MAIN22 = ("differs", ("catalog", "list", "--theorem", "main22"), "readme_catalog_main22")
 VERIFY_ALL = ("fails", ("verify", "all"))
 
@@ -78,6 +79,18 @@ MUTANTS = {
             ("catalog", "list", "--theorem", "nearmax", "--c1", "3,2", "--format", "json"),
             "catalog_nearmax_json",
         ),
+    ),
+    "the polynomials are read at r = s, not at r = lo + s": (
+        VERIFY,
+        "min(c0 + (c1 + c2 * lo) * lo, c1 + 2 * c2 * lo, c2)",
+        "min(c0, c1, c2)",
+        ("tier1", "tests/test_catalog.py"),
+    ),
+    "2*chi takes c1b with the wrong sign": (
+        VERIFY,
+        "2 * (base.rank + a0 + b0) + x0",
+        "2 * (base.rank + a0 - b0) + x0",
+        ("tier1", "tests/test_catalog.py"),
     ),
     "a help string is shortened": (
         "src/nefq2/cli.py",

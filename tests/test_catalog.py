@@ -535,12 +535,12 @@ def test_affine_class_is_computed_on_first_use():
     assert "_certificate" not in vars(case)
     case_kclass(case, 4)
     assert "_certificate" in vars(case)
-    # one certificate per case, kept on it, with its fixed checks kept on it
+    # one certificate per case, kept on it, with its row at min_rank kept on it
     cert = certify(case)
     assert certify(case) is cert and cert.case is case
-    assert "_fixed" not in vars(cert)
+    assert "_kept" not in vars(cert)
     assert verify_case(case, 4).passed and certify(case) is cert
-    assert vars(cert)["_fixed"] is not None
+    assert vars(cert)["_kept"] is not None
     # the twin and a replaced case are new instances with their own certificate
     twin = catalog._swapped(case)
     assert "_certificate" not in vars(twin)

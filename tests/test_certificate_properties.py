@@ -2,12 +2,15 @@
 
 For random displays, and for random affine classes whose ch2 parity may be
 odd, ``Certificate.row(r)`` must equal verify_case's check formulas applied
-to the class computed directly at r, errors included, and a case the
-certificate proves from lo must pass at every rank of lo..lo+50, where
-``Certificate.rows`` must give the same rows and count those that pass.
-Flat displays, whose rows reuse the checks their certificate keeps, are
-checked the same way at min_rank, min_rank + 1 and 10**6, with failing
-kept checks among them.
+to the class computed directly at r, errors included.  A case the
+certificate proves from lo, by the coefficients of its checks' polynomials
+in r, must pass at every rank of lo..lo+50, where ``Certificate.rows`` must
+give the same rows and count those that pass; and it must be proved
+exactly when the rule read from rows holds: the slope is [O], no
+multiplicity falls with r, and the row at lo passes.  Flat displays, whose
+certificate keeps its row at min_rank when its polynomials hold from
+there, are checked the same way at min_rank, min_rank + 1 and 10**6,
+failing ones among them.
 """
 
 from __future__ import annotations
@@ -147,6 +150,13 @@ def passes(outcome) -> bool:
     return len(outcome) == 8 and all(passed for _, passed, _ in outcome[6])
 
 
+def old_rule(cert: Certificate, lo: int) -> bool:
+    """Whether the slope is [O], no multiplicity falls with r and the row
+    at lo passes: a proof from lo read from rows, not from polynomials."""
+    rising = all(m.coef >= 0 for _, m in cert.case.display.sub + cert.case.display.mid)
+    return cert.slope == KClass(1, ZERO, 0) and rising and passes(evaluated(cert, lo))
+
+
 def check_proof(cert: Certificate, lo: int) -> None:
     """A proof from lo holds on lo..lo+50, where rows() equals row(), counts
     the rows that pass, hands over k = chi at rank 0 exactly when proved,
@@ -170,7 +180,9 @@ def test_row_equals_the_direct_evaluation_of_a_display(case, above, offset):
     r = case.display.min_rank + above - (offset == 3)  # now and then one below min_rank
     assert case_kclass(case, r) == case.display.kclass(r)
     assert evaluated(cert, r) == direct(case, r, case.display.kclass(r))
-    check_proof(cert, case.display.min_rank + offset)
+    lo = case.display.min_rank + offset
+    assert cert.proved_from(lo) == old_rule(cert, lo)
+    check_proof(cert, lo)
 
 
 def first_rank(display: Display) -> int:
@@ -232,8 +244,11 @@ def test_a_flat_row_equals_the_direct_evaluation(case):
     assert cert.slope == KClass(1, ZERO, 0)
     for r in far_ranks(case):
         assert evaluated(cert, r) == direct(case, r, case.display.kclass(r)), r
-    # the kept checks exist exactly when the row at min_rank does not raise
-    assert (vars(cert)["_fixed"] is None) == (len(evaluated(cert, case.display.min_rank)) == 2)
+    # the kept row exists exactly when every check but the reconstruction
+    # check passes at min_rank
+    row = evaluated(cert, case.display.min_rank)
+    holds = len(row) == 8 and all(passed for name, passed, _ in row.checks if name != "reconstruction")
+    assert (vars(cert)["_kept"] is not None) == holds
 
 
 @pytest.mark.parametrize(
@@ -245,14 +260,15 @@ def test_a_flat_row_equals_the_direct_evaluation(case):
     ),
     ids=("negative_chi_at_lo", "base_rank_not_zero", "constant_negative_multiplicity"),
 )
-def test_flat_rows_whose_kept_checks_fail_equal_the_direct_evaluation(failing):
-    def kept_and_failing(case: CaseSpec) -> bool:
+def test_flat_rows_that_fail_are_not_kept_and_equal_the_direct_evaluation(failing):
+    def failing_row(case: CaseSpec) -> bool:
         cert = certify(case)
         row = evaluated(cert, case.display.min_rank)
-        return len(row) == 8 and vars(cert)["_fixed"] is not None and failing(cert, row)
+        return len(row) == 8 and failing(cert, row)
 
-    case = find(flat_cases, kept_and_failing, settings=settings(max_examples=2000, database=None))
+    case = find(flat_cases, failing_row, settings=settings(max_examples=2000, database=None))
     cert = certify(case)
+    assert vars(cert)["_kept"] is None
     assert not cert.proved_from(case.display.min_rank)
     for r in far_ranks(case):
         assert evaluated(cert, r) == direct(case, r, case.display.kclass(r)), r
@@ -262,7 +278,7 @@ def test_a_replaced_reconstruct_is_seen_by_a_kept_certificate(monkeypatch):
     case = {c.id: c for c in list_cases("main22")}["main22-9"]
     cert = certify(case)
     before = cert.row(3)
-    assert before.passed and vars(cert)["_fixed"] is not None
+    assert before.passed and vars(cert)["_kept"] is not None
 
     def broken(e):
         raise ReconstructionError(f"no module profile for {e}")
@@ -286,7 +302,9 @@ def test_row_equals_the_direct_evaluation_of_an_affine_class(case, base, slope, 
     cert = Certificate(case, base, slope)
     r = case.display.min_rank + above
     assert evaluated(cert, r) == direct(case, r, base + r * slope)
-    check_proof(cert, case.display.min_rank + offset)
+    lo = case.display.min_rank + offset
+    assert cert.proved_from(lo) == old_rule(cert, lo)
+    check_proof(cert, lo)
 
 
 #: Slopes at and near [O], the slope of every shipped display.
@@ -309,8 +327,7 @@ def test_a_class_right_at_one_rank_is_proved_exactly_for_the_slope_of_O(case, sl
     cert = Certificate(case, anchor - s * slope, slope)
     r = lo + at_zero
     assert evaluated(cert, r) == direct(case, r, cert.base + r * slope)
-    rising = all(m.coef >= 0 for _, m in case.display.sub + case.display.mid)
-    assert cert.proved_from(lo) == (slope == KClass(1, ZERO, 0) and rising and passes(evaluated(cert, lo)))
+    assert cert.proved_from(lo) == old_rule(cert, lo)
     check_proof(cert, lo)
 
 
@@ -321,3 +338,16 @@ def test_odd_parity_raises_the_error_of_to_chern():
         cert.row(1)
     assert cert.row(2).c2 == -1
     assert not cert.proved_from(2)
+
+
+@pytest.mark.parametrize("wrong", (0, 1), ids=("proved", "failing"))
+def test_proved_from_raises_the_errors_of_row(wrong):
+    case = list_cases("main22")[0]
+    cert = certify(replace(case, expected_c2=case.expected_c2 + wrong))
+    assert cert.proved_from(case.display.min_rank) == (not wrong)
+    for lo, error in ((True, TypeError), (1.0, TypeError), (case.display.min_rank - 1, ValueError)):
+        with pytest.raises(error) as proving:
+            cert.proved_from(lo)
+        with pytest.raises(error) as evaluating:
+            cert.row(lo)
+        assert str(proving.value) == str(evaluating.value)

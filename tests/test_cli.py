@@ -533,9 +533,8 @@ _BUILT = (
     ),
     (
         ["verify", "main22"],
-        "1 0 ['BiDegree.__eq__', 'BiDegree.__init__', 'BundleNumerics.__init__', 'CaseSpec.__init__', "
-        "'Certificate.__init__', 'Display.__init__', 'KClass.__eq__', 'KClass.__init__', 'RankExpr.__init__', "
-        "'TorsionDescriptor.__init__']",
+        "1 0 ['BiDegree.__init__', 'BundleNumerics.__init__', 'CaseSpec.__init__', 'Certificate.__init__', "
+        "'Display.__init__', 'KClass.__init__', 'RankExpr.__init__', 'TorsionDescriptor.__init__']",
     ),
     (
         ["bondal", "7", "3"],

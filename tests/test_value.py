@@ -240,8 +240,8 @@ def test_value_types_without_a_cached_property_are_slotted(value):
 def test_cached_properties_keep_their_values_in_the_instance_dict():
     case = list_cases("main22")[0]
     cert = certify(case)
-    assert cert._fixed is not None and case.display.min_rank == 1
-    assert "min_rank" in vars(case.display) and "_certificate" in vars(case) and "_fixed" in vars(cert)
+    assert cert._kept is not None and case.display.min_rank == 1
+    assert "min_rank" in vars(case.display) and "_certificate" in vars(case) and "_kept" in vars(cert)
     assert not any(hasattr(cls, "__slots__") for cls in (Display, CaseSpec, Certificate))
 
 
