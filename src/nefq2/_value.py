@@ -15,6 +15,9 @@ over its fields, as ``dataclass(slots=True)`` does, and its ``__init__``
 stores each field through its slot; a method closing over ``__class__``
 (zero-argument ``super()``) would keep the old class, so it is refused.
 A class with a cached property keeps its ``__dict__`` for the cache.
+``__post_init__`` is read from the class when it is decorated, and the
+``__init__`` calls that function: one assigned to the class later is
+never called.
 
 The ``__init__`` also owns the type rule of every value type: a field
 annotated ``Name`` or ``Name | None`` holds exactly that class (or None),
@@ -63,7 +66,9 @@ def frozen(cls: type[T]) -> type[T]:
         cls = _slotted(cls, names, scope)
         store = "\n    _set_{0}(self, {0})"
     stores = "".join(_check(cls, n, notes[n], scope) + store.format(n) for n in names)
-    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    post = ""
+    if hasattr(cls, "__post_init__"):
+        scope["_post"], post = cls.__post_init__, "\n    _post(self)"
     mine = "".join(f"self.{n}, " for n in names)
     theirs = "".join(f"other.{n}, " for n in names)
     eq = (

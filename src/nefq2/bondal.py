@@ -36,13 +36,13 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._value import frozen
-from .cohomology import BundleNumerics
+from .cohomology import BundleNumerics, _C1_22
 from .errors import HypothesisError, ReconstructionError
 from .ktheory import (
     KClass, TorsionDescriptor, TorsionKind, _line_sum, from_chern, line_class, line_label, torsion_class
 )
 from .picard import ZERO, BiDegree
-from .quiver import _C1_22, COLLECTION, hom_ext_series
+from .quiver import COLLECTION, hom_ext_series
 
 
 #: Each vertex simple's line degree, the dual of its collection member, with

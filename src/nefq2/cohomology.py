@@ -14,6 +14,12 @@ quadric evaluates the Euler characteristic of every twist exactly:
     chi(E(p, q)) = c1a*c1b - c2 + (q+1)*c1a + (p+1)*c1b + r*(p+1)*(q+1)
 
 where c1 = (c1a, c1b).  Everything below is exact integer arithmetic.
+
+The Hom/Ext module profile of a bundle with determinant (2, 2) has one
+core, ``_module_profile(rank, c2)``, in plain ints: the c2 range check,
+Riemann-Roch once and the profile.  ``ext1_module_profile``, which takes
+Chern data, and ``quiver.hom_ext_series``, which takes the rank and c2,
+each check their own arguments and call it.
 """
 
 from __future__ import annotations
@@ -136,6 +142,10 @@ class HomExtProfile(NamedTuple):
     ext1: tuple[int, int, int, int]
 
 
+#: The determinant of every bundle whose module profile is read here.
+_C1_22 = BiDegree(2, 2)
+
+
 def ext1_module_profile(e: BundleNumerics) -> HomExtProfile:
     """Module profile of a nef bundle with determinant (2, 2), no
     sub-line-bundle of either ruling degree, and vanishing h1.
@@ -161,16 +171,23 @@ def ext1_module_profile(e: BundleNumerics) -> HomExtProfile:
         raise HypothesisError(
             f"module profile is defined for determinant (2,2) only, got {e.c1}"
         )
-    if not 6 <= e.c2 <= 8:
+    return _module_profile(e.rank, e.c2)
+
+
+def _module_profile(rank: int, c2: int) -> HomExtProfile:
+    """The profile at determinant (2, 2) for a rank and c2 that are already
+    ints, the rank positive: the one core of ``ext1_module_profile`` and
+    ``quiver.hom_ext_series``.  It enforces 6 <= c2 <= 8 and builds the
+    named tuple as its generated ``__new__`` would, without that frame."""
+    if not 6 <= c2 <= 8:
         raise HypothesisError(
             "the Hom/Ext profile is defined only for 6 <= c2 <= 8: a smaller c2 forces a section "
-            f"after a ruling twist, and a larger one violates the nef bound c2 <= 8; got c2={e.c2}"
+            f"after a ruling twist, and a larger one violates the nef bound c2 <= 8; got c2={c2}"
         )
     # Each entry is +-chi of a twist: h0 for the untwisted bundle, h1 for
     # the three negative twists, all other groups vanishing by hypothesis.
     # Riemann-Roch is evaluated once, at (0, 0); the twists differ from it
     # exactly: chi(-1,0) = chi - b - r, chi(0,-1) = chi - a - r and
-    # chi(-1,-1) = chi - a - b - r.
-    r, a, b = e.rank, e.c1.a, e.c1.b
-    n0 = _chi(r, e.c1, e.c2)
-    return HomExtProfile((n0, 0, 0, 0), (0, b + r - n0, a + r - n0, a + b + r - n0))
+    # chi(-1,-1) = chi - a - b - r, with a = b = 2.
+    n0 = _chi(rank, _C1_22, c2)
+    return tuple.__new__(HomExtProfile, ((n0, 0, 0, 0), (0, 2 + rank - n0, 2 + rank - n0, 4 + rank - n0)))

@@ -140,7 +140,8 @@ def from_chern(e: BundleNumerics) -> KClass:
     """Inverse of :func:`to_chern`."""
     if type(e) is not BundleNumerics:
         raise TypeError(f"Chern data must be a BundleNumerics, got {e!r}")
-    return KClass(e.rank, e.c1, 2 * (e.c1.a * e.c1.b - e.c2))
+    c1 = e.c1
+    return KClass(e.rank, c1, 2 * (c1.a * c1.b - e.c2))
 
 
 def twist_chern(e: BundleNumerics, line: BiDegree) -> BundleNumerics:

@@ -17,11 +17,13 @@ algebra are recorded only through composition-series data: the 4-tuple
 of multiplicities of the four vertex simples.  The vertex idempotent e_i
 acts on a module by projecting onto its i-th graded piece, so its only
 numeric shadow here is reading off one coordinate, ``series[i]``.
+``hom_ext_series`` reads those series from a rank and c2 through the
+int-level profile core of ``cohomology``, building no Chern data.
 """
 
 from __future__ import annotations
 
-from .cohomology import BundleNumerics, HomExtProfile, cohomology_q2, ext1_module_profile
+from .cohomology import HomExtProfile, _module_profile, cohomology_q2
 from .picard import BiDegree
 
 #: Degrees of the four collection members, in order.
@@ -31,9 +33,6 @@ COLLECTION: tuple[BiDegree, BiDegree, BiDegree, BiDegree] = (
     BiDegree(0, 1),
     BiDegree(1, 1),
 )
-
-#: The determinant of every bundle whose module profile is read here.
-_C1_22 = BiDegree(2, 2)
 
 
 def build_algebra() -> tuple[tuple[int, int, int, int], ...]:
@@ -59,7 +58,8 @@ def hom_ext_series(rank: int, c2: int) -> HomExtProfile:
     """Composition series of Hom(G, E) and Ext^1(G, E) for a nef bundle E
     with determinant (2, 2), no ruling-degree sub-line-bundle and
     vanishing h1.  Requires 6 <= c2 <= 8, the upper end the nef bound
-    c2 <= c1^2.  A rank or c2 that is not an int raises TypeError.
+    c2 <= c1^2.  A rank or c2 that is not an int raises TypeError, and a
+    rank below 1 ValueError, before c2 is read.
 
     >>> hom_ext_series(3, 7)
     HomExtProfile(hom=(4, 0, 0, 0), ext1=(0, 1, 1, 3))
@@ -68,4 +68,6 @@ def hom_ext_series(rank: int, c2: int) -> HomExtProfile:
         raise TypeError(f"rank must be an integer, got {rank!r}")
     if type(c2) is not int:
         raise TypeError(f"c2 must be an integer, got {c2!r}")
-    return ext1_module_profile(BundleNumerics(rank, _C1_22, c2))
+    if rank < 1:
+        raise ValueError("rank must be a positive integer")
+    return _module_profile(rank, c2)

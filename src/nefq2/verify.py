@@ -21,11 +21,10 @@ from typing import Any, Callable, Iterable, NamedTuple
 from ._value import frozen
 from .bondal import reconstruct
 from .catalog import CaseSpec, sweep
-from .cohomology import BundleNumerics, _chi, _weak_fano
+from .cohomology import BundleNumerics, _C1_22, _chi, _weak_fano
 from .errors import HypothesisError, ReconstructionError
 from .ktheory import KClass, _chern_c2
 from .picard import BiDegree
-from .quiver import _C1_22
 
 
 class CheckResult(NamedTuple):
@@ -179,21 +178,27 @@ class Certificate:
         reconstruction check included, made through ``reconstruct`` at every
         call so that a replaced function is seen.  A rank that is not an int
         raises TypeError, one below min_rank ValueError, and a class with no
-        Chern data the error of ``ktheory.to_chern``."""
-        self._check_rank(r)
-        case, kept = self.case, self._kept
+        Chern data the error of ``ktheory.to_chern``.  The report and a kept
+        row's two new checks are built as a named tuple's generated
+        ``__new__`` builds them, ``tuple.__new__(cls, fields)``, without
+        that frame."""
+        case = self.case
+        if type(r) is not int or r < case.display.min_rank:
+            self._check_rank(r)
+        kept = self._kept
         if kept is None:
             rank, c1, c2, weak_fano, checks, passed = self._evaluate(r)
         else:
             (_, c1, c2, weak_fano, (_, c1_check, c2_check, bound, _, multiplicities), passed), k = kept
-            rank, rank_check = r, CheckResult("rank", True, f"display rank {r}, requested {r}")
-            chi = CheckResult("chi_nonnegative", True, f"chi = {k + r} must be >= 0 for a nef family")
+            rank, new = r, tuple.__new__
+            rank_check = new(CheckResult, ("rank", True, f"display rank {r}, requested {r}"))
+            chi = new(CheckResult, ("chi_nonnegative", True, f"chi = {k + r} must be >= 0 for a nef family"))
             checks = (rank_check, c1_check, c2_check, bound, chi, multiplicities)
         if case.bondal_reconstructible:
             reconstruction = _reconstruction_check(c1, c2)
             checks += (reconstruction,)
             passed = passed and reconstruction.passed
-        return VerificationReport(case, r, rank, c1, c2, weak_fano, checks, passed)
+        return tuple.__new__(VerificationReport, (case, r, rank, c1, c2, weak_fano, checks, passed))
 
     def proved_from(self, lo: int) -> bool:
         """Whether every check of ``row(r)`` passes at every r >= lo, decided

@@ -1,6 +1,6 @@
 """A mutation gate: each mutant breaks the package in one place, the
-catalog, the certificate engine or one help string of the command line,
-and a named check must catch it.
+catalog, the certificate engine, the module profile or one help string of
+the command line, and a named check must catch it.
 
     python tests/mutants.py
 
@@ -91,6 +91,18 @@ MUTANTS = {
         "2 * (base.rank + a0 + b0) + x0",
         "2 * (base.rank + a0 - b0) + x0",
         ("tier1", "tests/test_catalog.py"),
+    ),
+    "hom_ext_series takes a rank below 1": (
+        "src/nefq2/quiver.py",
+        "    if rank < 1:\n        raise ValueError",
+        "    if False:\n        raise ValueError",
+        ("tier1", "tests/test_quiver.py"),
+    ),
+    "the profile's last ext1 entry is off by one": (
+        "src/nefq2/cohomology.py",
+        "4 + rank - n0",
+        "5 + rank - n0",
+        ("tier1", "tests/test_cohomology.py"),
     ),
     "a help string is shortened": (
         "src/nefq2/cli.py",

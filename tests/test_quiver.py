@@ -5,9 +5,11 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nefq2 import BiDegree, HypothesisError
-from nefq2.cohomology import HomExtProfile
+from nefq2 import BiDegree, BundleNumerics, HypothesisError
+from nefq2.cohomology import HomExtProfile, ext1_module_profile
 from nefq2.quiver import COLLECTION, build_algebra, hom_ext_series, simple_module
 
 
@@ -115,3 +117,29 @@ def test_hom_ext_series_type_rule(args, message):
     # the argument is named, not a field of the Chern data built from it
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         hom_ext_series(*args)
+
+
+def _profile_or_error(call):
+    """The profile a call returns, exactly a HomExtProfile, or the type and message of what it raises."""
+    try:
+        profile = call()
+    except (ValueError, HypothesisError) as exc:
+        return type(exc), str(exc)
+    assert type(profile) is HomExtProfile
+    return profile
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(-3, 10**6), st.integers(3, 10))
+@example(0, 7)
+@example(-3, 3)
+@example(1, 9)
+def test_hom_ext_series_is_the_profile_of_its_chern_data(rank, c2):
+    # the two entry points share one core: the same profile, or the same
+    # error, where a rank below 1 is refused before c2 is read
+    series = _profile_or_error(lambda: hom_ext_series(rank, c2))
+    assert series == _profile_or_error(lambda: ext1_module_profile(BundleNumerics(rank, BiDegree(2, 2), c2)))
+    if rank < 1:
+        assert series == (ValueError, "rank must be a positive integer")
+    elif not 6 <= c2 <= 8:
+        assert series[0] is HypothesisError

@@ -245,6 +245,52 @@ def test_cached_properties_keep_their_values_in_the_instance_dict():
     assert not any(hasattr(cls, "__slots__") for cls in (Display, CaseSpec, Certificate))
 
 
+@frozen
+class _Natural:
+    """A value type whose ``__post_init__`` refuses a negative field."""
+
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"n must be >= 0, got {self.n}")
+
+
+def test_post_init_runs_however_a_value_is_built():
+    # the constructor, replace, copy, deepcopy and pickle all build through
+    # __init__, which calls the __post_init__ bound when the class was decorated
+    value = _Natural(2)
+    assert replace(value, n=0) == _Natural(0)
+    assert copy.copy(value) == copy.deepcopy(value) == pickle.loads(pickle.dumps(value)) == value
+    # a value whose slot was set past __init__ cannot be copied or pickled back
+    bad = object.__new__(_Natural)
+    vars(_Natural)["n"].__set__(bad, -1)
+    builds = (
+        lambda: _Natural(-1),
+        lambda: replace(value, n=-1),
+        lambda: copy.copy(bad),
+        lambda: copy.deepcopy(bad),
+        lambda: pickle.loads(pickle.dumps(bad)),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            build()
+
+
+def test_post_init_is_read_when_the_class_is_decorated():
+    @frozen
+    class Checked:
+        n: int
+
+        def __post_init__(self) -> None:
+            raise ValueError("checked")
+
+    # assigned before the first construction compiles __init__, and still not called
+    Checked.__post_init__ = lambda self: None
+    with pytest.raises(ValueError, match="^checked$"):
+        Checked(1)
+
+
 def test_frozen_refuses_a_method_that_closes_over_its_class():
     # the slotted rebuild would leave super()'s __class__ cell on the old class
     with pytest.raises(TypeError, match=r"Child: a method closes over __class__"):
